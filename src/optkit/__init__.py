@@ -11,11 +11,11 @@ from .problem import (Bounds, DerivativeCheck, EvalCallbacks, EvalCounters,
                       EvaluationError, ProblemError, ProblemSpec, ScaledView,
                       build_problem, check_first_derivatives, fd_derivative)
 from .kit import (HessianApprox, LineSearchResult, MeritSpec, QpError,
-                  hessian_update, line_search, merit_value, qp_solve)
+                  line_search, merit_value, qp_solve)
 from .recording import (EvalEvent, HotStartCache, HotStartError, IterEvent,
-                        OutputsDecl, RecordError, RunRecord, hot_start_evaluate,
-                        print_results, read_record, update_outputs,
-                        write_readable_outputs, write_record)
+                        OutputsDecl, RecordError, RunRecord, print_results,
+                        read_record, update_outputs, write_readable_outputs,
+                        write_record)
 from .solvers import (SOLVERS, OptionError, SolverError, SolverReport,
                       exact_penalty, nelder_mead, newton, newton_lagrange,
                       pso, quadratic_penalty, quasi_newton, simulated_annealing,
@@ -29,9 +29,9 @@ __all__ = [
     "EvaluationError", "ProblemError", "ProblemSpec", "ScaledView",
     "build_problem", "check_first_derivatives", "fd_derivative",
     "HessianApprox", "LineSearchResult", "MeritSpec", "QpError",
-    "hessian_update", "line_search", "merit_value", "qp_solve",
+    "line_search", "merit_value", "qp_solve",
     "EvalEvent", "HotStartCache", "HotStartError", "IterEvent", "OutputsDecl",
-    "RecordError", "RunRecord", "hot_start_evaluate", "print_results",
+    "RecordError", "RunRecord", "print_results",
     "read_record", "update_outputs", "write_readable_outputs", "write_record",
     "SOLVERS", "OptionError", "SolverError", "SolverReport",
     "steepest_descent", "newton", "quasi_newton", "newton_lagrange",

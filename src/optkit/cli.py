@@ -6,13 +6,14 @@ Exit codes: 0 success/converged, 1 ran-but-failed, 2 usage/config error.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bench import (REGISTRY, data_profile, make_problem, parse_problem_token,
                     performance_profile, problem_names, run_suite, write_suite_csv)
 from .problem import (EvaluationError, ProblemError, ScaledView,
-                      check_first_derivatives)
+                      check_first_derivatives, validate_scalers)
 from .recording import (HotStartError, RecordError, print_results,
                         read_record, write_readable_outputs, write_record)
 from .solvers import SOLVERS, OptionError, SolverError
@@ -48,8 +49,13 @@ def _parse_override(token):
     return key, raw
 
 
-def _csv_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _scaler_arg(text, label):
+    """One float (applied to every entry) or a comma-separated vector."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise CliError(f"{label} must be one float or comma-separated floats, got {text!r}") from None
+    return values[0] if len(values) == 1 else values
 
 
 def _build_problem(args):
@@ -67,24 +73,15 @@ def _build_problem(args):
     elif entry.size_param == "n_t":
         size = args.n_t
     spec = make_problem(name, size)
-    # optional scaler overrides rebuild the spec with new scaling
-    if args.x_scaler or args.f_scaler or args.c_scaler:
-        from dataclasses import replace
-        kwargs = {}
-        if args.x_scaler:
-            xs = _csv_floats(args.x_scaler)
-            kwargs["x_scaler"] = np.full(spec.n, xs[0]) if len(xs) == 1 else np.asarray(xs)
-        if args.f_scaler:
-            kwargs["f_scaler"] = float(args.f_scaler)
-        if args.c_scaler:
-            cs = _csv_floats(args.c_scaler)
-            kwargs["c_scaler"] = np.full(spec.m, cs[0]) if len(cs) == 1 else np.asarray(cs)
-        try:
-            spec = replace(spec, **{k: np.asarray(v, dtype=float) if k != "f_scaler" else v
-                                    for k, v in kwargs.items()})
-        except ValueError as exc:
-            raise CliError(f"bad scaler override: {exc}") from exc
-    return spec
+    # optional scaler overrides, checked like build_problem's scalers
+    x_scaler = spec.x_scaler if args.x_scaler is None else _scaler_arg(args.x_scaler, "x_scaler")
+    f_scaler = spec.f_scaler if args.f_scaler is None else args.f_scaler
+    c_scaler = spec.c_scaler if args.c_scaler is None else _scaler_arg(args.c_scaler, "c_scaler")
+    try:
+        x_scaler, f_scaler, c_scaler = validate_scalers(spec.n, spec.m, x_scaler, f_scaler, c_scaler)
+    except ProblemError as exc:
+        raise CliError(f"bad scaler override: {exc}") from exc
+    return replace(spec, x_scaler=x_scaler, f_scaler=f_scaler, c_scaler=c_scaler)
 
 
 def _solver_options(args):

@@ -85,12 +85,6 @@ class HessianApprox:
         return False
 
 
-def hessian_update(approx, d, w):
-    """Functional wrapper: returns (approx, skipped)."""
-    skipped = approx.update(d, w)
-    return approx, skipped
-
-
 # ---------------------------------------------------------------------------
 # Line searches
 # ---------------------------------------------------------------------------

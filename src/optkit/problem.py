@@ -117,6 +117,14 @@ class EvalCallbacks:
     obj_hessian: callable = None
     lag_hessian: callable = None
 
+    # evaluation kind -> callback field
+    FIELDS = {"obj": "objective", "grad": "gradient", "con": "constraints",
+              "jac": "jacobian", "obj_hess": "obj_hessian", "lag_hess": "lag_hessian"}
+
+    def get(self, kind):
+        """The callback for an evaluation kind, or None when it is absent."""
+        return getattr(self, self.FIELDS[kind])
+
 
 @dataclass
 class EvalCounters:
@@ -164,6 +172,33 @@ class ProblemSpec:
         return self.con_bounds.equality_mask()
 
 
+def _expand(value, size, default, label):
+    """A length-``size`` vector from None (all ``default``), a scalar, or a vector."""
+    if value is None:
+        return np.full(size, default, dtype=float)
+    v = np.asarray(value, dtype=float)
+    if v.ndim == 0:
+        return np.full(size, float(v))
+    return _vector(v, size, label)
+
+
+def validate_scalers(n, m, x_scaler=None, f_scaler=1.0, c_scaler=None):
+    """Expand the x, f and c scalers to lengths n, 1 and m and require every
+    entry to be strictly positive and finite.  Returns (x_scaler, f_scaler, c_scaler)."""
+    def scaler_vec(value, size, label):
+        s = _expand(value, size, 1.0, label)
+        if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
+            raise ProblemError(f"{label} entries must be strictly positive and finite")
+        return s
+
+    x_scaler = scaler_vec(x_scaler, n, "x_scaler")
+    c_scaler = scaler_vec(c_scaler, m, "c_scaler")
+    f_scaler = float(f_scaler)
+    if not np.isfinite(f_scaler) or f_scaler <= 0.0:
+        raise ProblemError("f_scaler must be strictly positive and finite")
+    return x_scaler, f_scaler, c_scaler
+
+
 def build_problem(name, x0, obj, *, grad=None, con=None, jac=None,
                   obj_hess=None, lag_hess=None, m=None,
                   xl=None, xu=None, cl=None, cu=None,
@@ -184,15 +219,7 @@ def build_problem(name, x0, obj, *, grad=None, con=None, jac=None,
         raise ProblemError("x0 must be finite")
     n = x0.size
 
-    def expand(value, size, default, label):
-        if value is None:
-            return np.full(size, default, dtype=float)
-        v = np.asarray(value, dtype=float)
-        if v.ndim == 0:
-            return np.full(size, float(v))
-        return _vector(v, size, label)
-
-    var_bounds = Bounds(expand(xl, n, -np.inf, "xl"), expand(xu, n, np.inf, "xu"))
+    var_bounds = Bounds(_expand(xl, n, -np.inf, "xl"), _expand(xu, n, np.inf, "xu"))
 
     if m is None:
         if cl is not None:
@@ -208,20 +235,9 @@ def build_problem(name, x0, obj, *, grad=None, con=None, jac=None,
         raise ProblemError("m must be nonnegative")
     if m > 0 and con is None:
         raise ProblemError(f"m={m} constraints declared but no constraint callback given")
-    con_bounds = Bounds(expand(cl, m, -np.inf, "cl"), expand(cu, m, np.inf, "cu"))
+    con_bounds = Bounds(_expand(cl, m, -np.inf, "cl"), _expand(cu, m, np.inf, "cu"))
 
-    def scaler_vec(value, size, label):
-        s = expand(value, size, 1.0, label)
-        if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-            raise ProblemError(f"{label} entries must be strictly positive and finite")
-        return s
-
-    x_scaler = scaler_vec(x_scaler, n, "x_scaler")
-    c_scaler = scaler_vec(c_scaler, m, "c_scaler")
-    f_scaler = float(f_scaler)
-    if not np.isfinite(f_scaler) or f_scaler <= 0.0:
-        raise ProblemError("f_scaler must be strictly positive and finite")
-
+    x_scaler, f_scaler, c_scaler = validate_scalers(n, m, x_scaler, f_scaler, c_scaler)
     callbacks = EvalCallbacks(objective=obj, gradient=grad, constraints=con,
                               jacobian=jac, obj_hessian=obj_hess, lag_hessian=lag_hess)
     return ProblemSpec(name=str(name), n=n, m=m, x0=x0,
@@ -274,46 +290,17 @@ def _fd_columns(func, x, base):
 def fd_derivative(spec, kind, x, lam=None):
     """Forward-difference derivative from the raw callbacks (verification path).
 
-    Supports kind in {grad, jac, obj_hess, lag_hess}.  This routine calls the
-    user callbacks directly and performs no counting or recording; solvers get
-    their FD fallback through :class:`ScaledView` instead.
+    Supports kind in {grad, jac, obj_hess, lag_hess}; the Hessian kinds
+    difference the gradient of f - lam @ c.  The differences are taken by the
+    same code as the solvers' FD fallback, on a throwaway :class:`ScaledView`,
+    so nothing is counted against or recorded in any solver's view.
     """
+    if kind not in ("grad", "jac", "obj_hess", "lag_hess"):
+        raise ProblemError(f"fd_derivative does not support kind={kind!r}")
     x = _vector(x, spec.n, "x")
-    cb = spec.callbacks
-
-    def f(y):
-        v = float(np.asarray(cb.objective(y), dtype=float).reshape(()))
-        if not np.isfinite(v):
-            raise EvaluationError("objective non-finite at FD probe", kind="obj", x=y)
-        return v
-
-    def c(y):
-        v = _coerce_result("con", cb.constraints(y), spec.n, spec.m)
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError("constraints non-finite at FD probe", kind="con", x=y)
-        return v
-
-    if kind == "grad":
-        return _fd_columns(f, x, f(x)).ravel()
-    if kind == "jac":
-        return _fd_columns(c, x, c(x))
     if kind in ("obj_hess", "lag_hess"):
-        if lam is None:
-            lam = np.zeros(spec.m)
-        lam = _vector(lam, spec.m, "lam") if spec.m else np.zeros(0)
-
-        def grad_lag(y):
-            g = (_coerce_result("grad", cb.gradient(y), spec.n, spec.m)
-                 if cb.gradient is not None else _fd_columns(f, y, f(y)).ravel())
-            if spec.m and np.any(lam != 0.0):
-                J = (_coerce_result("jac", cb.jacobian(y), spec.n, spec.m)
-                     if cb.jacobian is not None else _fd_columns(c, y, c(y)))
-                g = g - J.T @ lam
-            return g
-
-        H = _fd_columns(grad_lag, x, grad_lag(x))
-        return 0.5 * (H + H.T)
-    raise ProblemError(f"fd_derivative does not support kind={kind!r}")
+        lam = _vector(lam, spec.m, "lam") if spec.m and lam is not None else None
+    return ScaledView(spec)._fd(kind, x, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +411,7 @@ class ScaledView:
                     self.record.append_eval(kind, x, lam, result)
                 return result
 
-        cb = self.spec.callbacks
-        fn = {"obj": cb.objective, "grad": cb.gradient, "con": cb.constraints,
-              "jac": cb.jacobian, "obj_hess": cb.obj_hessian, "lag_hess": cb.lag_hessian}[kind]
+        fn = self.spec.callbacks.get(kind)
         try:
             raw = fn(x, lam) if kind == "lag_hess" else fn(x)
         except EvaluationError:
@@ -451,16 +436,20 @@ class ScaledView:
 
     def _raw(self, kind, x, lam=None):
         """Raw-space result for any kind, dispatching to FD when needed."""
-        cb = self.spec.callbacks
-        have = {"obj": cb.objective, "grad": cb.gradient, "con": cb.constraints,
-                "jac": cb.jacobian, "obj_hess": cb.obj_hessian, "lag_hess": cb.lag_hessian}[kind]
-        if have is not None:
+        if self.spec.callbacks.get(kind) is not None:
             return self._invoke(kind, x, lam)
         if kind in ("obj", "con"):
             raise EvaluationError(f"no {kind} callback available", kind=kind, x=x)
         if not self.allow_fd:
             raise EvaluationError(f"no {kind} callback and finite differencing is disabled", kind=kind, x=x)
+        return self._fd(kind, x, lam)
 
+    def _fd(self, kind, x, lam=None):
+        """Forward-difference derivative of kind grad, jac, obj_hess or lag_hess.
+
+        Gradients and Jacobians difference the obj/con callbacks; Hessians
+        difference the (analytic or FD) gradient of f - lam @ c.
+        """
         if kind == "grad":
             base = self._base_value("obj", x)
             return _fd_columns(lambda y: self._invoke("obj", y), x, base).ravel()
@@ -528,10 +517,7 @@ class ScaledView:
         return float(np.max(v)) if v.size else 0.0
 
     def has_callback(self, kind):
-        cb = self.spec.callbacks
-        return {"obj": cb.objective, "grad": cb.gradient, "con": cb.constraints,
-                "jac": cb.jacobian, "obj_hess": cb.obj_hessian,
-                "lag_hess": cb.lag_hessian}[kind] is not None
+        return self.spec.callbacks.get(kind) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -386,17 +386,6 @@ class HotStartCache:
         return True, (result.copy() if isinstance(result, np.ndarray) else result)
 
 
-def hot_start_evaluate(cache, view, kind, xs, lam=None):
-    """Evaluate through a view whose hot-start cache is ``cache``.
-
-    Provided for symmetry with the record API; equivalent to
-    ``view.evaluate(kind, xs, lam)`` when the view was built with the cache.
-    """
-    if view._cache is not cache:
-        raise HotStartError("view was not constructed with this cache")
-    return view.evaluate(kind, xs, lam)
-
-
 # ---------------------------------------------------------------------------
 # Readable outputs and result presentation
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from .. import kit
 from ..problem import signed_violation, violation
 from .base import (RunContext, SolverError, clip_to_bounds, ensure_view, make_options)
 from .direct import _nelder_mead_loop
-from .gradient import _quasi_newton_loop
+from .gradient import _descent_loop, _quasi_newton_direction
 
 RHO_CAP = 1e12
 
@@ -117,12 +117,13 @@ def quadratic_penalty(problem, **options):
     lower, upper = view.var_lower, view.var_upper
 
     def make_penalized(rho):
+        merit = kit.MeritSpec("quadratic_penalty", rho)
+
         def pobj(x):
             f = view.obj(x)
             if m == 0:
                 return f
-            v = _scaled_violation(view, view.con(x))
-            return f + 0.5 * rho * float(v @ v)
+            return kit.merit_value(merit, f, view.con(x), view.con_lower, view.con_upper)
 
         def pgrad(x):
             g = view.grad(x)
@@ -150,10 +151,12 @@ def quadratic_penalty(problem, **options):
         else:
             tol = max(float(schedule[outer]) if outer < len(schedule) else opts.opt_tol,
                       opts.opt_tol)
-        pobj, pgrad = make_penalized(rho)
         try:
-            state = _quasi_newton_loop(pobj, pgrad, x, lower, upper,
-                                       maxiter=opts.sub_maxiter, opt_tol=tol)
+            pobj, pgrad = make_penalized(rho)
+            approx = kit.HessianApprox(n=view.n)
+            state = _descent_loop(pobj, pgrad, x, lower, upper, _quasi_newton_direction(approx),
+                                  ls_kind="wolfe", maxiter=opts.sub_maxiter, opt_tol=tol,
+                                  on_step=approx.update)
         except Exception as exc:
             raise SolverError(f"penalty subsolver failed at outer iteration {outer} "
                               f"(rho={rho:g}): {exc}") from exc
@@ -191,16 +194,20 @@ def exact_penalty(problem, **options):
                      {"itr": int, "merit": float, "spread": float,
                       "x": (float, (view.n,))}, opts)
 
+    try:
+        merit = kit.MeritSpec(opts.kind, opts.rho)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
+
     # Variable bounds join the penalty instead of clipping the simplex:
     # clipped vertices collapse onto active-bound hyperplanes and degenerate.
+    lower = np.concatenate([view.con_lower, view.var_lower])
+    upper = np.concatenate([view.con_upper, view.var_upper])
+
     def penalized(x):
         f = view.obj(x)
-        v = violation(x, view.var_lower, view.var_upper)
-        if view.m:
-            v = np.concatenate([violation(view.con(x), view.con_lower, view.con_upper), v])
-        if opts.kind == "l1":
-            return f + opts.rho * float(np.sum(v))
-        return f + opts.rho * (float(np.max(v)) if v.size else 0.0)
+        c = np.concatenate([view.con(x), x]) if view.m else x
+        return kit.merit_value(merit, f, c, lower, upper)
 
     def on_iter(itr, x, fbest, spread):
         ctx.emit(itr=itr, merit=fbest, spread=spread, x=x)
@@ -319,9 +326,9 @@ def sqp(problem, **options):
 
         if m:
             rho = max(rho, float(np.max(np.abs(lam_hat))) + 1.0)
-        v1 = float(np.sum(_scaled_violation(view, c)))
-        merit0 = f + rho * v1
-        slope0 = float(g @ p) - rho * v1
+        merit = kit.MeritSpec("l1", rho)
+        merit0 = kit.merit_value(merit, f, c, cl, cu)
+        slope0 = float(g @ p) - rho * float(np.sum(_scaled_violation(view, c)))
 
         trials = {}
 
@@ -330,7 +337,7 @@ def sqp(problem, **options):
             fa = view.obj(xa)
             ca = view.con(xa) if m else np.zeros(0)
             trials[a] = (xa, fa, ca)
-            return fa + rho * float(np.sum(_scaled_violation(view, ca)))
+            return kit.merit_value(merit, fa, ca, cl, cu)
 
         if slope0 >= -1e-16 or float(np.max(np.abs(p))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             phi(1.0)

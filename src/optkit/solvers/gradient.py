@@ -1,4 +1,8 @@
-"""Gradient-based unconstrained solvers: steepest descent, Newton, quasi-Newton."""
+"""Gradient-based unconstrained solvers: steepest descent, Newton, quasi-Newton.
+
+All three run the same line-searched descent loop and differ only in the
+rule that picks the search direction p_k.
+"""
 
 import logging
 
@@ -12,36 +16,77 @@ from .base import (RunContext, SolverError, clip_to_bounds, ensure_view,
 log = logging.getLogger(__name__)
 
 _OUTPUTS = lambda n: {"itr": int, "obj": float, "opt": float, "x": (float, (n,))}
+_STEP_OPTIONS = {"use_line_search": (bool, True), "alpha": (float, 1.0)}
 
 
-def _check_finite_iterate(x, solver):
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError(f"{solver} produced a non-finite iterate", x=x)
+def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, opt_tol,
+                  use_line_search=True, alpha=1.0, on_step=None, on_iter=None):
+    """Line-searched (or fixed-alpha) descent shared by every gradient solver.
+
+    ``direction(x, f, g)`` returns the search direction and the line search's
+    initial step.  ``obj``/``grad`` evaluate the (scaled) objective; bounds are
+    enforced by clipping trial points.  ``on_step(d, w)`` sees each step and
+    gradient change, ``on_iter(itr, x, f, opt)`` each iterate.  Returns a dict
+    with the terminal state.
+    """
+    x = clip_to_bounds(np.asarray(x0, dtype=float), lower, upper)
+    f = obj(x)
+    g = grad(x)
+    opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
+    itr = 0
+    if on_iter is not None:
+        on_iter(itr, x, f, opt)
+
+    while opt > opt_tol and itr < maxiter:
+        itr += 1
+        p, alpha0 = direction(x, f, g)
+        g_new = None
+        if use_line_search:
+            grads = {}
+
+            def phi(a):
+                return obj(clip_to_bounds(x + a * p, lower, upper))
+
+            def dphi(a):
+                ga = grad(clip_to_bounds(x + a * p, lower, upper))
+                grads[a] = ga
+                return float(ga @ p)
+
+            res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=float(g @ p), alpha0=alpha0)
+            if not res.converged:
+                log.debug("line search did not converge; continuing with best alpha %g", res.alpha)
+            x_new = clip_to_bounds(x + res.alpha * p, lower, upper)
+            f_new = res.f_new
+            g_new = grads.get(res.alpha)
+        else:
+            x_new = clip_to_bounds(x + alpha * p, lower, upper)
+            f_new = obj(x_new)
+        if not np.all(np.isfinite(x_new)):
+            raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
+        if g_new is None:
+            g_new = grad(x_new)
+
+        if on_step is not None:
+            on_step(x_new - x, g_new - g)
+        x, f, g = x_new, f_new, g_new
+        opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
+        if on_iter is not None:
+            on_iter(itr, x, f, opt)
+
+    return {"x": x, "f": f, "opt": opt, "niter": itr, "converged": opt <= opt_tol}
 
 
-def _descent_step(view, x, f, g, p, opts, ls_kind, alpha0=1.0):
-    """One line-searched (or fixed-alpha) step along p. Returns (x_new, f_new, g_new)."""
-    lower, upper = view.var_lower, view.var_upper
-    if not opts.use_line_search:
-        x_new = clip_to_bounds(x + opts.alpha * p, lower, upper)
-        return x_new, view.obj(x_new), None
+def _solve(view, ctx, opts, direction, ls_kind, on_step=None):
+    """Run the descent loop on a view and report in the solver's context."""
+    def on_iter(itr, x, f, opt):
+        ctx.emit(itr=itr, obj=f, opt=opt, x=x)
 
-    slope0 = float(g @ p)
-    grads = {}
-
-    def phi(a):
-        return view.obj(clip_to_bounds(x + a * p, lower, upper))
-
-    def dphi(a):
-        ga = view.grad(clip_to_bounds(x + a * p, lower, upper))
-        grads[a] = ga
-        return float(ga @ p)
-
-    res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=slope0, alpha0=alpha0)
-    if not res.converged:
-        log.debug("line search did not converge; continuing with best alpha %g", res.alpha)
-    x_new = clip_to_bounds(x + res.alpha * p, lower, upper)
-    return x_new, res.f_new, grads.get(res.alpha)
+    state = _descent_loop(view.obj, view.grad, view.x0, view.var_lower, view.var_upper,
+                          direction, ls_kind=ls_kind, maxiter=opts.maxiter,
+                          opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
+                          alpha=opts.alpha, on_step=on_step, on_iter=on_iter)
+    return ctx.finish(state["x"], state["f"], state["opt"], 0.0,
+                      state["niter"], state["converged"])
 
 
 def steepest_descent(problem, **options):
@@ -51,23 +96,19 @@ def steepest_descent(problem, **options):
     With ``use_line_search=False`` a fixed step ``alpha`` is taken instead.
     """
     view = ensure_view(problem)
-    opts = make_options({"use_line_search": (bool, True), "alpha": (float, 1.0)}, options)
+    opts = make_options(_STEP_OPTIONS, options)
     require_unconstrained(view, "steepest_descent")
     ctx = RunContext(view, "steepest_descent", _OUTPUTS(view.n), opts)
+    lower, upper = view.var_lower, view.var_upper
+    f_prev = None
 
-    x = clip_to_bounds(view.x0, view.var_lower, view.var_upper)
-    f = view.obj(x)
-    g = view.grad(x)
-    opt = float(np.linalg.norm(projected_gradient(g, x, view.var_lower, view.var_upper)))
-    itr = 0
-    ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-
-    # first gradient step has no natural unit scale; open the line search at
-    # ~1/|g| and then at the step predicted from the previous decrease
-    f_prev = f + 0.5 * opt
-    while opt > opts.opt_tol and itr < opts.maxiter:
-        itr += 1
-        p = -projected_gradient(g, x, view.var_lower, view.var_upper)
+    def direction(x, f, g):
+        nonlocal f_prev
+        p = -projected_gradient(g, x, lower, upper)
+        if f_prev is None:
+            # first gradient step has no natural unit scale; open the line search
+            # at ~1/|g| and then at the step predicted from the previous decrease
+            f_prev = f + 0.5 * float(np.linalg.norm(p))
         slope = float(g @ p)
         alpha0 = 1.0
         if slope < 0.0:
@@ -75,12 +116,9 @@ def steepest_descent(problem, **options):
             if alpha0 <= 0.0:
                 alpha0 = 1.0
         f_prev = f
-        x, f, g_new = _descent_step(view, x, f, g, p, opts, "armijo", alpha0=alpha0)
-        _check_finite_iterate(x, "steepest_descent")
-        g = g_new if g_new is not None else view.grad(x)
-        opt = float(np.linalg.norm(projected_gradient(g, x, view.var_lower, view.var_upper)))
-        ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-    return ctx.finish(x, f, opt, 0.0, itr, opt <= opts.opt_tol)
+        return p, alpha0
+
+    return _solve(view, ctx, opts, direction, "armijo")
 
 
 def _regularized_newton_step(H, g):
@@ -110,90 +148,34 @@ def newton(problem, **options):
     Cholesky factorization succeeds.
     """
     view = ensure_view(problem)
-    opts = make_options({"use_line_search": (bool, True), "alpha": (float, 1.0)}, options)
+    opts = make_options(_STEP_OPTIONS, options)
     require_unconstrained(view, "newton")
     ctx = RunContext(view, "newton", _OUTPUTS(view.n), opts)
 
-    x = clip_to_bounds(view.x0, view.var_lower, view.var_upper)
-    f = view.obj(x)
-    g = view.grad(x)
-    opt = float(np.linalg.norm(projected_gradient(g, x, view.var_lower, view.var_upper)))
-    itr = 0
-    ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-
-    while opt > opts.opt_tol and itr < opts.maxiter:
-        itr += 1
-        H = view.obj_hess(x)
-        p = _regularized_newton_step(H, g)
+    def direction(x, f, g):
+        p = _regularized_newton_step(view.obj_hess(x), g)
         if float(g @ p) >= 0.0:
             p = -g
-        x, f, g_new = _descent_step(view, x, f, g, p, opts, "armijo")
-        _check_finite_iterate(x, "newton")
-        g = g_new if g_new is not None else view.grad(x)
-        opt = float(np.linalg.norm(projected_gradient(g, x, view.var_lower, view.var_upper)))
-        ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-    return ctx.finish(x, f, opt, 0.0, itr, opt <= opts.opt_tol)
+        return p, 1.0
+
+    return _solve(view, ctx, opts, direction, "armijo")
 
 
-def _quasi_newton_loop(obj, grad, x0, lower, upper, *, maxiter, opt_tol,
-                       use_line_search=True, alpha=1.0, variant="bfgs", on_iter=None):
-    """Core quasi-Newton iteration shared by the solver and the penalty drivers.
-
-    ``obj``/``grad`` evaluate the (scaled) objective; bounds are enforced by
-    clipping trial points.  Returns a dict with the terminal state.
-    """
-    x = clip_to_bounds(np.asarray(x0, dtype=float), lower, upper)
-    f = obj(x)
-    g = grad(x)
-    approx = kit.HessianApprox(n=x.size, variant=variant)
-    opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
-    itr = 0
-    if on_iter is not None:
-        on_iter(itr, x, f, opt)
-
-    while opt > opt_tol and itr < maxiter:
-        itr += 1
+def _quasi_newton_direction(approx):
+    """Direction rule B p = -g; the approximation restarts from the identity
+    when the solve fails or the direction is not a descent direction."""
+    def direction(x, f, g):
         try:
             p = np.linalg.solve(approx.B, -g)
         except np.linalg.LinAlgError:
             approx.reset()
             p = -g
         if float(g @ p) >= 0.0:
-            # approximation lost descent; restart from identity
-            log.debug("non-descent direction at iteration %d; resetting Hessian approximation", itr)
+            log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
             p = -g
-
-        if use_line_search:
-            grads = {}
-
-            def phi(a):
-                return obj(clip_to_bounds(x + a * p, lower, upper))
-
-            def dphi(a):
-                ga = grad(clip_to_bounds(x + a * p, lower, upper))
-                grads[a] = ga
-                return float(ga @ p)
-
-            res = kit.line_search("wolfe", phi, dphi, f0=f, slope0=float(g @ p))
-            x_new = clip_to_bounds(x + res.alpha * p, lower, upper)
-            f_new = res.f_new
-            g_new = grads.get(res.alpha)
-            if g_new is None:
-                g_new = grad(x_new)
-        else:
-            x_new = clip_to_bounds(x + alpha * p, lower, upper)
-            f_new = obj(x_new)
-            g_new = grad(x_new)
-        _check_finite_iterate(x_new, "quasi_newton")
-
-        approx.update(x_new - x, g_new - g)
-        x, f, g = x_new, f_new, g_new
-        opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
-        if on_iter is not None:
-            on_iter(itr, x, f, opt)
-
-    return {"x": x, "f": f, "g": g, "opt": opt, "niter": itr, "converged": opt <= opt_tol}
+        return p, 1.0
+    return direction
 
 
 def quasi_newton(problem, **options):
@@ -203,19 +185,11 @@ def quasi_newton(problem, **options):
     B starts from the identity.
     """
     view = ensure_view(problem)
-    opts = make_options({"use_line_search": (bool, True), "alpha": (float, 1.0),
-                         "variant": (str, "bfgs")}, options)
+    opts = make_options({**_STEP_OPTIONS, "variant": (str, "bfgs")}, options)
     if opts.variant not in kit.HESSIAN_VARIANTS:
         raise SolverError(f"unknown quasi-Newton variant {opts.variant!r}")
     require_unconstrained(view, "quasi_newton")
     ctx = RunContext(view, "quasi_newton", _OUTPUTS(view.n), opts)
-
-    def on_iter(itr, x, f, opt):
-        ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-
-    state = _quasi_newton_loop(view.obj, view.grad, view.x0, view.var_lower, view.var_upper,
-                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
-                               use_line_search=opts.use_line_search, alpha=opts.alpha,
-                               variant=opts.variant, on_iter=on_iter)
-    return ctx.finish(state["x"], state["f"], state["opt"], 0.0,
-                      state["niter"], state["converged"])
+    approx = kit.HessianApprox(n=view.n, variant=opts.variant)
+    return _solve(view, ctx, opts, _quasi_newton_direction(approx), "wolfe",
+                  on_step=approx.update)

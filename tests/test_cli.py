@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from optkit import RunRecord, read_record, write_record
 from optkit.bench import quadratic_example
 from optkit.cli import main
@@ -79,6 +81,19 @@ def test_run_scaler_override(capsys):
                            "--f-scaler", "5")
     assert code == 0
     assert re.search(r"converged:\s+true", out)
+
+
+@pytest.mark.parametrize("problem, flag, value, name", [
+    ("rosenbrock2", "--f-scaler", "0", "f_scaler"),
+    ("rosenbrock2", "--x-scaler", "1,2,3", "x_scaler"),
+    ("rosenbrock2", "--x-scaler", "-1", "x_scaler"),
+    ("quadratic_example", "--c-scaler", "1,1,1", "c_scaler"),
+])
+def test_run_bad_scaler_override_exit_two(capsys, problem, flag, value, name):
+    code, _, err = run_cli(capsys, "run", "--problem", problem,
+                           "--solver", "quasi_newton", flag, value)
+    assert code == 2
+    assert name in err and "Traceback" not in err
 
 
 def test_check_bean_passes(capsys):

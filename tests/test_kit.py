@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optkit import (HessianApprox, MeritSpec, QpError, hessian_update,
-                    line_search, merit_value, qp_solve)
+from optkit import (HessianApprox, MeritSpec, QpError, line_search,
+                    merit_value, qp_solve)
 
 VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
 
@@ -29,7 +29,7 @@ def test_sr1_rank_one_example():
 def test_sr1_skips_degenerate_denominator():
     H = HessianApprox(n=2, variant="sr1")
     d = np.array([1.0, 2.0])
-    _, skipped = hessian_update(H, d, H.B @ d)  # w == Bd exactly
+    skipped = H.update(d, H.B @ d)  # w == Bd exactly
     assert skipped
     assert_allclose(H.B, np.eye(2))
 

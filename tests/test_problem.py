@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from optkit import (Bounds, EvaluationError, ProblemError, ScaledView,
                     build_problem, check_first_derivatives, fd_derivative)
-from optkit.bench import quadratic_example, rosenbrock2
+from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
 
 
 def quad_spec(**kwargs):
@@ -182,6 +184,36 @@ def test_view_fd_hessian_when_callback_missing():
     view = ScaledView(spec)
     H = view.obj_hess(np.array([0.3, -0.2]))
     assert_allclose(H, 2.0 * np.eye(2), atol=1e-5)
+
+
+@pytest.mark.parametrize("token", ["rosenbrock2", "bean", "cantilever:6", "spacecraft:3"])
+def test_fd_derivative_is_the_view_fd_fallback(token):
+    # with unit scalers, fd_derivative and a view without the callback take
+    # the same differences and must agree bit for bit
+    spec = parse_problem_token(token)
+    spec = replace(spec, x_scaler=np.ones(spec.n), f_scaler=1.0, c_scaler=np.ones(spec.m))
+    x = spec.x0 + 0.01
+    lam = np.linspace(0.5, 1.5, spec.m)
+    for kind in ("grad", "jac", "obj_hess", "lag_hess"):
+        if kind == "jac" and spec.m == 0:
+            continue
+        withheld = replace(spec.callbacks, **{spec.callbacks.FIELDS[kind]: None})
+        view = ScaledView(replace(spec, callbacks=withheld))
+        if kind == "lag_hess":
+            assert np.array_equal(fd_derivative(spec, kind, x, lam), view.lag_hess(x, lam))
+        else:
+            assert np.array_equal(fd_derivative(spec, kind, x), view.evaluate(kind, x))
+
+
+def test_fd_derivative_wraps_raising_callback():
+    def boom(x):
+        raise ValueError("boom")
+
+    spec = build_problem("raise", [1.0], obj=boom)
+    with pytest.raises(EvaluationError, match="boom"):
+        fd_derivative(spec, "grad", [1.0])
+    with pytest.raises(ProblemError, match="kind"):
+        fd_derivative(spec, "obj", [1.0])
 
 
 # ---------------------------------------------------------------------------
