@@ -18,70 +18,117 @@ class QpError(RuntimeError):
 # Hessian approximations
 # ---------------------------------------------------------------------------
 
+def _bfgs(B, d, w):
+    Bd = B @ d
+    dBd = d @ Bd
+    if dBd <= 0.0:
+        return None
+    return B - np.outer(Bd, Bd) / dBd + np.outer(w, w) / (w @ d)
+
+
+def _dfp(B, d, w):
+    # (I - w d'/wd) B (I - d w'/wd) + w w'/wd for symmetric B, expanded into
+    # the rank-2 form B + w u' + u w': an n x 2 by 2 x n product, O(n^2)
+    wd = w @ d
+    Bd = B @ d
+    u = (0.5 * (1.0 + (d @ Bd) / wd) / wd) * w - Bd / wd
+    return B + np.column_stack((w, u)) @ np.vstack((u, w))
+
+
+def _sr1(B, d, w):
+    v = w - B @ d
+    denom = v @ d
+    # standard SR1 safeguard: |v'd| must not be negligible vs |v||d|
+    if abs(denom) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(v):
+        return None
+    return B + np.outer(v, v) / denom
+
+
+def _broyden(B, d, w):
+    return B + np.outer(w - B @ d, d) / (d @ d)
+
+
+def _broyden_inverse(H, d, w):
+    # Sherman-Morrison inverse of the direct Broyden update
+    Hw = H @ w
+    dHw = d @ Hw
+    if abs(dHw) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(Hw):
+        return None
+    return H + np.outer(d - Hw, d @ H) / dHw
+
+
+_FORMULAS = {"broyden": _broyden, "sr1": _sr1, "bfgs": _bfgs, "dfp": _dfp}
+# the inverse form of each rule is its dual formula applied to (w, d)
+_DUALS = {"sr1": _sr1, "bfgs": _dfp, "dfp": _bfgs}
+
+
 @dataclass
 class HessianApprox:
-    """Square Hessian approximation B with a rank-1/rank-2 update rule.
+    """Quasi-Newton approximation with a rank-1/rank-2 update rule.
 
-    ``update(d, w)`` applies the variant's formula for step d and gradient
-    change w, maintaining the secant condition B_new @ d = w.  Degenerate
-    denominators and curvature violations skip the update (B unchanged).
+    In direct mode (``inverse=False``) the matrix ``B`` approximates the
+    Hessian and ``update(d, w)`` applies the variant's formula for step d and
+    gradient change w, maintaining the secant condition B_new @ d = w.  With
+    ``inverse=True`` the matrix ``H`` approximates the inverse Hessian and the
+    update maintains H_new @ w = d, so a direction is a matrix-vector product
+    instead of a linear solve.  The inverse updates use duality: inverse BFGS
+    is the DFP formula with (d, w) swapped, inverse DFP is the BFGS formula
+    swapped, SR1 is self-dual, and Broyden uses the Sherman-Morrison form.
+    Every update costs O(n^2).  In exact arithmetic H_new = inv(B_new).
+    The SR1, BFGS and DFP updates add symmetric terms, so a symmetric matrix
+    stays symmetric up to rounding.
+
+    Non-finite pairs, degenerate denominators and curvature violations skip
+    the update (matrix unchanged).
     """
 
     n: int
     variant: str = "bfgs"
     skip_tol: float = 1e-10
     B: np.ndarray = None
+    inverse: bool = False
+    H: np.ndarray = None
 
     def __post_init__(self):
         if self.variant not in HESSIAN_VARIANTS:
             raise ValueError(f"unknown Hessian update variant {self.variant!r}; expected one of {HESSIAN_VARIANTS}")
-        if self.B is None:
-            self.B = np.eye(self.n)
+        given, unused = (self.H, self.B) if self.inverse else (self.B, self.H)
+        if unused is not None:
+            raise ValueError("HessianApprox takes B when inverse=False and H when inverse=True")
+        self._set(np.eye(self.n) if given is None
+                  else np.asarray(given, dtype=float).reshape(self.n, self.n).copy())
+
+    def _set(self, M):
+        if self.inverse:
+            self.H = M
         else:
-            self.B = np.asarray(self.B, dtype=float).reshape(self.n, self.n).copy()
+            self.B = M
 
     def reset(self):
-        self.B = np.eye(self.n)
+        self._set(np.eye(self.n))
 
     def update(self, d, w):
         """Apply one update; returns True if the update was skipped by a guard."""
         d = np.asarray(d, dtype=float).ravel()
         w = np.asarray(w, dtype=float).ravel()
-        B = self.B
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
+            return True
         nd = np.linalg.norm(d)
-        nw = np.linalg.norm(w)
         if nd == 0.0:
             return True
-
-        if self.variant == "broyden":
-            denom = d @ d
-            self.B = B + np.outer(w - B @ d, d) / denom
-            return False
-
-        if self.variant == "sr1":
-            v = w - B @ d
-            denom = v @ d
-            # standard SR1 safeguard: |v'd| must not be negligible vs |v||d|
-            if abs(denom) <= 1e-8 * nd * np.linalg.norm(v):
-                return True
-            Bn = B + np.outer(v, v) / denom
-            self.B = 0.5 * (Bn + Bn.T)
-            return False
-
-        # bfgs / dfp need positive curvature along the step
-        wd = w @ d
-        if wd <= self.skip_tol * nw * nd:
+        # bfgs / dfp need positive curvature along the step (symmetric in d, w)
+        if self.variant in ("bfgs", "dfp") and w @ d <= self.skip_tol * np.linalg.norm(w) * nd:
             return True
-        if self.variant == "bfgs":
-            Bd = B @ d
-            dBd = d @ Bd
-            if dBd <= 0.0:
-                return True
-            Bn = B - np.outer(Bd, Bd) / dBd + np.outer(w, w) / wd
-        else:  # dfp: dual of BFGS
-            V = np.eye(self.n) - np.outer(w, d) / wd
-            Bn = V @ B @ V.T + np.outer(w, w) / wd
-        self.B = 0.5 * (Bn + Bn.T)
+
+        if not self.inverse:
+            M = _FORMULAS[self.variant](self.B, d, w)
+        elif self.variant == "broyden":
+            M = _broyden_inverse(self.H, d, w)
+        else:
+            M = _DUALS[self.variant](self.H, w, d)
+        if M is None:
+            return True
+        self._set(M)
         return False
 
 

@@ -153,7 +153,7 @@ def quadratic_penalty(problem, **options):
                       opts.opt_tol)
         try:
             pobj, pgrad = make_penalized(rho)
-            approx = kit.HessianApprox(n=view.n)
+            approx = kit.HessianApprox(n=view.n, inverse=True)
             state = _descent_loop(pobj, pgrad, x, lower, upper, _quasi_newton_direction(approx),
                                   ls_kind="wolfe", maxiter=opts.sub_maxiter, opt_tol=tol,
                                   on_step=approx.update)

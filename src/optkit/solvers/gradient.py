@@ -162,14 +162,11 @@ def newton(problem, **options):
 
 
 def _quasi_newton_direction(approx):
-    """Direction rule B p = -g; the approximation restarts from the identity
-    when the solve fails or the direction is not a descent direction."""
+    """Direction rule p = -H g for an inverse-mode ``approx``; the
+    approximation restarts from the identity when p is not a descent
+    direction."""
     def direction(x, f, g):
-        try:
-            p = np.linalg.solve(approx.B, -g)
-        except np.linalg.LinAlgError:
-            approx.reset()
-            p = -g
+        p = -(approx.H @ g)
         if float(g @ p) >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
@@ -179,10 +176,11 @@ def _quasi_newton_direction(approx):
 
 
 def quasi_newton(problem, **options):
-    """Quasi-Newton solver: B p = -g directions with a Wolfe line search.
+    """Quasi-Newton solver: p = -H g directions with a Wolfe line search.
 
-    ``variant`` selects the update formula (bfgs, dfp, sr1, broyden);
-    B starts from the identity.
+    ``variant`` selects the update formula (bfgs, dfp, sr1, broyden), applied
+    in inverse form to H, the inverse-Hessian approximation, which starts
+    from the identity; an iteration costs O(n^2) and solves no linear system.
     """
     view = ensure_view(problem)
     opts = make_options({**_STEP_OPTIONS, "variant": (str, "bfgs")}, options)
@@ -190,6 +188,6 @@ def quasi_newton(problem, **options):
         raise SolverError(f"unknown quasi-Newton variant {opts.variant!r}")
     require_unconstrained(view, "quasi_newton")
     ctx = RunContext(view, "quasi_newton", _OUTPUTS(view.n), opts)
-    approx = kit.HessianApprox(n=view.n, variant=opts.variant)
+    approx = kit.HessianApprox(n=view.n, variant=opts.variant, inverse=True)
     return _solve(view, ctx, opts, _quasi_newton_direction(approx), "wolfe",
                   on_step=approx.update)

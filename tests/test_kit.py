@@ -82,6 +82,66 @@ def test_bfgs_stays_positive_definite():
         assert np.min(np.linalg.eigvalsh(H.B)) > 0.0
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("d, w", [([1.0, 0.0], [np.nan, 0.0]),
+                                  ([np.inf, 0.0], [1.0, 0.0]),
+                                  ([1.0, -np.inf], [1.0, 1.0])],
+                         ids=["nan_w", "inf_d", "neg_inf_d"])
+def test_nonfinite_pair_is_skipped(variant, inverse, d, w):
+    H = HessianApprox(n=2, variant=variant, inverse=inverse)
+    assert H.update(d, w)
+    assert np.array_equal(H.H if inverse else H.B, np.eye(2))
+
+
+def test_inverse_mode_rejects_direct_matrix():
+    with pytest.raises(ValueError, match="H when inverse=True"):
+        HessianApprox(n=2, inverse=True, B=np.eye(2))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inverse_update_tracks_inverse_of_direct(variant):
+    # duality: starting from H0 = inv(B0), the inverse-mode updates keep
+    # H_k = inv(B_k) and the inverse secant condition H w = d
+    n = 12
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        B0 = M @ M.T + n * np.eye(n)
+        M = rng.normal(size=(n, n))
+        A = M @ M.T + n * np.eye(n)  # secant pairs w = A d have w'd > 0
+        direct = HessianApprox(n=n, variant=variant, B=B0)
+        inv = HessianApprox(n=n, variant=variant, inverse=True, H=np.linalg.inv(B0))
+        for _ in range(10):
+            d = rng.normal(size=n)
+            w = A @ d
+            skipped = direct.update(d, w)
+            assert inv.update(d, w) == skipped
+            assert not skipped
+            assert np.linalg.norm(inv.H @ w - d) <= 1e-10 * np.linalg.norm(d)
+            assert np.linalg.norm(inv.H @ direct.B - np.eye(n)) <= 1e-8
+
+
+@pytest.mark.parametrize("variant, make_w", [
+    ("sr1", lambda B, d: B @ d),                     # w == Bd: zero SR1 numerator
+    ("bfgs", lambda B, d: -d),                       # w'd < 0
+    ("dfp", lambda B, d: -d),
+    ("bfgs", lambda B, d: np.array([0.0, 1.0, 0.0])),  # w'd == 0
+    ("dfp", lambda B, d: np.array([0.0, 1.0, 0.0])),
+], ids=["sr1_w_eq_Bd", "bfgs_negative", "dfp_negative", "bfgs_zero", "dfp_zero"])
+def test_guards_skip_in_both_modes(variant, make_w):
+    # power-of-two diagonal: B0 @ d and H0 @ (B0 @ d) are exact
+    B0 = np.diag([2.0, 4.0, 0.5])
+    d = np.array([1.0, 0.0, 3.0])
+    w = make_w(B0, d)
+    direct = HessianApprox(n=3, variant=variant, B=B0)
+    inv = HessianApprox(n=3, variant=variant, inverse=True, H=np.diag([0.5, 0.25, 2.0]))
+    assert direct.update(d, w)
+    assert inv.update(d, w)
+    assert np.array_equal(direct.B, B0)
+    assert np.array_equal(inv.H, np.diag([0.5, 0.25, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # line searches
 # ---------------------------------------------------------------------------
