@@ -19,11 +19,12 @@ class QpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _bfgs(B, d, w):
+    # B - Bd Bd'/d'Bd + w w'/w'd as one n x 2 by 2 x n product, O(n^2)
     Bd = B @ d
     dBd = d @ Bd
     if dBd <= 0.0:
         return None
-    return B - np.outer(Bd, Bd) / dBd + np.outer(w, w) / (w @ d)
+    return B + np.column_stack((w, Bd)) @ np.vstack((w / (w @ d), -Bd / dBd))
 
 
 def _dfp(B, d, w):
@@ -329,37 +330,40 @@ def _active_set_loop(H, g, A_eq, A_in, b_in, p, max_cycles):
 
     Directions come from equality subproblems over the working rows; steps
     clip at the first blocking inequality, negative-multiplier rows leave.
+    The KKT system is solved once per working set: after a full step on an
+    unchanged working set the next subproblem has d = 0 and the same
+    multipliers, so the multiplier test runs on the ones in hand.
     Returns (p, lam_eq, lam_in).
     """
     q = A_in.shape[0]
+    n_eq = A_eq.shape[0]
     lam_tol = 1e-9
-    working = []
+    # a row blocks the step only if it decreases by more than rounding along d
+    block_tol = -1e-13 * (1.0 + np.max(np.abs(A_in), axis=1))
+    working = np.zeros(q, dtype=bool)
     for _ in range(max_cycles):
-        A_w = np.vstack([A_eq, A_in[working]]) if working else A_eq
+        rows = np.flatnonzero(working)
+        A_w = np.vstack([A_eq, A_in[rows]])
         d, lam = _solve_eqp(H, H @ p + g, A_w, np.zeros(A_w.shape[0]))
-        if float(np.max(np.abs(d))) <= 1e-11 * (1.0 + float(np.max(np.abs(p)))):
-            lam_eq = lam[:A_eq.shape[0]]
-            lam_w = lam[A_eq.shape[0]:]
-            if lam_w.size == 0 or float(np.min(lam_w)) >= -lam_tol * (1.0 + float(np.max(np.abs(lam_w)))):
-                lam_in = np.zeros(q)
-                for idx, row in enumerate(working):
-                    lam_in[row] = max(float(lam_w[idx]), 0.0)
-                return p, lam_eq, lam_in
-            working.pop(int(np.argmin(lam_w)))
-            continue
-        # clip the step at the first blocking inequality
-        alpha, blocker = 1.0, None
-        for i in range(q):
-            if i in working:
+        if float(np.max(np.abs(d))) > 1e-11 * (1.0 + float(np.max(np.abs(p)))):
+            # clip the step at the first blocking inequality: the first row
+            # with the smallest ratio, if that ratio is below 1
+            Ad = A_in @ d
+            hit = ~working & (Ad < block_tol)
+            ratio = np.full(q, np.inf)
+            ratio[hit] = np.maximum((b_in[hit] - A_in[hit] @ p) / Ad[hit], 0.0)
+            blocker = int(np.argmin(ratio))
+            if ratio[blocker] < 1.0:
+                p = p + ratio[blocker] * d
+                working[blocker] = True
                 continue
-            ad = float(A_in[i] @ d)
-            if ad < -1e-13 * (1.0 + float(np.max(np.abs(A_in[i])))):
-                ai = max((float(b_in[i]) - float(A_in[i] @ p)) / ad, 0.0)
-                if ai < alpha:
-                    alpha, blocker = ai, i
-        p = p + alpha * d
-        if blocker is not None:
-            working.append(blocker)
+            p = p + d
+        lam_w = lam[n_eq:]
+        if lam_w.size == 0 or float(np.min(lam_w)) >= -lam_tol * (1.0 + float(np.max(np.abs(lam_w)))):
+            lam_in = np.zeros(q)
+            lam_in[rows] = np.maximum(lam_w, 0.0)
+            return p, lam[:n_eq], lam_in
+        working[rows[np.argmin(lam_w)]] = False
     raise QpError(f"active-set cycle limit exceeded ({max_cycles} iterations)")
 
 
@@ -413,10 +417,12 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None):
 
     Inequalities are handled by a feasible-point primal active-set iteration
     over equality subproblems: blocking rows join the working set as steps
-    hit them and negative-multiplier rows leave it.  Requires H positive
-    definite.  Returns (p, lam_eq, lam_in): multipliers satisfy the
-    stationarity convention H p + g = A_eq' lam_eq + A_in' lam_in with
-    lam_in >= 0 and lam_in = 0 on inactive rows.
+    hit them and negative-multiplier rows leave it.  The KKT system is solved
+    once per working set: after a full, unblocked step the multipliers of
+    that solve are final for the working set and are tested directly.
+    Requires H positive definite.  Returns (p, lam_eq, lam_in): multipliers
+    satisfy the stationarity convention H p + g = A_eq' lam_eq + A_in' lam_in
+    with lam_in >= 0 and lam_in = 0 on inactive rows.
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size

@@ -263,24 +263,23 @@ def sqp(problem, **options):
             r = r - J.T @ lam
         return float(np.max(np.abs(r)))
 
+    # QP inequality rows in a fixed order: finite cl, finite cu, finite xl,
+    # finite xu; lam_in splits back into these four groups
+    con_lo = ineq[np.isfinite(cl[ineq])]
+    con_up = ineq[np.isfinite(cu[ineq])]
+    var_lo = np.flatnonzero(np.isfinite(xl))
+    var_up = np.flatnonzero(np.isfinite(xu))
+    splits = np.cumsum([con_lo.size, con_up.size, var_lo.size])
+    bound_cols = np.concatenate([var_lo, var_up])
+    bound_at = (splits[1] + np.arange(bound_cols.size), bound_cols)
+    bound_sign = np.repeat([1.0, -1.0], [var_lo.size, var_up.size])
+
     def build_qp(c, J, x):
-        a_eq = J[eq] if eq.size else np.zeros((0, n))
-        b_eq = (cl[eq] - c[eq]) if eq.size else np.zeros(0)
-        rows, rhs, tags = [], [], []
-        for j in ineq:
-            if np.isfinite(cl[j]):
-                rows.append(J[j]); rhs.append(cl[j] - c[j]); tags.append(("cl", j))
-            if np.isfinite(cu[j]):
-                rows.append(-J[j]); rhs.append(c[j] - cu[j]); tags.append(("cu", j))
-        eye = np.eye(n)
-        for i in range(n):
-            if np.isfinite(xl[i]):
-                rows.append(eye[i]); rhs.append(xl[i] - x[i]); tags.append(("xl", i))
-            if np.isfinite(xu[i]):
-                rows.append(-eye[i]); rhs.append(x[i] - xu[i]); tags.append(("xu", i))
-        a_in = np.array(rows) if rows else np.zeros((0, n))
-        b_in = np.array(rhs) if rhs else np.zeros(0)
-        return a_eq, b_eq, a_in, b_in, tags
+        a_in = np.vstack([J[con_lo], -J[con_up], np.zeros((bound_cols.size, n))])
+        a_in[bound_at] = bound_sign
+        b_in = np.concatenate([cl[con_lo] - c[con_lo], c[con_up] - cu[con_up],
+                               xl[var_lo] - x[var_lo], x[var_up] - xu[var_up]])
+        return J[eq], cl[eq] - c[eq], a_in, b_in
 
     while True:
         feas = float(np.max(_scaled_violation(view, c))) if m else 0.0
@@ -294,7 +293,7 @@ def sqp(problem, **options):
             break
         itr += 1
 
-        a_eq, b_eq, a_in, b_in, tags = build_qp(c, J, x)
+        a_eq, b_eq, a_in, b_in = build_qp(c, J, x)
         try:
             p, lam_eq, lam_in = kit.qp_solve(approx.B, g, a_eq, b_eq, a_in, b_in)
         except kit.QpError as exc:
@@ -305,19 +304,14 @@ def sqp(problem, **options):
             continue
         restorations = 0
 
+        lam_lo, lam_up, mu_lo, mu_up = np.split(lam_in, splits)
         lam_hat = np.zeros(m)
-        if eq.size:
-            lam_hat[eq] = lam_eq
+        lam_hat[eq] = lam_eq
+        lam_hat[con_lo] += lam_lo
+        lam_hat[con_up] -= lam_up
         mu_hat = np.zeros(n)
-        for value, (tag, idx) in zip(lam_in, tags):
-            if tag == "cl":
-                lam_hat[idx] += value
-            elif tag == "cu":
-                lam_hat[idx] -= value
-            elif tag == "xl":
-                mu_hat[idx] += value
-            else:
-                mu_hat[idx] -= value
+        mu_hat[var_lo] += mu_lo
+        mu_hat[var_up] -= mu_up
 
         # x is already optimal once the fresh multipliers certify it
         if kkt_residual(g, J, lam_hat, mu_hat) <= opts.opt_tol and feas <= opts.feas_tol:

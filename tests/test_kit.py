@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optkit import (HessianApprox, MeritSpec, QpError, line_search,
+from optkit import (HessianApprox, MeritSpec, QpError, kit, line_search,
                     merit_value, qp_solve)
 
 VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
@@ -319,6 +319,67 @@ def test_qp_kkt_conditions_random_fuzz():
             assert np.min(li) >= 0.0
             worst = max(worst, float(np.max(np.abs(li * slack))))
     assert worst <= 1e-6
+
+
+def test_qp_mixed_rows_kkt_conditions_random_fuzz():
+    # equality rows, general inequality rows and identity bound rows in one
+    # QP, feasible by construction around a random point z
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.5 * np.eye(n)
+        g = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+        z = rng.normal(size=n)
+        k = int(rng.integers(1, n))
+        A_eq = rng.normal(size=(k, n))
+        b_eq = A_eq @ z
+        q = int(rng.integers(1, n + 1))
+        A_gen = rng.normal(size=(q, n))
+        A_in = np.vstack([A_gen, np.eye(n), -np.eye(n)])
+        b_in = np.concatenate([A_gen @ z - rng.uniform(0.0, 2.0, q),
+                               z - rng.uniform(0.0, 1.0, n),
+                               -z - rng.uniform(0.0, 1.0, n)])
+        p, le, li = qp_solve(H, g, A_eq, b_eq, A_in, b_in)
+        r = H @ p + g - A_eq.T @ le - A_in.T @ li
+        slack = A_in @ p - b_in
+        worst = max(worst, float(np.max(np.abs(r))),
+                    float(np.max(np.abs(A_eq @ p - b_eq))),
+                    float(np.max(np.abs(li * slack))))
+        assert np.min(slack) >= -1e-7
+        assert np.min(li) >= 0.0
+    assert worst <= 1e-6
+
+
+@pytest.fixture
+def eqp_calls(monkeypatch):
+    calls = []
+    solve = kit._solve_eqp
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(kit, "_solve_eqp", counting)
+    return calls
+
+
+def test_qp_full_step_reuses_its_multipliers(eqp_calls):
+    # the unconstrained step is feasible: one KKT solve, none after the step
+    p, _, lam_in = qp_solve(np.eye(2), [-1.0, 0.0], A_in=[[1.0, 0.0]], b_in=[-5.0])
+    assert_allclose(p, [1.0, 0.0], atol=1e-12)
+    assert_allclose(lam_in, [0.0])
+    assert len(eqp_calls) == 1
+
+
+def test_qp_one_solve_per_working_set(eqp_calls):
+    # p0 <= 1 blocks the step (2, 0) half way: the working set changes once,
+    # so two KKT solves
+    p, _, lam_in = qp_solve(np.eye(2), [-2.0, 0.0], A_in=[[-1.0, 0.0]], b_in=[-1.0])
+    assert_allclose(p, [1.0, 0.0], atol=1e-12)
+    assert_allclose(lam_in, [1.0], atol=1e-12)
+    assert len(eqp_calls) == 2
 
 
 def test_qp_vertex_swap_under_bad_scaling():

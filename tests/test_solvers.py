@@ -405,6 +405,36 @@ def test_sqp_kkt_certificate_recomputed_from_callbacks():
     assert np.all(lam[~spec.equality_mask()] >= -opt_tol)
 
 
+def test_sqp_multipliers_on_upper_range_and_bound_rows():
+    # f = 0.5 |x - a|^2 with c0 = x0 + x1 <= 1 (no lower side), the range
+    # 0.5 <= c1 = x1 - x2 <= 3 active on its lower side, and x2 <= 0.2 active;
+    # x* = (0.3, 0.7, 0.2) is the vertex of the three active rows and
+    # g = J' lam + mu gives lam = (-1, 0.5), mu = (0, 0, -1)
+    a = np.array([1.3, 1.2, 1.7])
+    J = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+    spec = build_problem("rows", [0.0, 0.0, 0.0],
+                         obj=lambda x: 0.5 * float((x - a) @ (x - a)),
+                         grad=lambda x: x - a,
+                         con=lambda x: J @ x, jac=lambda x: J.copy(),
+                         cl=[-np.inf, 0.5], cu=[1.0, 3.0],
+                         xl=[-5.0, -5.0, -5.0], xu=[5.0, 5.0, 0.2])
+    opt_tol = 1e-6
+    report = ok.sqp(spec, opt_tol=opt_tol)
+    assert report.converged
+    assert_allclose(report.x_star, [0.3, 0.7, 0.2], atol=1e-8)
+    lam = report.multipliers
+    assert lam[0] < 0.0 < lam[1]
+    assert_allclose(lam, [-1.0, 0.5], atol=1e-6)
+    # certificate from the callbacks: the free variables are stationary and
+    # the bound multiplier g - J' lam on x2 has the sign of an upper bound
+    x = report.x_star
+    r = spec.callbacks.gradient(x) - spec.callbacks.jacobian(x).T @ lam
+    assert np.max(np.abs(r[:2])) <= 10 * opt_tol
+    assert r[2] == pytest.approx(-1.0, abs=1e-6)
+    c = spec.callbacks.constraints(x)
+    assert_allclose(c, [1.0, 0.5], atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Nelder-Mead
 # ---------------------------------------------------------------------------
