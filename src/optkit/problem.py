@@ -11,6 +11,9 @@ differences for missing derivatives, and (optionally) records or replays
 every evaluation.
 """
 
+import math
+from functools import cached_property
+
 import numpy as np
 from dataclasses import dataclass, field, replace
 
@@ -251,8 +254,15 @@ def build_problem(name, x0, obj, *, grad=None, con=None, jac=None,
 # ---------------------------------------------------------------------------
 
 def _coerce_result(kind, value, n, m):
-    """Coerce a callback result to its canonical shape; raises on mismatch."""
+    """Coerce a callback result to its canonical shape; raises on mismatch.
+
+    A float objective (np.float64 included) is returned as a Python float
+    without a round trip through NumPy; array results are always copied, so
+    the view never holds an array the callback may reuse.
+    """
     if kind == "obj":
+        if isinstance(value, float):
+            return float(value)
         v = np.asarray(value, dtype=float)
         if v.size != 1:
             raise EvaluationError(f"objective returned shape {v.shape}, expected a scalar", kind=kind)
@@ -260,12 +270,21 @@ def _coerce_result(kind, value, n, m):
     shapes = {"grad": (n,), "con": (m,), "jac": (m, n),
               "obj_hess": (n, n), "lag_hess": (n, n)}
     want = shapes[kind]
-    v = np.asarray(value, dtype=float)
-    if v.shape != want:
-        v = v.reshape(want) if v.size == int(np.prod(want)) else v
+    v = np.array(value, dtype=float)
+    if v.shape != want and v.size == int(np.prod(want)):
+        v = v.reshape(want)
     if v.shape != want:
         raise EvaluationError(f"{kind} callback returned shape {v.shape}, expected {want}", kind=kind)
-    return v.astype(float, copy=True)
+    return v
+
+
+def _is_finite(result):
+    """True when a coerced result (a float or an array) has only finite entries."""
+    if isinstance(result, float):
+        return math.isfinite(result)
+    # count_nonzero is a fraction of the cost of .all() on the small arrays
+    # cheap callbacks return
+    return np.count_nonzero(np.isfinite(result)) == result.size
 
 
 def fd_step(x):
@@ -331,6 +350,8 @@ class ScaledView:
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
         self._memo = {}  # kind -> (x, lam, result): most recent raw evaluation
+        # the spec is frozen, so derivative scale factors are fixed per view
+        self._grad_scale = spec.f_scaler / spec.x_scaler
 
         # local import: recording depends on problem types
         from .recording import RunRecord, HotStartCache
@@ -340,6 +361,16 @@ class ScaledView:
         if hot_start is not None and not isinstance(hot_start, HotStartCache):
             hot_start = HotStartCache(hot_start, spec)
         self._cache = hot_start
+
+    # m x n and n x n scale factors, built on the first Jacobian or Hessian
+    # call: a view that never asks for one holds no such matrix
+    @cached_property
+    def _jac_scale(self):
+        return self.spec.c_scaler[:, None] / self.spec.x_scaler[None, :]
+
+    @cached_property
+    def _hess_den(self):
+        return np.outer(self.spec.x_scaler, self.spec.x_scaler)
 
     # -- scaled problem data -------------------------------------------------
     @property
@@ -392,7 +423,7 @@ class ScaledView:
         if hit is None:
             return None
         mx, mlam, res = hit
-        if mx.shape != x.shape or not np.array_equal(mx, x):
+        if mx.shape != x.shape or np.count_nonzero(mx != x):
             return None
         if (mlam is None) != (lam is None):
             return None
@@ -400,18 +431,22 @@ class ScaledView:
             return None
         return res
 
-    def _invoke(self, kind, x, lam=None):
-        """One raw callback invocation: replay if possible, else call and count."""
+    def _invoke(self, kind, fn, x, lam=None):
+        """One raw callback invocation of ``fn``: replay if possible, else call and count.
+
+        ``x`` and ``lam`` are arrays the view made for this request (unscaled
+        copies or FD stencil points) and nobody changes afterwards, so the
+        memo keeps them without copying.
+        """
         if self._cache is not None:
             hit, result = self._cache.try_replay(kind, x, lam)
             if hit:
                 self.replayed.bump(kind)
-                self._memo[kind] = (x.copy(), None if lam is None else lam.copy(), result)
+                self._memo[kind] = (x, lam, result)
                 if self.record is not None:
                     self.record.append_eval(kind, x, lam, result)
                 return result
 
-        fn = self.spec.callbacks.get(kind)
         try:
             raw = fn(x, lam) if kind == "lag_hess" else fn(x)
         except EvaluationError:
@@ -420,24 +455,25 @@ class ScaledView:
             raise EvaluationError(f"{kind} callback raised {exc!r} at x={x}", kind=kind, x=x) from exc
         self.counters.bump(kind)
         result = _coerce_result(kind, raw, self.spec.n, self.spec.m)
-        if not np.all(np.isfinite(result)):
+        if not _is_finite(result):
             raise EvaluationError(f"{kind} callback returned non-finite values at x={x}", kind=kind, x=x)
-        self._memo[kind] = (x.copy(), None if lam is None else lam.copy(), result)
+        self._memo[kind] = (x, lam, result)
         if self.record is not None:
             self.record.append_eval(kind, x, lam, result)
         return result
 
-    def _base_value(self, kind, x):
+    def _base_value(self, kind, fn, x):
         """Base value for an FD stencil, reusing the last evaluation at this x."""
         hit = self._memo_get(kind, x)
         if hit is not None:
             return hit
-        return self._invoke(kind, x)
+        return self._invoke(kind, fn, x)
 
     def _raw(self, kind, x, lam=None):
         """Raw-space result for any kind, dispatching to FD when needed."""
-        if self.spec.callbacks.get(kind) is not None:
-            return self._invoke(kind, x, lam)
+        fn = self.spec.callbacks.get(kind)
+        if fn is not None:
+            return self._invoke(kind, fn, x, lam)
         if kind in ("obj", "con"):
             raise EvaluationError(f"no {kind} callback available", kind=kind, x=x)
         if not self.allow_fd:
@@ -450,12 +486,12 @@ class ScaledView:
         Gradients and Jacobians difference the obj/con callbacks; Hessians
         difference the (analytic or FD) gradient of f - lam @ c.
         """
-        if kind == "grad":
-            base = self._base_value("obj", x)
-            return _fd_columns(lambda y: self._invoke("obj", y), x, base).ravel()
-        if kind == "jac":
-            base = self._base_value("con", x)
-            return _fd_columns(lambda y: self._invoke("con", y), x, base)
+        if kind in ("grad", "jac"):
+            base_kind = "obj" if kind == "grad" else "con"
+            fn = self.spec.callbacks.get(base_kind)
+            base = self._base_value(base_kind, fn, x)
+            cols = _fd_columns(lambda y: self._invoke(base_kind, fn, y), x, base)
+            return cols.ravel() if kind == "grad" else cols
 
         # Hessians: difference the (FD or analytic) gradient of the Lagrangian.
         if lam is None or self.spec.m == 0:
@@ -477,25 +513,23 @@ class ScaledView:
         return self.spec.f_scaler * self._raw("obj", self.unscale_x(xs))
 
     def grad(self, xs):
-        g = self._raw("grad", self.unscale_x(xs))
-        return (self.spec.f_scaler / self.spec.x_scaler) * g
+        return self._grad_scale * self._raw("grad", self.unscale_x(xs))
 
     def con(self, xs):
         return self.spec.c_scaler * self._raw("con", self.unscale_x(xs))
 
     def jac(self, xs):
-        J = self._raw("jac", self.unscale_x(xs))
-        return (self.spec.c_scaler[:, None] / self.spec.x_scaler[None, :]) * J
+        return self._jac_scale * self._raw("jac", self.unscale_x(xs))
 
     def obj_hess(self, xs):
         H = self._raw("obj_hess", self.unscale_x(xs))
-        return self.spec.f_scaler * H / np.outer(self.spec.x_scaler, self.spec.x_scaler)
+        return self.spec.f_scaler * H / self._hess_den
 
     def lag_hess(self, xs, lam_s):
         lam_s = np.asarray(lam_s, dtype=float)
         lam = self.unscale_lam(lam_s) if self.spec.m else np.zeros(0)
         H = self._raw("lag_hess", self.unscale_x(xs), lam)
-        return self.spec.f_scaler * H / np.outer(self.spec.x_scaler, self.spec.x_scaler)
+        return self.spec.f_scaler * H / self._hess_den
 
     def evaluate(self, kind, xs, lam=None):
         """Generic scaled evaluation; ``lam`` only applies to kind='lag_hess'."""

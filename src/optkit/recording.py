@@ -140,15 +140,17 @@ class OutputsDecl:
 
     def __init__(self, decl):
         self.decl = dict(decl)
+        # per name: int, float, or the declared shape as a tuple
+        self._fields = [(name, spec if spec in (int, float) else tuple(spec[1]))
+                        for name, spec in self.decl.items()]
 
     @property
     def names(self):
         return list(self.decl)
 
     def validate(self, values):
-        got = set(values)
-        want = set(self.decl)
-        if got != want:
+        if values.keys() != self.decl.keys():
+            got, want = set(values), set(self.decl)
             missing = sorted(want - got)
             extra = sorted(got - want)
             parts = []
@@ -158,8 +160,7 @@ class OutputsDecl:
                 parts.append(f"undeclared {extra}")
             raise RecordError("iteration outputs do not match declaration: " + ", ".join(parts))
         out = {}
-        for name in self.decl:          # declaration order fixes serialization order
-            spec = self.decl[name]
+        for name, spec in self._fields:     # declaration order fixes serialization order
             v = values[name]
             if spec is int:
                 if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
@@ -170,11 +171,10 @@ class OutputsDecl:
                     raise RecordError(f"output {name!r} must be a float, got {type(v).__name__}")
                 out[name] = float(v)
             else:
-                _, shape = spec
-                arr = np.asarray(v, dtype=float)
-                if arr.shape != tuple(shape):
-                    raise RecordError(f"output {name!r} has shape {arr.shape}, declared {tuple(shape)}")
-                out[name] = arr.copy()
+                arr = np.array(v, dtype=float)
+                if arr.shape != spec:
+                    raise RecordError(f"output {name!r} has shape {arr.shape}, declared {spec}")
+                out[name] = arr
         return out
 
 

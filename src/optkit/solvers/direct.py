@@ -141,6 +141,7 @@ def pso(problem, **options):
     rng = np.random.default_rng(opts.seed)
 
     npart, n = opts.n_particles, view.n
+    w, c_p, c_g, maxiter = opts.w, opts.c_p, opts.c_g, opts.maxiter
     pos = lower + rng.uniform(0.0, 1.0, (npart, n)) * width
     vel = rng.uniform(-1.0, 1.0, (npart, n)) * width
 
@@ -155,12 +156,12 @@ def pso(problem, **options):
     ctx.emit(itr=itr, obj=g_best_f, x=g_best)
     converged = False
 
-    while itr < opts.maxiter:
+    while itr < maxiter:
         itr += 1
         r_p = rng.uniform(0.0, 1.0, (npart, 1))
         r_g = rng.uniform(0.0, 1.0, (npart, 1))
-        vel = (opts.w * vel + opts.c_p * r_p * (p_best - pos)
-               + opts.c_g * r_g * (g_best[None, :] - pos))
+        vel = (w * vel + c_p * r_p * (p_best - pos)
+               + c_g * r_g * (g_best[None, :] - pos))
         pos = clip_to_bounds(pos + vel, lower, upper)
 
         for i in range(npart):
@@ -192,7 +193,10 @@ def simulated_annealing(problem, **options):
     Proposals are x + step_scale * width * u with u ~ U[-1,1]^n, clipped to the
     box.  Worse points are accepted with probability exp(-(f_new - f)/T_k)
     under T_k = T0*(1 - k/k_max), floored at 1e-12.  Runs the full schedule of
-    ``k_max`` proposals and returns the best point ever seen.
+    ``k_max`` proposals and returns the best point ever seen.  Reported
+    optimality is the best-objective improvement over the last full window of
+    50 proposals (inf when ``k_max`` is shorter than one window); the run
+    counts as converged when that improvement is at most ``opt_tol``.
     """
     view = ensure_view(problem)
     opts = make_options({"T0": (float, 10.0), "k_max": (int, 5000),
@@ -207,17 +211,20 @@ def simulated_annealing(problem, **options):
     width = upper - lower
     rng = np.random.default_rng(opts.seed)
 
+    T0, k_max, n = opts.T0, opts.k_max, view.n
+    step = opts.step_scale * width
+
     x = clip_to_bounds(view.x0, lower, upper)
     f = view.obj(x)
     best_x, best_f = x.copy(), f
     window_best = best_f
-    improvement = 0.0
-    ctx.emit(itr=0, obj=best_f, T=opts.T0, x=x)
+    improvement = np.inf        # no window has closed yet
+    ctx.emit(itr=0, obj=best_f, T=T0, x=x)
 
-    for k in range(opts.k_max):
-        T = max(opts.T0 * (1.0 - k / opts.k_max), 1e-12)
-        u = rng.uniform(-1.0, 1.0, view.n)
-        x_new = clip_to_bounds(x + opts.step_scale * width * u, lower, upper)
+    for k in range(k_max):
+        T = max(T0 * (1.0 - k / k_max), 1e-12)
+        u = rng.uniform(-1.0, 1.0, n)
+        x_new = clip_to_bounds(x + step * u, lower, upper)
         f_new = view.obj(x_new)
         if f_new <= f or rng.uniform() < np.exp(-(f_new - f) / T):
             x, f = x_new, f_new
@@ -228,5 +235,5 @@ def simulated_annealing(problem, **options):
             window_best = best_f
         ctx.emit(itr=k + 1, obj=best_f, T=T, x=x)
 
-    return ctx.finish(best_x, best_f, improvement, 0.0, opts.k_max,
+    return ctx.finish(best_x, best_f, improvement, 0.0, k_max,
                       improvement <= opts.opt_tol)

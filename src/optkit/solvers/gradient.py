@@ -23,45 +23,52 @@ def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, o
                   use_line_search=True, alpha=1.0, on_step=None, on_iter=None):
     """Line-searched (or fixed-alpha) descent shared by every gradient solver.
 
-    ``direction(x, f, g)`` returns the search direction and the line search's
-    initial step.  ``obj``/``grad`` evaluate the (scaled) objective; bounds are
-    enforced by clipping trial points.  ``on_step(d, w)`` sees each step and
-    gradient change, ``on_iter(itr, x, f, opt)`` each iterate.  Returns a dict
-    with the terminal state.
+    ``direction(x, f, g, pg)`` returns the search direction and the line
+    search's initial step; ``pg`` is the projected gradient at ``x``, computed
+    once per iterate.  ``obj``/``grad`` evaluate the (scaled) objective; bounds
+    are enforced by clipping trial points.  ``on_step(d, w)`` sees each step
+    and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.  Returns a
+    dict with the terminal state.
     """
     x = clip_to_bounds(np.asarray(x0, dtype=float), lower, upper)
     f = obj(x)
     g = grad(x)
-    opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
+    pg = projected_gradient(g, x, lower, upper)
+    opt = float(np.linalg.norm(pg))
     itr = 0
     if on_iter is not None:
         on_iter(itr, x, f, opt)
 
     while opt > opt_tol and itr < maxiter:
         itr += 1
-        p, alpha0 = direction(x, f, g)
+        p, alpha0 = direction(x, f, g, pg)
         g_new = None
         if use_line_search:
-            grads = {}
+            points, grads = {}, {}     # trial step -> clipped point, gradient there
+
+            def trial(a):
+                xa = points.get(a)
+                if xa is None:
+                    xa = points[a] = clip_to_bounds(x + a * p, lower, upper)
+                return xa
 
             def phi(a):
-                return obj(clip_to_bounds(x + a * p, lower, upper))
+                return obj(trial(a))
 
             def dphi(a):
-                ga = grad(clip_to_bounds(x + a * p, lower, upper))
-                grads[a] = ga
+                ga = grads[a] = grad(trial(a))
                 return float(ga @ p)
 
             res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=float(g @ p), alpha0=alpha0)
             if not res.converged:
                 log.debug("line search did not converge; continuing with best alpha %g", res.alpha)
-            x_new = clip_to_bounds(x + res.alpha * p, lower, upper)
+            x_new = trial(res.alpha)
             f_new = res.f_new
             g_new = grads.get(res.alpha)
         else:
             x_new = clip_to_bounds(x + alpha * p, lower, upper)
             f_new = obj(x_new)
-        if not np.all(np.isfinite(x_new)):
+        if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
             raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
         if g_new is None:
             g_new = grad(x_new)
@@ -69,7 +76,8 @@ def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, o
         if on_step is not None:
             on_step(x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
-        opt = float(np.linalg.norm(projected_gradient(g, x, lower, upper)))
+        pg = projected_gradient(g, x, lower, upper)
+        opt = float(np.linalg.norm(pg))
         if on_iter is not None:
             on_iter(itr, x, f, opt)
 
@@ -99,12 +107,11 @@ def steepest_descent(problem, **options):
     opts = make_options(_STEP_OPTIONS, options)
     require_unconstrained(view, "steepest_descent")
     ctx = RunContext(view, "steepest_descent", _OUTPUTS(view.n), opts)
-    lower, upper = view.var_lower, view.var_upper
     f_prev = None
 
-    def direction(x, f, g):
+    def direction(x, f, g, pg):
         nonlocal f_prev
-        p = -projected_gradient(g, x, lower, upper)
+        p = -pg
         if f_prev is None:
             # first gradient step has no natural unit scale; open the line search
             # at ~1/|g| and then at the step predicted from the previous decrease
@@ -152,7 +159,7 @@ def newton(problem, **options):
     require_unconstrained(view, "newton")
     ctx = RunContext(view, "newton", _OUTPUTS(view.n), opts)
 
-    def direction(x, f, g):
+    def direction(x, f, g, pg):
         p = _regularized_newton_step(view.obj_hess(x), g)
         if float(g @ p) >= 0.0:
             p = -g
@@ -165,7 +172,7 @@ def _quasi_newton_direction(approx):
     """Direction rule p = -H g for an inverse-mode ``approx``; the
     approximation restarts from the identity when p is not a descent
     direction."""
-    def direction(x, f, g):
+    def direction(x, f, g, pg):
         p = -(approx.H @ g)
         if float(g @ p) >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")

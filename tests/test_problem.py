@@ -127,13 +127,60 @@ def test_lagrangian_hessian_scaling():
     assert_allclose(H, expect, rtol=1e-14)
 
 
-def test_nonfinite_callback_raises_with_context():
-    spec = build_problem("nan", [1.0], obj=lambda x: float("nan"))
-    view = ScaledView(spec)
-    with pytest.raises(EvaluationError) as err:
-        view.obj(np.array([1.0]))
-    assert err.value.kind == "obj"
-    assert err.value.x is not None
+def one_constraint_spec(**overrides):
+    """n = 2, m = 1 problem with every callback; ``overrides`` replace some."""
+    callbacks = dict(obj=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+                     con=lambda x: np.array([x[0] + x[1]]),
+                     jac=lambda x: np.array([[1.0, 1.0]]),
+                     obj_hess=lambda x: 2.0 * np.eye(2),
+                     lag_hess=lambda x, lam: 2.0 * np.eye(2))
+    callbacks.update(overrides)
+    return build_problem("bad", [1.0, 0.5], cl=[0.0], cu=[2.0], **callbacks)
+
+
+# case -> (kind, callback override, expected message)
+BAD_RESULTS = {
+    "obj-nan": ("obj", {"obj": lambda x: float("nan")}, "non-finite"),
+    "obj-inf": ("obj", {"obj": lambda x: np.inf}, "non-finite"),
+    "obj-neg-inf": ("obj", {"obj": lambda x: -np.inf}, "non-finite"),
+    "obj-float64-inf": ("obj", {"obj": lambda x: np.float64(np.inf)}, "non-finite"),
+    "obj-0d-nan": ("obj", {"obj": lambda x: np.array(np.nan)}, "non-finite"),
+    "grad-nan": ("grad", {"grad": lambda x: np.array([1.0, np.nan])}, "non-finite"),
+    "con-inf": ("con", {"con": lambda x: np.array([np.inf])}, "non-finite"),
+    "jac-inf": ("jac", {"jac": lambda x: np.array([[1.0, np.inf]])}, "non-finite"),
+    "obj_hess-inf": ("obj_hess", {"obj_hess": lambda x: np.array([[2.0, 0.0], [0.0, np.inf]])},
+                     "non-finite"),
+    "lag_hess-nan": ("lag_hess", {"lag_hess": lambda x, lam: np.full((2, 2), np.nan)},
+                     "non-finite"),
+    "obj-vector": ("obj", {"obj": lambda x: np.array([1.0, 2.0])}, "expected a scalar"),
+    "grad-wrong-shape": ("grad", {"grad": lambda x: np.ones(3)}, "expected \\(2,\\)"),
+    "jac-wrong-shape": ("jac", {"jac": lambda x: np.ones((2, 2))}, "expected \\(1, 2\\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RESULTS))
+def test_nonfinite_callback_raises_with_context(case):
+    kind, override, message = BAD_RESULTS[case]
+    view = ScaledView(one_constraint_spec(**override))
+    lam = np.array([0.3]) if kind == "lag_hess" else None
+    with pytest.raises(EvaluationError, match=message) as err:
+        view.evaluate(kind, np.array([1.0, 0.5]), lam)
+    assert err.value.kind == kind
+    if message == "non-finite":
+        assert err.value.x is not None
+    assert sum(view.counters.as_dict().values()) == 1   # the bad call still counts
+
+
+@pytest.mark.parametrize("value", [3, np.float32(0.1), np.float64(0.1), 0.1,
+                                   np.array(0.1), np.array([0.1]), [0.1]],
+                         ids=["int", "float32", "float64", "float", "0d", "shape1", "list"])
+def test_objective_result_is_a_python_float(value):
+    """Every accepted objective type reaches the solver as the same Python float."""
+    view = ScaledView(build_problem("t", [1.0], obj=lambda x: value), record=True)
+    f = view.obj(np.array([1.0]))
+    assert type(f) is float
+    assert f == float(np.asarray(value, dtype=float).reshape(()))
+    assert type(view.record.eval_events()[0].result) is float
 
 
 def test_missing_callback_with_fd_disabled():

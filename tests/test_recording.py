@@ -9,6 +9,7 @@ from optkit import (HotStartError, OutputsDecl, RecordError, RunRecord,
                     read_record, sqp, update_outputs, write_readable_outputs,
                     write_record)
 from optkit.bench import quadratic_example, rosenbrock2
+from optkit.solvers.base import RunContext, make_options
 
 
 def quad_spec():
@@ -44,6 +45,21 @@ def test_update_outputs_rejects_bad_shape():
     decl = OutputsDecl({"x": (float, (2,))})
     with pytest.raises(RecordError, match="shape"):
         update_outputs(decl, RunRecord(), x=np.zeros(3))
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"itr": 0, "obj": 1.0}, "missing \\['x'\\]"),
+    ({"itr": 0, "obj": 1.0, "x": np.zeros(2), "step": 0.5}, "undeclared \\['step'\\]"),
+    ({"itr": 0, "obj": 1.0, "x": np.zeros(3)}, "'x' has shape \\(3,\\)"),
+], ids=["missing", "undeclared", "shape"])
+def test_emit_validates_with_recording_off(values, message):
+    view = ScaledView(rosenbrock2(), record=None)
+    ctx = RunContext(view, "steepest_descent",
+                     {"itr": int, "obj": float, "x": (float, (2,))}, make_options())
+    ctx.emit(itr=0, obj=1.0, x=np.zeros(2))
+    with pytest.raises(RecordError, match=message):
+        ctx.emit(**values)
+    assert view.record is None
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,23 @@ def test_sa_cold_limit_rejects_uphill():
     assert all(np.array_equal(x, xs[0]) for x in xs)
 
 
+@pytest.mark.parametrize("k_max", [0, 10, 49])
+def test_sa_shorter_than_one_window_is_not_converged(k_max):
+    # no 50-step stagnation window closes, so nothing shows the search settled
+    report = ok.simulated_annealing(rosenbrock2(), seed=1, k_max=k_max,
+                                    sample_lower=[-2.0, -2.0], sample_upper=[2.0, 2.0])
+    assert not report.converged
+    assert report.optimality == np.inf
+    assert report.niter == k_max
+
+
+def test_sa_converges_after_a_flat_window():
+    # constant objective: the first closed window improves by exactly 0
+    spec = build_problem("const", [0.0, 0.0], obj=lambda x: 1.0, xl=-1.0, xu=1.0)
+    report = ok.simulated_annealing(spec, seed=3, k_max=50)
+    assert report.converged and report.optimality == 0.0
+
+
 def test_sa_seeded_quality_and_determinism():
     r1 = ok.simulated_annealing(box_sphere(), seed=7, T0=10.0, k_max=5000)
     r2 = ok.simulated_annealing(box_sphere(), seed=7, T0=10.0, k_max=5000)
