@@ -1,24 +1,37 @@
 """Run records, hot-start replay, readable outputs, and result presentation.
 
-Record file format (version 1): UTF-8, newline-delimited JSON objects.
+Record file format (version 2): UTF-8, newline-delimited JSON objects.
 Line 1 is the header::
 
-    {"format_version": 1, "problem": ..., "solver": ..., "n": ..., "m": ...,
+    {"format_version": 2, "problem": ..., "solver": ..., "n": ..., "m": ...,
      "x0": [hexfloats], "scalers": {"x": [...], "f": ..., "c": [...]},
      "options": {...}, "timestamp": "..."}
 
 Every following line is one event::
 
     {"t": "eval", "k": "obj|grad|con|jac|obj_hess|lag_hess",
-     "x": [hexfloats], "lam": [hexfloats]?, "r": scalar | [..] | [[..]]}
-    {"t": "iter", <declared output names>: <values>}
+     "x": block | index, "lam": block?, "r": hexfloat | block}
+    {"t": "iter", <declared output names>: int | bool | hexfloat | block}
 
-Floats are written as hexadecimal literals (float.hex()), which round-trip
-bit-exactly.  Evaluation events store the unscaled iterate and the raw
-callback result.  The timestamp lives only in the header, so record bodies
-from identical runs compare byte-for-byte.
+Scalars are hexadecimal literals (float.hex()).  A block is one float
+array, ``{"f8": "<base64>"}``: the base64 of the array's little-endian
+float64 bytes, with ``"shape": [...]`` added for any array that is not 1-D.
+Both forms round-trip bit-exactly, and a block is told apart from a scalar
+by its JSON type, never by its text.  The first evaluation event at a given
+x carries that x as a block; every later event at a bit-identical x stores
+instead the index of that x among the distinct x of the file, counted from
+0 in order of first appearance.  Evaluation events store the unscaled
+iterate and the raw callback result.  The timestamp lives only in the
+header, so record bodies from identical runs compare byte-for-byte.
+
+:func:`read_record` returns the events at one distinct x sharing one
+read-only ``x`` array.  It also reads version 1 files, in which every float
+is a hexfloat and every event spells out its x; they give the same events,
+and only the header's ``"format_version"`` says 1.  :func:`write_record`
+always writes version 2.
 """
 
+import base64
 import json
 import os
 import time
@@ -26,7 +39,8 @@ import time
 import numpy as np
 from dataclasses import dataclass, field
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class RecordError(RuntimeError):
@@ -38,7 +52,7 @@ class HotStartError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# hexfloat helpers
+# hexfloat scalars and float64 blocks
 # ---------------------------------------------------------------------------
 
 def _hex(value):
@@ -60,25 +74,49 @@ def _unhex_vec(items):
     return np.array([_unhex(s) for s in items], dtype=float)
 
 
-def _encode_result(r):
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        return _hex(arr)
-    if arr.ndim == 1:
-        return _hex_vec(arr)
-    return [_hex_vec(row) for row in arr]
+def _bytes_block(raw, shape):
+    block = {"f8": base64.b64encode(raw).decode("ascii")}
+    if len(shape) != 1:
+        block["shape"] = list(shape)
+    return block
 
 
-def _decode_result(r):
-    if isinstance(r, str):
-        return _unhex(r)
-    if r and isinstance(r[0], list):
-        return np.array([[_unhex(s) for s in row] for row in r], dtype=float)
-    return _unhex_vec(r)
+def _block(v):
+    arr = np.asarray(v, dtype="<f8")
+    return _bytes_block(arr.tobytes(), arr.shape)
+
+
+def _unblock(block):
+    """A read-only array over a float64 block's bytes; a malformed block is a RecordError.
+
+    Callers copy it where the event should own a writable array.
+    """
+    if type(block) is not dict:
+        raise RecordError(f"expected a float block, got {block!r}")
+    try:
+        raw = base64.b64decode(block["f8"], validate=True)
+    except KeyError:
+        raise RecordError(f"float block without 'f8': {block!r}") from None
+    except (TypeError, ValueError) as exc:   # binascii.Error is a ValueError
+        raise RecordError(f"bad base64 in float block: {exc}") from None
+    shape = block.get("shape")
+    if shape is None:
+        if len(raw) % 8 or len(block) != 1:
+            raise RecordError(f"float block of {len(raw)} bytes is not a float64 vector")
+        return np.frombuffer(raw, "<f8")
+    if (type(shape) is not list or len(block) != 2
+            or not all(type(dim) is int and dim >= 0 for dim in shape)):
+        raise RecordError(f"bad float block shape {shape!r}")
+    size = 1
+    for dim in shape:
+        size *= dim
+    if 8 * size != len(raw):
+        raise RecordError(f"float block of {len(raw)} bytes does not hold shape {shape!r}")
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def _encode_value(v):
-    """Encode an iter-output value: ints stay ints, floats go hex."""
+    """Encode an iter-output value: ints stay ints, floats go hex, arrays go to blocks."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
@@ -86,12 +124,30 @@ def _encode_value(v):
     if isinstance(v, (float, np.floating)):
         return _hex(v)
     arr = np.asarray(v)
-    if arr.ndim == 1:
-        return _hex_vec(arr)
+    if arr.ndim and arr.dtype.kind in "biuf":
+        return _block(arr)
     raise RecordError(f"cannot encode iteration value of type {type(v).__name__}")
 
 
 def _decode_value(v):
+    if isinstance(v, str):
+        return _unhex(v)
+    if isinstance(v, (bool, int)):
+        return v
+    return _unblock(v).copy()
+
+
+# version 1 bodies: every float a hexfloat, arrays as (nested) lists
+
+def _decode_result_v1(r):
+    if isinstance(r, str):
+        return _unhex(r)
+    if r and isinstance(r[0], list):
+        return np.array([[_unhex(s) for s in row] for row in r], dtype=float)
+    return _unhex_vec(r)
+
+
+def _decode_value_v1(v):
     if isinstance(v, str):
         return _unhex(v)
     if isinstance(v, list):
@@ -230,7 +286,10 @@ class RunRecord:
         return [e for e in self.events if isinstance(e, IterEvent)]
 
     def body_lines(self):
-        return [_event_line(e) for e in self.events]
+        """The event lines, exactly as :func:`write_record` writes them after the header."""
+        xs = {}     # (shape, bytes) of each distinct x written so far -> its index
+        return [_eval_line(e, xs) if isinstance(e, EvalEvent) else _iter_line(e)
+                for e in self.events]
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
@@ -243,7 +302,7 @@ class RunRecord:
 
 def _header_json(header):
     payload = {
-        "format_version": header.get("format_version", FORMAT_VERSION),
+        "format_version": FORMAT_VERSION,
         "problem": header.get("problem"),
         "solver": header.get("solver"),
         "n": header.get("n"),
@@ -257,20 +316,30 @@ def _header_json(header):
         "options": header.get("options", {}),
         "timestamp": header.get("timestamp", ""),
     }
-    return json.dumps(payload, separators=(",", ":"))
+    return _dumps(payload)
 
 
-def _event_line(event):
-    if isinstance(event, EvalEvent):
-        payload = {"t": "eval", "k": event.kind, "x": _hex_vec(event.x)}
-        if event.lam is not None:
-            payload["lam"] = _hex_vec(event.lam)
-        payload["r"] = _encode_result(event.result)
-        return json.dumps(payload, separators=(",", ":"))
+def _eval_line(event, xs):
+    x = np.asarray(event.x, dtype="<f8")
+    key = (x.shape, x.tobytes())
+    index = xs.get(key)
+    if index is None:
+        xs[key] = len(xs)
+        payload = {"t": "eval", "k": event.kind, "x": _bytes_block(key[1], x.shape)}
+    else:
+        payload = {"t": "eval", "k": event.kind, "x": index}
+    if event.lam is not None:
+        payload["lam"] = _block(event.lam)
+    r = event.result
+    payload["r"] = _block(r) if np.ndim(r) else _hex(r)
+    return _dumps(payload)
+
+
+def _iter_line(event):
     payload = {"t": "iter"}
     for name, value in event.values.items():
         payload[name] = _encode_value(value)
-    return json.dumps(payload, separators=(",", ":"))
+    return _dumps(payload)
 
 
 def write_record(record, path):
@@ -282,22 +351,49 @@ def write_record(record, path):
     return path
 
 
-def read_record(path):
-    """Parse a record file; malformed lines report their 1-based line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
-    if not lines or not lines[0].strip():
-        raise RecordError(f"{path}:1: empty record file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"{path}:1: malformed header: {exc}") from exc
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise RecordError(f"{path}:1: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
+def _event_v2(payload, xs):
+    tag = payload.get("t")
+    if tag == "eval":
+        x = payload["x"]
+        if type(x) is int:
+            if not 0 <= x < len(xs):
+                raise RecordError(f"x index {x} is not one of the {len(xs)} x read so far")
+            x = xs[x]
+        else:
+            x = _unblock(x)     # read-only, so every event at this x can share it
+            xs.append(x)
+        lam = payload.get("lam")
+        r = payload["r"]
+        return EvalEvent(kind=payload["k"], x=x,
+                         lam=None if lam is None else _unblock(lam).copy(),
+                         result=_unhex(r) if isinstance(r, str) else _unblock(r).copy())
+    if tag == "iter":
+        return IterEvent(values={k: _decode_value(v) for k, v in payload.items() if k != "t"})
+    raise RecordError(f"unknown event tag {tag!r}")
 
-    record = RunRecord(header={
+
+def _event_v1(payload, _xs):     # version 1 bodies spell out every x
+    tag = payload.get("t")
+    if tag == "eval":
+        lam = payload.get("lam")
+        return EvalEvent(kind=payload["k"], x=_unhex_vec(payload["x"]),
+                         lam=None if lam is None else _unhex_vec(lam),
+                         result=_decode_result_v1(payload["r"]))
+    if tag == "iter":
+        return IterEvent(values={k: _decode_value_v1(v) for k, v in payload.items() if k != "t"})
+    raise RecordError(f"unknown event tag {tag!r}")
+
+
+_EVENT_DECODERS = {1: _event_v1, 2: _event_v2}
+
+
+def _decode_header(header):
+    version = header.get("format_version")
+    if type(version) is not int or version not in _EVENT_DECODERS:
+        raise RecordError(f"unsupported format_version {version!r} "
+                          f"(expected one of {sorted(_EVENT_DECODERS)})")
+    scalers = header.get("scalers", {})
+    return {
         "format_version": version,
         "problem": header.get("problem"),
         "solver": header.get("solver"),
@@ -305,31 +401,44 @@ def read_record(path):
         "m": header.get("m"),
         "x0": _unhex_vec(header.get("x0", [])),
         "scalers": {
-            "x": _unhex_vec(header.get("scalers", {}).get("x", [])),
-            "f": _unhex(header.get("scalers", {}).get("f", "0x1.0p+0")),
-            "c": _unhex_vec(header.get("scalers", {}).get("c", [])),
+            "x": _unhex_vec(scalers.get("x", [])),
+            "f": _unhex(scalers.get("f", "0x1.0p+0")),
+            "c": _unhex_vec(scalers.get("c", [])),
         },
         "options": header.get("options", {}),
         "timestamp": header.get("timestamp", ""),
-    })
+    }
+
+
+def read_record(path):
+    """Parse a version 2 or version 1 record file.
+
+    Malformed lines report their 1-based line number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read()
+    lines = raw.splitlines()
+    if not lines or not lines[0].strip():
+        raise RecordError(f"{path}:1: empty record file")
+    try:
+        header = json.loads(lines[0])
+        if type(header) is not dict:
+            raise RecordError("header is not a JSON object")
+        record = RunRecord(header=_decode_header(header))
+    except RecordError as exc:
+        raise RecordError(f"{path}:1: {exc}") from None
+    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+        raise RecordError(f"{path}:1: malformed header: {exc}") from exc
+    decode = _EVENT_DECODERS[record.header["format_version"]]
+    xs = []     # each distinct x of a version 2 body, in order of first appearance
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             payload = json.loads(line)
-            tag = payload.get("t")
-            if tag == "eval":
-                lam = payload.get("lam")
-                record.events.append(EvalEvent(
-                    kind=payload["k"],
-                    x=_unhex_vec(payload["x"]),
-                    lam=None if lam is None else _unhex_vec(lam),
-                    result=_decode_result(payload["r"])))
-            elif tag == "iter":
-                values = {k: _decode_value(v) for k, v in payload.items() if k != "t"}
-                record.events.append(IterEvent(values=values))
-            else:
-                raise RecordError(f"unknown event tag {tag!r}")
+            if type(payload) is not dict:
+                raise RecordError(f"event is not a JSON object: {line[:40]!r}")
+            record.events.append(decode(payload, xs))
         except RecordError as exc:
             raise RecordError(f"{path}:{lineno}: {exc}") from None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 import os
 
@@ -9,6 +11,7 @@ from optkit import (HotStartError, OutputsDecl, RecordError, RunRecord,
                     read_record, sqp, update_outputs, write_readable_outputs,
                     write_record)
 from optkit.bench import quadratic_example, rosenbrock2
+from optkit.cli import main as cli_main
 from optkit.solvers.base import RunContext, make_options
 
 
@@ -93,15 +96,72 @@ def test_irrational_values_roundtrip_bitexact(tmp_path):
     assert ev.x[0] == math.pi and ev.result == math.pi  # bit-exact, not approx
 
 
-def test_truncated_record_reports_line(tmp_path):
+def test_empty_2d_result_roundtrip(tmp_path):
+    record = RunRecord.for_problem(quad_spec())
+    record.append_eval("jac", np.array([1.0, 2.0]), None, np.zeros((0, 2)))
+    path = tmp_path / "rows0.rec"
+    write_record(record, path)
+    back = read_record(path)
+    assert back == record
+    assert back.eval_events()[0].result.shape == (0, 2)
+
+
+def test_each_distinct_x_stored_once(tmp_path):
+    record = RunRecord.for_problem(quad_spec())
+    x, neg = np.array([0.0, 1.0]), np.array([-0.0, 1.0])   # equal, not bit-identical
+    record.append_eval("obj", x, None, 1.0)
+    record.append_eval("grad", x, None, np.array([0.0, 2.0]))
+    record.append_eval("obj", neg, None, 1.0)
+    record.append_eval("obj", x.copy(), None, 1.0)
+    path = tmp_path / "dedup.rec"
+    write_record(record, path)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == record.body_lines()
+    assert [json.loads(line)["x"] for line in lines[2:]] == [
+        0, {"f8": base64.b64encode(neg.tobytes()).decode("ascii")}, 0]
+    events = read_record(path).eval_events()
+    assert events[0].x is events[1].x is events[3].x
+    assert np.signbit(events[2].x[0]) and not np.signbit(events[0].x[0])
+    with pytest.raises(ValueError, match="read-only"):
+        events[0].x[0] = 5.0
+
+
+def _edit(lineno, edit):
+    """A corruption of line ``lineno``: ``edit`` changes its parsed JSON in place."""
+    def corrupt(lines):
+        payload = json.loads(lines[lineno - 1])
+        edit(payload)
+        lines[lineno - 1] = json.dumps(payload)
+    return corrupt
+
+
+def _truncate(lines):
+    lines[-1] = lines[-1][:-10]
+
+
+@pytest.mark.parametrize("corrupt, lineno, message", [
+    (_truncate, 5, "malformed record line"),
+    (_edit(2, lambda p: p["x"].update(f8="*" + p["x"]["f8"][1:])), 2, "bad base64"),
+    (_edit(4, lambda p: p["x"].update(f8=base64.b64encode(bytes(12)).decode())), 4,
+     "12 bytes is not a float64 vector"),
+    (_edit(4, lambda p: p["r"].update(shape=[2, 3])), 4, "does not hold shape"),
+    (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
+    (_edit(1, lambda p: p.update(format_version=3)), 1, "unsupported format_version 3"),
+    (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
+], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
+        "version_3", "header_x0"])
+def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
     record.append_eval("obj", np.array([1.0, 2.0]), None, 5.0)
+    record.append_eval("grad", np.array([1.0, 2.0]), None, np.array([2.0, 4.0]))
+    record.append_eval("jac", np.array([3.0, 4.0]), None, np.eye(2))
     record.append_eval("obj", np.array([3.0, 4.0]), None, 25.0)
-    path = tmp_path / "trunc.rec"
+    path = tmp_path / "good.rec"
     write_record(record, path)
-    raw = path.read_text().rstrip("\n")
-    (tmp_path / "bad.rec").write_text(raw[:-10] + "\n")
-    with pytest.raises(RecordError, match="bad.rec:3"):
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    (tmp_path / "bad.rec").write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordError, match=rf"bad\.rec:{lineno}: .*{message}"):
         read_record(tmp_path / "bad.rec")
 
 
@@ -110,6 +170,67 @@ def test_version_mismatch_rejected(tmp_path):
     path.write_text('{"format_version": 9}\n')
     with pytest.raises(RecordError, match="format_version"):
         read_record(path)
+
+
+# Written by the version 1 writer: every float a hexfloat, every x in full.
+V1_RECORD = """\
+{"format_version":1,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.0000000000000p+0","0x1.0000000000000p+0"],"f":"0x1.0000000000000p+0","c":["0x1.0000000000000p+0"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
+{"t":"eval","k":"obj","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":"0x1.71c71c71c71c7p-2"}
+{"t":"eval","k":"grad","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":["0x1.0000000000000p+0","0x1.5555555555555p-1"]}
+{"t":"eval","k":"jac","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":[["0x1.0000000000000p+0","0x1.0000000000000p+0"]]}
+{"t":"eval","k":"lag_hess","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"lam":["0x1.0000000000000p-2"],"r":[["0x1.0000000000000p+1","0x0.0p+0"],["0x0.0p+0","0x1.0000000000000p+1"]]}
+{"t":"iter","itr":0,"obj":"0x1.71c71c71c71c7p-2","opt":"inf","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"]}
+"""
+V1_X, V1_LAM = np.array([0.5, 1.0 / 3.0]), np.array([0.25])
+
+
+def v1_spec():
+    return build_problem("tiny", [1.0, 2.0], obj=lambda x: float(x @ x),
+                         grad=lambda x: 2.0 * x,
+                         con=lambda x: np.array([x[0] + x[1] - 1.0]),
+                         jac=lambda x: np.array([[1.0, 1.0]]),
+                         lag_hess=lambda x, lam: 2.0 * np.eye(2), cl=[0.0], cu=[0.0])
+
+
+@pytest.fixture
+def v1_path(tmp_path):
+    path = tmp_path / "v1.rec"
+    path.write_text(V1_RECORD)
+    return path
+
+
+def test_v1_record_reads_as_built(v1_path):
+    spec = v1_spec()
+    expected = RunRecord.for_problem(spec)
+    expected.set_solver("sqp", {"maxiter": 1})
+    expected.header["timestamp"] = "2026-01-01T00:00:00"
+    for kind in ("obj", "grad", "jac"):
+        expected.append_eval(kind, V1_X, None, spec.callbacks.get(kind)(V1_X))
+    expected.append_eval("lag_hess", V1_X, V1_LAM, 2.0 * np.eye(2))
+    update_outputs(OutputsDecl({"itr": int, "obj": float, "opt": float, "x": (float, (2,))}),
+                   expected, itr=0, obj=float(V1_X @ V1_X), opt=math.inf, x=V1_X)
+    back = read_record(v1_path)
+    assert back.header["format_version"] == 1
+    assert back == expected
+
+
+def test_v1_record_hot_starts(v1_path):
+    view = ScaledView(v1_spec(), hot_start=read_record(v1_path))
+    assert view.obj(V1_X) == float(V1_X @ V1_X)
+    view.grad(V1_X)
+    view.jac(V1_X)
+    view.lag_hess(V1_X, V1_LAM)
+    assert view.counters.as_dict() == {"n_obj": 0, "n_grad": 0, "n_con": 0,
+                                       "n_jac": 0, "n_hess": 0}
+    assert view.replayed.as_dict() == {"n_obj": 1, "n_grad": 1, "n_con": 0,
+                                       "n_jac": 1, "n_hess": 1}
+
+
+def test_v1_record_inspect(v1_path, capsys):
+    assert cli_main(["inspect", str(v1_path), "--tail", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "problem:   tiny" in out and "1 iterations, 4 evaluations" in out
+    assert "itr=0 obj=0.361111 opt=inf x=[0.5" in out
 
 
 def test_record_bodies_deterministic():
