@@ -1,5 +1,5 @@
 """Reusable solver building blocks: quasi-Newton updates, line searches,
-merit functions, and a dense active-set QP subsolver."""
+merit functions, and an active-set QP subsolver (dense KKT or range-space)."""
 
 import numpy as np
 from dataclasses import dataclass
@@ -325,14 +325,41 @@ def _solve_eqp(H, g, A, b):
     return p, lam
 
 
-def _active_set_loop(H, g, A_eq, A_in, b_in, p, max_cycles):
+def _range_space_eqp(H_inv, H_inv_g, A, b):
+    """Equality-constrained QP from the inverse Hessian (range-space form).
+
+    Minimizes 0.5 x'Hx + g'x subject to A x = b through the p x p Schur
+    complement M = A H^-1 A' (Nocedal & Wright 16.2): M lam = b + A H^-1 g,
+    x = H^-1 (A' lam - g).  Costs O(n^2 p); H^-1 is taken as given.
+    Returns (x, lam) with the stationarity convention H x + g = A' lam.
+    """
+    if A.shape[0] == 0:
+        return -H_inv_g, np.zeros(0)
+    H_inv_At = H_inv @ A.T
+    rhs = b + A @ H_inv_g
+    try:
+        lam = np.linalg.solve(A @ H_inv_At, rhs)
+    except np.linalg.LinAlgError:
+        raise QpError("singular KKT system (dependent constraints or indefinite Hessian); "
+                      "regularize the Hessian") from None
+    x = H_inv_At @ lam - H_inv_g
+    # the same guard as the dense KKT solve: the working rows must hold
+    scale = 1.0 + float(np.max(np.abs(rhs)))
+    if (not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam)))
+            or np.max(np.abs(A @ x - b)) > 1e-7 * scale):
+        raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
+    return x, lam
+
+
+def _active_set_loop(eqp_step, A_eq, b_eq, A_in, b_in, p, max_cycles):
     """Feasible-point primal active set from a feasible start p.
 
-    Directions come from equality subproblems over the working rows; steps
-    clip at the first blocking inequality, negative-multiplier rows leave.
-    The KKT system is solved once per working set: after a full step on an
-    unchanged working set the next subproblem has d = 0 and the same
-    multipliers, so the multiplier test runs on the ones in hand.
+    ``eqp_step(p, A_w, b_w)`` returns the step d from p to the minimizer on
+    the working rows A_w x = b_w, with its multipliers.  Steps clip at the
+    first blocking inequality, negative-multiplier rows leave.  The step is
+    computed once per working set: after a full step on an unchanged working
+    set the next subproblem has d = 0 and the same multipliers, so the
+    multiplier test runs on the ones in hand.
     Returns (p, lam_eq, lam_in).
     """
     q = A_in.shape[0]
@@ -343,8 +370,7 @@ def _active_set_loop(H, g, A_eq, A_in, b_in, p, max_cycles):
     working = np.zeros(q, dtype=bool)
     for _ in range(max_cycles):
         rows = np.flatnonzero(working)
-        A_w = np.vstack([A_eq, A_in[rows]])
-        d, lam = _solve_eqp(H, H @ p + g, A_w, np.zeros(A_w.shape[0]))
+        d, lam = eqp_step(p, np.vstack([A_eq, A_in[rows]]), np.concatenate([b_eq, b_in[rows]]))
         if float(np.max(np.abs(d))) > 1e-11 * (1.0 + float(np.max(np.abs(p)))):
             # clip the step at the first blocking inequality: the first row
             # with the smallest ratio, if that ratio is below 1
@@ -365,6 +391,13 @@ def _active_set_loop(H, g, A_eq, A_in, b_in, p, max_cycles):
             return p, lam[:n_eq], lam_in
         working[rows[np.argmin(lam_w)]] = False
     raise QpError(f"active-set cycle limit exceeded ({max_cycles} iterations)")
+
+
+def _dense_step(H, g):
+    """Working-set step from the dense KKT system of H at the gradient H p + g."""
+    def step(p, A_w, b_w):
+        return _solve_eqp(H, H @ p + g, A_w, np.zeros(b_w.size))
+    return step
 
 
 def _phase1_point(A_eq, b_eq, A_in, b_in, n):
@@ -404,7 +437,7 @@ def _phase1_point(A_eq, b_eq, A_in, b_in, n):
     for penalty in (1.0, 1e4, 1e8):
         g_l = np.zeros(n + 1)
         g_l[n] = penalty * scale
-        p_lift, _, _ = _active_set_loop(H_l, g_l, A_eq_l, A_in_l, b_in_l,
+        p_lift, _, _ = _active_set_loop(_dense_step(H_l, g_l), A_eq_l, b_eq, A_in_l, b_in_l,
                                         p_lift, 20 * (n + q + 2))
         if p_lift[n] <= tol:
             return p_lift[:n]
@@ -412,17 +445,26 @@ def _phase1_point(A_eq, b_eq, A_in, b_in, n):
                   f"(minimum violation {p_lift[n]:.3e})")
 
 
-def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None):
+def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, *,
+             inverse=False):
     """Minimize 0.5 p'Hp + g'p subject to A_eq p = b_eq and A_in p >= b_in.
 
     Inequalities are handled by a feasible-point primal active-set iteration
     over equality subproblems: blocking rows join the working set as steps
-    hit them and negative-multiplier rows leave it.  The KKT system is solved
-    once per working set: after a full, unblocked step the multipliers of
-    that solve are final for the working set and are tested directly.
-    Requires H positive definite.  Returns (p, lam_eq, lam_in): multipliers
-    satisfy the stationarity convention H p + g = A_eq' lam_eq + A_in' lam_in
-    with lam_in >= 0 and lam_in = 0 on inactive rows.
+    hit them and negative-multiplier rows leave it.  Each working set is
+    solved once: after a full, unblocked step the multipliers of that solve
+    are final for the working set and are tested directly.
+
+    With ``inverse=False`` H is the Hessian and must be positive definite;
+    each working set is solved through the dense KKT system.  With
+    ``inverse=True`` (as in :class:`HessianApprox`) the first argument is
+    H^-1, taken as given with no positive-definiteness check, and each
+    working set is solved in range-space form through its p x p Schur
+    complement, O(n^2 p) with no n x n factorization.  Either way an
+    infeasible start is lifted by the same elastic phase-1 problem on the
+    dense KKT system.  Returns (p, lam_eq, lam_in): multipliers satisfy the
+    stationarity convention H p + g = A_eq' lam_eq + A_in' lam_in with
+    lam_in >= 0 and lam_in = 0 on inactive rows.
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size
@@ -455,13 +497,22 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None):
         lam_full[keep] = lam_kept
         return lam_full
 
+    if inverse:
+        H_inv_g = H @ g
+
+        def step(p, A_w, b_w):
+            x, lam = _range_space_eqp(H, H_inv_g, A_w, b_w)
+            return x - p, lam
+    else:
+        step = _dense_step(H, g)
+
     q = A_in.shape[0]
     if q == 0:
-        p, lam_eq = _solve_eqp(H, g, A_eq, b_eq)
+        p, lam_eq = step(np.zeros(n), A_eq, b_eq) if inverse else _solve_eqp(H, g, A_eq, b_eq)
         return p, expand_eq(lam_eq), np.zeros(0)
 
     p = _phase1_point(A_eq, b_eq, A_in, b_in, n)
     if max_cycles is None:
         max_cycles = 10 * (n + q)
-    p, lam_eq, lam_in = _active_set_loop(H, g, A_eq, A_in, b_in, p, max_cycles)
+    p, lam_eq, lam_in = _active_set_loop(step, A_eq, b_eq, A_in, b_in, p, max_cycles)
     return p, expand_eq(lam_eq), lam_in

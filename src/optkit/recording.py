@@ -159,6 +159,14 @@ def _decode_value_v1(v):
 # Events and declarations
 # ---------------------------------------------------------------------------
 
+def _same_bits(a, b):
+    """True when a and b have the same shape and float64 bit pattern, so
+    0.0 and -0.0 differ and a NaN equals the same NaN."""
+    a = np.asarray(a, dtype="<f8")
+    b = np.asarray(b, dtype="<f8")
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @dataclass
 class EvalEvent:
     kind: str
@@ -167,15 +175,16 @@ class EvalEvent:
     result: object = None
 
     def __eq__(self, other):
+        """Bit-exact equality (see :func:`_same_bits`)."""
         if not isinstance(other, EvalEvent):
             return NotImplemented
-        if self.kind != other.kind or not np.array_equal(self.x, other.x):
+        if self.kind != other.kind or not _same_bits(self.x, other.x):
             return False
         if (self.lam is None) != (other.lam is None):
             return False
-        if self.lam is not None and not np.array_equal(self.lam, other.lam):
+        if self.lam is not None and not _same_bits(self.lam, other.lam):
             return False
-        return np.array_equal(np.asarray(self.result), np.asarray(other.result))
+        return _same_bits(self.result, other.result)
 
 
 @dataclass
@@ -183,12 +192,12 @@ class IterEvent:
     values: dict
 
     def __eq__(self, other):
+        """Bit-exact equality of every declared output (see :func:`_same_bits`)."""
         if not isinstance(other, IterEvent):
             return NotImplemented
         if self.values.keys() != other.values.keys():
             return False
-        return all(np.array_equal(np.asarray(self.values[k]), np.asarray(other.values[k]))
-                   for k in self.values)
+        return all(_same_bits(self.values[k], other.values[k]) for k in self.values)
 
 
 class OutputsDecl:

@@ -227,6 +227,13 @@ def exact_penalty(problem, **options):
 def sqp(problem, **options):
     """Sequential quadratic programming with a BFGS Lagrangian Hessian.
 
+    The Hessian approximation is kept in inverse form, H^-1, and passed as
+    given to ``qp_solve(..., inverse=True)``; the BFGS curvature guard keeps
+    it positive definite, so the QP checks nothing.  The QP solves each
+    working set through its p x p Schur complement, so no iteration
+    factorizes an n x n matrix unless the QP's start is infeasible and its
+    phase-1 lift runs on the dense KKT system.
+
     Each iteration solves the QP linearization of the constraints (variable
     bounds folded in as linear inequalities) for a step p and multiplier
     estimates, line-searches the l1 merit with rho >= ||lam||_inf + 1, and
@@ -252,7 +259,7 @@ def sqp(problem, **options):
     c = view.con(x) if m else np.zeros(0)
     J = view.jac(x) if m else np.zeros((0, n))
 
-    approx = kit.HessianApprox(n=n, variant="bfgs")
+    approx = kit.HessianApprox(n=n, variant="bfgs", inverse=True)
     rho = 1.0
     restorations = 0
     itr = 0
@@ -295,7 +302,7 @@ def sqp(problem, **options):
 
         a_eq, b_eq, a_in, b_in = build_qp(c, J, x)
         try:
-            p, lam_eq, lam_in = kit.qp_solve(approx.B, g, a_eq, b_eq, a_in, b_in)
+            p, lam_eq, lam_in = kit.qp_solve(approx.H, g, a_eq, b_eq, a_in, b_in, inverse=True)
         except kit.QpError as exc:
             restorations += 1
             if restorations > 5:

@@ -352,6 +352,74 @@ def test_qp_mixed_rows_kkt_conditions_random_fuzz():
     assert worst <= 1e-6
 
 
+def _fuzz_qp(rng):
+    # equality rows consistent at z (sometimes one duplicated with its b),
+    # inequality rows feasible at z (sometimes one duplicated, sometimes half
+    # scaled by 1e3), and in one QP of ten a contradictory pair a p >= 1,
+    # a p <= -0.5
+    n = int(rng.integers(1, 9))
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + 0.5 * np.eye(n)
+    g = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+    z = rng.normal(size=n)
+    A_eq = rng.normal(size=(int(rng.integers(0, n)), n))
+    b_eq = A_eq @ z
+    if b_eq.size and rng.random() < 0.3:
+        A_eq, b_eq = np.vstack([A_eq, A_eq[:1]]), np.append(b_eq, b_eq[0])
+    A_in = rng.normal(size=(int(rng.integers(1, 2 * n + 1)), n))
+    b_in = A_in @ z - rng.uniform(0.0, 2.0, A_in.shape[0])
+    if rng.random() < 0.3:
+        A_in, b_in = np.vstack([A_in, A_in[:1]]), np.append(b_in, b_in[0])
+    if rng.random() < 0.3:
+        scaled = rng.random(b_in.size) < 0.5
+        A_in[scaled] *= 1e3
+        b_in[scaled] *= 1e3
+    if rng.random() < 0.1:
+        a = rng.normal(size=n)
+        A_in, b_in = np.vstack([A_in, a, -a]), np.append(b_in, [1.0, 0.5])
+    return H, g, A_eq, b_eq, A_in, b_in
+
+
+def test_qp_inverse_form_agrees_with_dense():
+    # the range-space form given inv(H) solves and fails on the same QPs as
+    # the dense KKT form given H, with the same steps to rounding
+    rng = np.random.default_rng(5)
+    solved = infeasible = 0
+    for _ in range(400):
+        H, g, A_eq, b_eq, A_in, b_in = _fuzz_qp(rng)
+        outcome = []
+        for M, inverse in ((H, False), (np.linalg.inv(H), True)):
+            try:
+                outcome.append(qp_solve(M, g, A_eq, b_eq, A_in, b_in, inverse=inverse))
+            except QpError as exc:
+                outcome.append(str(exc))
+        dense, inv = outcome
+        if isinstance(dense, str):
+            assert inv == dense
+            infeasible += "infeasible" in dense
+            continue
+        assert not isinstance(inv, str), inv
+        solved += 1
+        p, le, li = inv
+        assert np.max(np.abs(p - dense[0])) <= 1e-9 * (1.0 + np.max(np.abs(dense[0])))
+        slack = A_in @ p - b_in
+        assert np.max(np.abs(H @ p + g - A_eq.T @ le - A_in.T @ li)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
+        assert np.max(np.abs(A_eq @ p - b_eq), initial=0.0) <= 1e-6
+        assert np.min(slack) >= -1e-6 * (1.0 + np.max(np.abs(b_in)))
+        assert np.min(li) >= 0.0 and np.max(np.abs(li * slack)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
+    assert solved >= 300 and infeasible >= 20
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_qp_nearly_dependent_rows_fail_the_residual_guard(eps, inverse):
+    # the rows are independent, but the multipliers reach 1/eps^2 and the
+    # computed p misses A p = b by far more than 1e-7: both forms refuse it
+    with pytest.raises(QpError, match="numerically singular or inconsistent"):
+        qp_solve(np.eye(2), np.zeros(2), A_eq=[[1.0, eps], [1.0, 0.0]], b_eq=[0.0, 1.0],
+                 inverse=inverse)
+
+
 @pytest.fixture
 def eqp_calls(monkeypatch):
     calls = []

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from optkit import (HotStartError, OutputsDecl, RecordError, RunRecord,
+from optkit import (EvalEvent, HotStartError, IterEvent, OutputsDecl, RecordError, RunRecord,
                     ScaledView, build_problem, print_results, quasi_newton,
                     read_record, sqp, update_outputs, write_readable_outputs,
                     write_record)
@@ -104,6 +104,35 @@ def test_empty_2d_result_roundtrip(tmp_path):
     back = read_record(path)
     assert back == record
     assert back.eval_events()[0].result.shape == (0, 2)
+
+
+def test_events_compare_by_bit_pattern():
+    # the sign of zero counts, and a NaN output equals itself
+    assert EvalEvent("obj", np.array([0.0]), result=1.0) != EvalEvent("obj", np.array([-0.0]), result=1.0)
+    assert EvalEvent("obj", np.array([1.0]), result=0.0) != EvalEvent("obj", np.array([1.0]), result=-0.0)
+    assert EvalEvent("grad", np.array([1.0]), result=np.zeros(2)) != \
+        EvalEvent("grad", np.array([1.0]), result=np.zeros((1, 2)))
+    nan_iter = IterEvent({"itr": 0, "obj": math.nan, "x": np.array([math.nan, 1.0])})
+    assert nan_iter == IterEvent({"itr": 0, "obj": math.nan, "x": np.array([math.nan, 1.0])})
+    assert IterEvent({"obj": 0.0}) != IterEvent({"obj": -0.0})
+
+    decl = OutputsDecl({"itr": int, "obj": float})
+    a, b = RunRecord(), RunRecord()
+    update_outputs(decl, a, itr=0, obj=0.0)
+    update_outputs(decl, b, itr=0, obj=-0.0)
+    assert a != b
+
+
+def test_nan_output_roundtrip(tmp_path):
+    record = RunRecord.for_problem(quad_spec())
+    decl = OutputsDecl({"itr": int, "obj": float, "x": (float, (2,))})
+    update_outputs(decl, record, itr=0, obj=math.nan, x=np.array([-0.0, math.inf]))
+    record.append_eval("obj", np.array([-0.0, 0.0]), None, math.nan)
+    path = tmp_path / "nan.rec"
+    write_record(record, path)
+    back = read_record(path)
+    assert back == record
+    assert math.copysign(1.0, back.eval_events()[0].x[0]) == -1.0
 
 
 def test_each_distinct_x_stored_once(tmp_path):

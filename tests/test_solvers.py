@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -433,6 +434,47 @@ def test_sqp_multipliers_on_upper_range_and_bound_rows():
     assert r[2] == pytest.approx(-1.0, abs=1e-6)
     c = spec.callbacks.constraints(x)
     assert_allclose(c, [1.0, 0.5], atol=1e-8)
+
+
+def test_sqp_does_no_cubic_work_per_qp(monkeypatch):
+    # no solve or factorization in the solver layers sees a square matrix of
+    # dimension n or more; the cantilever's finite-element model
+    # (optkit.bench) still solves its own stiffness system
+    spec = parse_problem_token("cantilever:60")
+    n = spec.n
+    big = []
+
+    def watch(fn):
+        def watched(a, *args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            shape = np.shape(a)
+            if (caller.startswith(("optkit.kit", "optkit.solvers")) and len(shape) == 2
+                    and shape[0] == shape[1] >= n):
+                big.append((fn.__name__, caller, shape))
+            return fn(a, *args, **kwargs)
+        return watched
+
+    for name in ("solve", "inv", "cholesky", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, watch(getattr(np.linalg, name)))
+    dense_kkt = []
+    solve_eqp = ok.kit._solve_eqp
+    monkeypatch.setattr(ok.kit, "_solve_eqp", lambda *a: dense_kkt.append(a) or solve_eqp(*a))
+
+    report = ok.sqp(spec)
+    assert report.converged and report.niter > 10
+    assert big == []
+    # every QP start p = 0 is feasible here, so the dense phase-1 lift,
+    # the only dense KKT solve left in sqp, never runs
+    assert dense_kkt == []
+
+
+def test_sqp_unscaled_spacecraft_is_infeasible_quickly():
+    # n_t = 10 looks infeasible (local least squares on the defects bottoms
+    # out near 0.27 from several starts); unscaled sqp must say so within 2 s
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="linearized constraints are infeasible"):
+        ok.sqp(parse_problem_token("spacecraft:10"))
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
