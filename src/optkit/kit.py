@@ -1,5 +1,5 @@
 """Reusable solver building blocks: quasi-Newton updates, line searches,
-merit functions, and an active-set QP subsolver (dense KKT or range-space)."""
+merit functions, and a Goldfarb-Idnani dual active-set QP subsolver on H^-1."""
 
 import numpy as np
 from dataclasses import dataclass
@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from .problem import violation
 
 HESSIAN_VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
-MERIT_KINDS = ("l1", "l2sq", "linf", "quadratic_penalty", "lagrangian", "augmented_lagrangian")
+MERIT_KINDS = ("l1", "linf", "quadratic_penalty", "augmented_lagrangian")
 
 
 class QpError(RuntimeError):
-    """QP subproblem failure (singular KKT system, infeasible constraints, cycling)."""
+    """QP subproblem failure (dependent or inconsistent equalities, infeasible
+    constraints, cycling, an indefinite Hessian)."""
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +268,9 @@ class MeritSpec:
 def merit_value(spec, f, c, con_lower, con_upper):
     """Evaluate the merit function for objective f and constraint values c.
 
-    Violations are measured against the two-sided bounds; the Lagrangian kinds
-    use c - clip(c, lower, upper), i.e. the residual to the nearest bound of
-    each violated or active constraint.
+    Violations are measured against the two-sided bounds; the augmented
+    Lagrangian uses c - clip(c, lower, upper), i.e. the residual to the
+    nearest bound of each violated or active constraint.
     """
     c = np.asarray(c, dtype=float)
     f = float(f)
@@ -278,193 +279,42 @@ def merit_value(spec, f, c, con_lower, con_upper):
         return f + spec.rho * float(np.sum(v))
     if spec.kind == "linf":
         return f + spec.rho * (float(np.max(v)) if v.size else 0.0)
-    if spec.kind in ("l2sq", "quadratic_penalty"):
-        return f + 0.5 * spec.rho * float(v @ v)
-    # lagrangian / augmented_lagrangian
+    quadratic = f + 0.5 * spec.rho * float(v @ v)
+    if spec.kind == "quadratic_penalty":
+        return quadratic
+    # augmented_lagrangian
     lam = np.zeros_like(c) if spec.lam is None else np.asarray(spec.lam, dtype=float)
-    residual = c - np.clip(c, con_lower, con_upper)
-    value = f - float(lam @ residual)
-    if spec.kind == "augmented_lagrangian":
-        value += 0.5 * spec.rho * float(v @ v)
-    return value
+    return quadratic - float(lam @ (c - np.clip(c, con_lower, con_upper)))
 
 
 # ---------------------------------------------------------------------------
 # Quadratic programming
 # ---------------------------------------------------------------------------
 
-def _solve_eqp(H, g, A, b):
-    """Equality-constrained QP via the dense KKT system.
-
-    Returns (p, lam) with the stationarity convention H p + g = A' lam.
-    """
-    n = g.size
-    p_rows = A.shape[0]
-    if p_rows == 0:
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise QpError("QP Hessian is not positive definite; regularize the Hessian") from None
-        y = np.linalg.solve(L, -g)
-        return np.linalg.solve(L.T, y), np.zeros(0)
-    K = np.zeros((n + p_rows, n + p_rows))
-    K[:n, :n] = H
-    K[:n, n:] = -A.T
-    K[n:, :n] = A
-    rhs = np.concatenate([-g, b])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        raise QpError("singular KKT system (dependent constraints or indefinite Hessian); "
-                      "regularize the Hessian") from None
-    p, lam = sol[:n], sol[n:]
-    # guard against a numerically singular but factorizable system
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    if not np.all(np.isfinite(sol)) or np.max(np.abs(K @ sol - rhs)) > 1e-7 * scale:
-        raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
-    return p, lam
-
-
-def _range_space_eqp(H_inv, H_inv_g, A, b):
-    """Equality-constrained QP from the inverse Hessian (range-space form).
-
-    Minimizes 0.5 x'Hx + g'x subject to A x = b through the p x p Schur
-    complement M = A H^-1 A' (Nocedal & Wright 16.2): M lam = b + A H^-1 g,
-    x = H^-1 (A' lam - g).  Costs O(n^2 p); H^-1 is taken as given.
-    Returns (x, lam) with the stationarity convention H x + g = A' lam.
-    """
-    if A.shape[0] == 0:
-        return -H_inv_g, np.zeros(0)
-    H_inv_At = H_inv @ A.T
-    rhs = b + A @ H_inv_g
-    try:
-        lam = np.linalg.solve(A @ H_inv_At, rhs)
-    except np.linalg.LinAlgError:
-        raise QpError("singular KKT system (dependent constraints or indefinite Hessian); "
-                      "regularize the Hessian") from None
-    x = H_inv_At @ lam - H_inv_g
-    # the same guard as the dense KKT solve: the working rows must hold
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    if (not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam)))
-            or np.max(np.abs(A @ x - b)) > 1e-7 * scale):
-        raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
-    return x, lam
-
-
-def _active_set_loop(eqp_step, A_eq, b_eq, A_in, b_in, p, max_cycles):
-    """Feasible-point primal active set from a feasible start p.
-
-    ``eqp_step(p, A_w, b_w)`` returns the step d from p to the minimizer on
-    the working rows A_w x = b_w, with its multipliers.  Steps clip at the
-    first blocking inequality, negative-multiplier rows leave.  The step is
-    computed once per working set: after a full step on an unchanged working
-    set the next subproblem has d = 0 and the same multipliers, so the
-    multiplier test runs on the ones in hand.
-    Returns (p, lam_eq, lam_in).
-    """
-    q = A_in.shape[0]
-    n_eq = A_eq.shape[0]
-    lam_tol = 1e-9
-    # a row blocks the step only if it decreases by more than rounding along d
-    block_tol = -1e-13 * (1.0 + np.max(np.abs(A_in), axis=1))
-    working = np.zeros(q, dtype=bool)
-    for _ in range(max_cycles):
-        rows = np.flatnonzero(working)
-        d, lam = eqp_step(p, np.vstack([A_eq, A_in[rows]]), np.concatenate([b_eq, b_in[rows]]))
-        if float(np.max(np.abs(d))) > 1e-11 * (1.0 + float(np.max(np.abs(p)))):
-            # clip the step at the first blocking inequality: the first row
-            # with the smallest ratio, if that ratio is below 1
-            Ad = A_in @ d
-            hit = ~working & (Ad < block_tol)
-            ratio = np.full(q, np.inf)
-            ratio[hit] = np.maximum((b_in[hit] - A_in[hit] @ p) / Ad[hit], 0.0)
-            blocker = int(np.argmin(ratio))
-            if ratio[blocker] < 1.0:
-                p = p + ratio[blocker] * d
-                working[blocker] = True
-                continue
-            p = p + d
-        lam_w = lam[n_eq:]
-        if lam_w.size == 0 or float(np.min(lam_w)) >= -lam_tol * (1.0 + float(np.max(np.abs(lam_w)))):
-            lam_in = np.zeros(q)
-            lam_in[rows] = np.maximum(lam_w, 0.0)
-            return p, lam[:n_eq], lam_in
-        working[rows[np.argmin(lam_w)]] = False
-    raise QpError(f"active-set cycle limit exceeded ({max_cycles} iterations)")
-
-
-def _dense_step(H, g):
-    """Working-set step from the dense KKT system of H at the gradient H p + g."""
-    def step(p, A_w, b_w):
-        return _solve_eqp(H, H @ p + g, A_w, np.zeros(b_w.size))
-    return step
-
-
-def _phase1_point(A_eq, b_eq, A_in, b_in, n):
-    """Feasible starting point for the inequality-constrained QP.
-
-    The equality least-squares point is tried first; if it violates the
-    inequalities, an elastic problem with one slack t >= max violation is
-    solved with the same active-set loop (it has a trivially feasible start),
-    driving t to zero exactly for feasible systems.
-    """
-    if A_eq.shape[0]:
-        p, *_ = np.linalg.lstsq(A_eq, b_eq, rcond=None)
-        resid = float(np.max(np.abs(A_eq @ p - b_eq)))
-        if resid > 1e-7 * (1.0 + float(np.max(np.abs(b_eq)))):
-            raise QpError(f"equality constraints inconsistent (residual {resid:.3e})")
-    else:
-        p = np.zeros(n)
-
-    q = A_in.shape[0]
-    if q == 0:
-        return p
-    scale = 1.0 + float(np.max(np.abs(b_in)))
-    tol = 1e-9 * scale
-    worst = float(np.min(A_in @ p - b_in))
-    if worst >= -tol:
-        return p
-
-    # lift: minimize (eps/2)(|p|^2 + t^2) + M t  s.t.  A_in p + t >= b_in,
-    # t >= 0, A_eq p = b_eq; start feasible at (p, worst violation + 1)
-    eps = 1e-6
-    p_lift = np.concatenate([p, [-worst + 1.0]])
-    A_eq_l = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-    A_in_l = np.vstack([np.hstack([A_in, np.ones((q, 1))]),
-                        np.concatenate([np.zeros(n), [1.0]])[None, :]])
-    b_in_l = np.concatenate([b_in, [0.0]])
-    H_l = eps * np.eye(n + 1)
-    for penalty in (1.0, 1e4, 1e8):
-        g_l = np.zeros(n + 1)
-        g_l[n] = penalty * scale
-        p_lift, _, _ = _active_set_loop(_dense_step(H_l, g_l), A_eq_l, b_eq, A_in_l, b_in_l,
-                                        p_lift, 20 * (n + q + 2))
-        if p_lift[n] <= tol:
-            return p_lift[:n]
-    raise QpError("linearized constraints are infeasible "
-                  f"(minimum violation {p_lift[n]:.3e})")
-
-
 def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, *,
              inverse=False):
     """Minimize 0.5 p'Hp + g'p subject to A_eq p = b_eq and A_in p >= b_in.
 
-    Inequalities are handled by a feasible-point primal active-set iteration
-    over equality subproblems: blocking rows join the working set as steps
-    hit them and negative-multiplier rows leave it.  Each working set is
-    solved once: after a full, unblocked step the multipliers of that solve
-    are final for the working set and are tested directly.
+    Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) on H^-1.  It
+    starts at the unconstrained minimizer -H^-1 g, adds the equality rows one
+    at a time, then repeatedly adds the most violated inequality.  Each step
+    toward a row keeps the working rows N tight and their multipliers dual
+    feasible: with r = (N H^-1 N')^-1 N H^-1 a and z = H^-1 a - H^-1 N' r the
+    step either reaches the row (full step) or stops where a working
+    inequality's multiplier reaches zero, and that row leaves (partial step).
+    A row that no step can reach proves the constraints infeasible, so no
+    feasible start or phase 1 is needed.  (N H^-1 N')^-1 is bordered when a
+    row joins and reduced when one leaves, so a step costs O(n^2 + n p + p^2)
+    with no factorization.  ``max_cycles`` (default 10 (n + q)) bounds the
+    inequality steps; equality rows never leave, and a dependent equality row
+    with a consistent right-hand side is skipped with a zero multiplier.
 
-    With ``inverse=False`` H is the Hessian and must be positive definite;
-    each working set is solved through the dense KKT system.  With
-    ``inverse=True`` (as in :class:`HessianApprox`) the first argument is
-    H^-1, taken as given with no positive-definiteness check, and each
-    working set is solved in range-space form through its p x p Schur
-    complement, O(n^2 p) with no n x n factorization.  Either way an
-    infeasible start is lifted by the same elastic phase-1 problem on the
-    dense KKT system.  Returns (p, lam_eq, lam_in): multipliers satisfy the
-    stationarity convention H p + g = A_eq' lam_eq + A_in' lam_in with
-    lam_in >= 0 and lam_in = 0 on inactive rows.
+    With ``inverse=False`` H is the Hessian, which must be positive definite:
+    H^-1 is built from its Cholesky factor.  With ``inverse=True`` (as in
+    :class:`HessianApprox`) the first argument is H^-1, taken as given.
+    Returns (p, lam_eq, lam_in): multipliers satisfy the stationarity
+    convention H p + g = A_eq' lam_eq + A_in' lam_in with lam_in >= 0 and
+    lam_in = 0 on inactive rows.
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size
@@ -476,43 +326,107 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float).ravel()
     if A_eq.shape[0] != b_eq.size or A_in.shape[0] != b_in.size:
         raise ValueError("constraint matrix/vector sizes disagree")
-
-    # drop exactly duplicated equality rows so the KKT system stays regular;
-    # multipliers are reported against the original rows (zeros on duplicates)
-    n_eq_orig = A_eq.shape[0]
-    keep = list(range(n_eq_orig))
-    if n_eq_orig > 1:
-        rows = {}
-        for i in range(n_eq_orig):
-            key = (A_eq[i].tobytes(), float(b_eq[i]).hex())
-            rows.setdefault(key, i)
-        keep = sorted(rows.values())
-        if len(keep) < n_eq_orig:
-            A_eq, b_eq = A_eq[keep], b_eq[keep]
-
-    def expand_eq(lam_kept):
-        if len(keep) == n_eq_orig:
-            return lam_kept
-        lam_full = np.zeros(n_eq_orig)
-        lam_full[keep] = lam_kept
-        return lam_full
-
     if inverse:
-        H_inv_g = H @ g
-
-        def step(p, A_w, b_w):
-            x, lam = _range_space_eqp(H, H_inv_g, A_w, b_w)
-            return x - p, lam
+        H_inv = H
     else:
-        step = _dense_step(H, g)
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(H))
+        except np.linalg.LinAlgError:
+            raise QpError("QP Hessian is not positive definite; regularize the Hessian") from None
+        H_inv = L_inv.T @ L_inv
 
-    q = A_in.shape[0]
-    if q == 0:
-        p, lam_eq = step(np.zeros(n), A_eq, b_eq) if inverse else _solve_eqp(H, g, A_eq, b_eq)
-        return p, expand_eq(lam_eq), np.zeros(0)
-
-    p = _phase1_point(A_eq, b_eq, A_in, b_in, n)
+    n_eq, q = A_eq.shape[0], A_in.shape[0]
     if max_cycles is None:
         max_cycles = 10 * (n + q)
-    p, lam_eq, lam_in = _active_set_loop(step, A_eq, b_eq, A_in, b_in, p, max_cycles)
-    return p, expand_eq(lam_eq), lam_in
+    A = np.vstack([A_eq, A_in])
+    b = np.concatenate([b_eq, b_in])
+    eq_tol = 1e-7 * (1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
+    slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in), initial=0.0)))
+    p = -(H_inv @ g)
+    # working rows: their indices into A, H^-1 a, (N H^-1 N')^-1, multipliers
+    rows = np.empty(n, dtype=int)
+    V = np.empty((n, n))
+    M_inv = np.empty((n, n))
+    u = np.empty(n)
+    nw = 0
+    working = np.zeros(n_eq + q, dtype=bool)
+    cycles = 0
+
+    def targets():
+        # the equality rows in order, then the most violated inequality
+        yield from range(n_eq)
+        while q:
+            slack = A_in @ p - b_in
+            slack[working[n_eq:]] = np.inf
+            j = int(np.argmin(slack))
+            if slack[j] >= -slack_tol:
+                return
+            yield n_eq + j
+
+    for new in targets():
+        a = A[new]
+        u_new = 0.0
+        while True:
+            v = H_inv @ a
+            r = M_inv[:nw, :nw] @ (V[:nw] @ a)
+            z = v - V[:nw].T @ r
+            az = float(a @ z)
+            s = float(a @ p) - b[new]
+            full = nw < n and az > 1e-12 * float(a @ v)
+            if new < n_eq:
+                if not full:
+                    # a dependent equality row: redundant or inconsistent
+                    if abs(s) > eq_tol:
+                        raise QpError("KKT system is numerically singular or inconsistent; "
+                                      "regularize the Hessian")
+                    break
+                t, leave = -s / az, None
+            else:
+                if cycles >= max_cycles:
+                    raise QpError(f"active-set cycle limit exceeded ({max_cycles} iterations)")
+                cycles += 1
+                # the working inequality whose multiplier reaches zero first
+                t, leave = np.inf, None
+                can_leave = (rows[:nw] >= n_eq) & (r > 0.0)
+                if can_leave.any():
+                    ratio = np.full(nw, np.inf)
+                    ratio[can_leave] = u[:nw][can_leave] / r[can_leave]
+                    leave = int(np.argmin(ratio))
+                    t = float(ratio[leave])
+                if full and -s / az <= t:
+                    t, leave = -s / az, None
+                elif leave is None:
+                    raise QpError(f"linearized constraints are infeasible (inequality row "
+                                  f"{new - n_eq} cannot be reached, slack {s:.3e})")
+            if full:
+                p = p + t * z
+            u[:nw] -= t * r
+            u_new += t
+            if leave is None:
+                # border (N H^-1 N')^-1 with the new row: its Schur complement is a'z
+                M_inv[:nw, :nw] += np.outer(r / az, r)
+                M_inv[:nw, nw] = M_inv[nw, :nw] = -r / az
+                M_inv[nw, nw] = 1.0 / az
+                rows[nw], V[nw], u[nw] = new, v, u_new
+                working[new] = True
+                nw += 1
+                break
+            # reduce (N H^-1 N')^-1 by the leaving row, then move the last
+            # working row into its slot
+            M = M_inv[:nw, :nw]
+            col = M[:, leave].copy()
+            M -= np.outer(col / col[leave], col)
+            last = nw - 1
+            M[leave, :] = M[last, :]
+            M[:, leave] = M[:, last]
+            working[rows[leave]] = False
+            rows[leave], V[leave], u[leave] = rows[last], V[last], u[last]
+            nw = last
+
+    lam = np.zeros(n_eq + q)
+    lam[rows[:nw]] = u[:nw]
+    lam_eq, lam_in = lam[:n_eq], np.maximum(lam[n_eq:], 0.0)
+    if (not (np.all(np.isfinite(p)) and np.all(np.isfinite(lam)))
+            or np.max(np.abs(A_eq @ p - b_eq), initial=0.0) > eq_tol):
+        raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
+    return p, lam_eq, lam_in

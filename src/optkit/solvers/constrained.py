@@ -229,10 +229,10 @@ def sqp(problem, **options):
 
     The Hessian approximation is kept in inverse form, H^-1, and passed as
     given to ``qp_solve(..., inverse=True)``; the BFGS curvature guard keeps
-    it positive definite, so the QP checks nothing.  The QP solves each
-    working set through its p x p Schur complement, so no iteration
-    factorizes an n x n matrix unless the QP's start is infeasible and its
-    phase-1 lift runs on the dense KKT system.
+    it positive definite, so the QP checks nothing.  The QP is a dual active
+    set that starts at the unconstrained minimizer and updates
+    (N H^-1 N')^-1 as rows join or leave, so no iteration factorizes a
+    matrix and none needs a phase-1 feasible point.
 
     Each iteration solves the QP linearization of the constraints (variable
     bounds folded in as linear inequalities) for a step p and multiplier

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optkit import (HessianApprox, MeritSpec, QpError, kit, line_search,
-                    merit_value, qp_solve)
+from optkit import (HessianApprox, MeritSpec, QpError, line_search, merit_value,
+                    qp_solve)
 
 VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
 
@@ -201,7 +201,7 @@ def test_wolfe_zooms_past_too_long_step():
 def test_merit_feasible_returns_objective():
     c = np.array([0.5])
     lo, up = np.array([0.0]), np.array([1.0])
-    for kind in ("l1", "linf", "l2sq", "quadratic_penalty", "lagrangian", "augmented_lagrangian"):
+    for kind in ("l1", "linf", "quadratic_penalty", "augmented_lagrangian"):
         spec = MeritSpec(kind=kind, rho=10.0, lam=np.zeros(1))
         assert merit_value(spec, 3.25, c, lo, up) == 3.25
 
@@ -217,11 +217,11 @@ def test_merit_l1_and_quadratic_values():
 def test_merit_lagrangian_uses_nearest_bound():
     c = np.array([2.0])
     lo, up = np.array([0.0]), np.array([1.0])
-    spec = MeritSpec("lagrangian", rho=0.0, lam=np.array([3.0]))
     # residual to the nearest bound is c - 1 = 1
-    assert merit_value(spec, 5.0, c, lo, up) == 5.0 - 3.0
     aug = MeritSpec("augmented_lagrangian", rho=4.0, lam=np.array([3.0]))
     assert merit_value(aug, 5.0, c, lo, up) == 5.0 - 3.0 + 2.0
+    assert merit_value(MeritSpec("augmented_lagrangian", rho=0.0, lam=np.array([3.0])),
+                       5.0, c, lo, up) == 5.0 - 3.0
 
 
 def test_merit_rejects_bad_rho():
@@ -356,7 +356,7 @@ def _fuzz_qp(rng):
     # equality rows consistent at z (sometimes one duplicated with its b),
     # inequality rows feasible at z (sometimes one duplicated, sometimes half
     # scaled by 1e3), and in one QP of ten a contradictory pair a p >= 1,
-    # a p <= -0.5
+    # a p <= -0.5; the last item says whether the pair is there
     n = int(rng.integers(1, 9))
     M = rng.normal(size=(n, n))
     H = M @ M.T + 0.5 * np.eye(n)
@@ -374,19 +374,21 @@ def _fuzz_qp(rng):
         scaled = rng.random(b_in.size) < 0.5
         A_in[scaled] *= 1e3
         b_in[scaled] *= 1e3
-    if rng.random() < 0.1:
+    contradictory = rng.random() < 0.1
+    if contradictory:
         a = rng.normal(size=n)
         A_in, b_in = np.vstack([A_in, a, -a]), np.append(b_in, [1.0, 0.5])
-    return H, g, A_eq, b_eq, A_in, b_in
+    return H, g, A_eq, b_eq, A_in, b_in, contradictory
 
 
 def test_qp_inverse_form_agrees_with_dense():
-    # the range-space form given inv(H) solves and fails on the same QPs as
-    # the dense KKT form given H, with the same steps to rounding
+    # given inv(H) or given H (Cholesky-inverted), the QP solves the same
+    # QPs with the same steps to rounding, and it raises "infeasible" on
+    # exactly the QPs that carry the contradictory pair
     rng = np.random.default_rng(5)
     solved = infeasible = 0
     for _ in range(400):
-        H, g, A_eq, b_eq, A_in, b_in = _fuzz_qp(rng)
+        H, g, A_eq, b_eq, A_in, b_in, contradictory = _fuzz_qp(rng)
         outcome = []
         for M, inverse in ((H, False), (np.linalg.inv(H), True)):
             try:
@@ -394,9 +396,10 @@ def test_qp_inverse_form_agrees_with_dense():
             except QpError as exc:
                 outcome.append(str(exc))
         dense, inv = outcome
-        if isinstance(dense, str):
-            assert inv == dense
-            infeasible += "infeasible" in dense
+        assert isinstance(dense, str) == contradictory, dense
+        if contradictory:
+            assert "infeasible" in dense and isinstance(inv, str) and "infeasible" in inv, inv
+            infeasible += 1
             continue
         assert not isinstance(inv, str), inv
         solved += 1
@@ -413,41 +416,62 @@ def test_qp_inverse_form_agrees_with_dense():
 @pytest.mark.parametrize("eps", [1e-6, 1e-7])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_qp_nearly_dependent_rows_fail_the_residual_guard(eps, inverse):
-    # the rows are independent, but the multipliers reach 1/eps^2 and the
-    # computed p misses A p = b by far more than 1e-7: both forms refuse it
+    # the rows are independent, but the multipliers reach 1/eps^2: the second
+    # row looks dependent to rounding (a'z below 1e-12 a'H^-1 a) or the
+    # computed p misses A p = b by far more than 1e-7; both forms refuse it
     with pytest.raises(QpError, match="numerically singular or inconsistent"):
         qp_solve(np.eye(2), np.zeros(2), A_eq=[[1.0, eps], [1.0, 0.0]], b_eq=[0.0, 1.0],
                  inverse=inverse)
 
 
-@pytest.fixture
-def eqp_calls(monkeypatch):
-    calls = []
-    solve = kit._solve_eqp
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(kit, "_solve_eqp", counting)
-    return calls
-
-
-def test_qp_full_step_reuses_its_multipliers(eqp_calls):
-    # the unconstrained step is feasible: one KKT solve, none after the step
-    p, _, lam_in = qp_solve(np.eye(2), [-1.0, 0.0], A_in=[[1.0, 0.0]], b_in=[-5.0])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_qp_feasible_unconstrained_minimizer_takes_no_cycles(inverse):
+    # the unconstrained minimizer (1, 0) satisfies p0 >= -5: no step at all
+    p, _, lam_in = qp_solve(np.eye(2), [-1.0, 0.0], A_in=[[1.0, 0.0]], b_in=[-5.0],
+                            max_cycles=0, inverse=inverse)
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [0.0])
-    assert len(eqp_calls) == 1
 
 
-def test_qp_one_solve_per_working_set(eqp_calls):
-    # p0 <= 1 blocks the step (2, 0) half way: the working set changes once,
-    # so two KKT solves
-    p, _, lam_in = qp_solve(np.eye(2), [-2.0, 0.0], A_in=[[-1.0, 0.0]], b_in=[-1.0])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_qp_one_blocking_row_takes_one_cycle(inverse):
+    # p0 <= 1 cuts the unconstrained minimizer (2, 0): one step adds it
+    args = (np.eye(2), [-2.0, 0.0])
+    rows = dict(A_in=[[-1.0, 0.0]], b_in=[-1.0], inverse=inverse)
+    p, _, lam_in = qp_solve(*args, max_cycles=1, **rows)
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [1.0], atol=1e-12)
-    assert len(eqp_calls) == 2
+    with pytest.raises(QpError, match="cycle limit"):
+        qp_solve(*args, max_cycles=0, **rows)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_qp_duplicated_equality_row(inverse):
+    # a duplicated equality row is dependent: an exact duplicate is skipped
+    # with a zero multiplier, and one whose b is one ulp off (as A @ z from a
+    # BLAS product can give for two equal rows) gives the same step
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.5 * np.eye(n)
+        H_arg = np.linalg.inv(H) if inverse else H
+        g = rng.normal(size=n)
+        z = rng.normal(size=n)
+        A_eq = rng.normal(size=(int(rng.integers(1, n)), n))
+        b_eq = A_eq @ z
+        A_in = rng.normal(size=(n, n))
+        b_in = A_in @ z - rng.uniform(0.0, 2.0, n)
+        p, le, li = qp_solve(H_arg, g, A_eq, b_eq, A_in, b_in, inverse=inverse)
+        A_dup = np.vstack([A_eq, A_eq[:1]])
+        p_exact, le_exact, _ = qp_solve(H_arg, g, A_dup, np.append(b_eq, b_eq[0]), A_in, b_in,
+                                        inverse=inverse)
+        assert np.array_equal(p_exact, p) and np.array_equal(le_exact, np.append(le, 0.0))
+        b_ulp = np.append(b_eq, np.nextafter(b_eq[0], np.inf))
+        p_ulp, le_ulp, li_ulp = qp_solve(H_arg, g, A_dup, b_ulp, A_in, b_in, inverse=inverse)
+        assert np.max(np.abs(p_ulp - p)) <= 1e-9 * (1.0 + np.max(np.abs(p)))
+        resid = H @ p_ulp + g - A_dup.T @ le_ulp - A_in.T @ li_ulp
+        assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
 
 
 def test_qp_vertex_swap_under_bad_scaling():
