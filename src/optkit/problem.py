@@ -72,6 +72,10 @@ class Bounds:
             raise ProblemError(f"lower bound exceeds upper bound at index {bad}: {lo[bad]} > {up[bad]}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        # clip and project skip a side whose bounds are all infinite: clipping
+        # to -inf/inf leaves an entry as it is (NaN and -0.0 included)
+        object.__setattr__(self, "_has_lower", bool(np.any(lo != -np.inf)))
+        object.__setattr__(self, "_has_upper", bool(np.any(up != np.inf)))
 
     @classmethod
     def unbounded(cls, n):
@@ -83,6 +87,23 @@ class Bounds:
 
     def equality_mask(self):
         return self.lower == self.upper
+
+    def clip(self, x):
+        """Clip the float array ``x`` (a point or rows of points) in place; return it."""
+        if self._has_lower:
+            np.maximum(x, self.lower, out=x)
+        if self._has_upper:
+            np.minimum(x, self.upper, out=x)
+        return x
+
+    def project(self, g, x, tol=1e-12):
+        """A copy of ``g`` with the components that push against an active
+        bound at ``x`` zeroed; ``g`` itself when no bound is finite."""
+        if not (self._has_lower or self._has_upper):
+            return g
+        g = np.array(g, dtype=float)
+        g[((x <= self.lower + tol) & (g > 0.0)) | ((x >= self.upper - tol) & (g < 0.0))] = 0.0
+        return g
 
 
 def violation(c, lower, upper):
@@ -549,9 +570,6 @@ class ScaledView:
             return 0.0
         v = violation(self.con(xs), self.con_lower, self.con_upper)
         return float(np.max(v)) if v.size else 0.0
-
-    def has_callback(self, kind):
-        return self.spec.callbacks.get(kind) is not None
 
 
 # ---------------------------------------------------------------------------

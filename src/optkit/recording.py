@@ -213,7 +213,9 @@ class OutputsDecl:
     def names(self):
         return list(self.decl)
 
-    def validate(self, values):
+    def validate(self, values, convert=True):
+        """Check ``values`` against the declaration and return them as ints, floats
+        and float-array copies; with ``convert`` false, check only and return None."""
         if values.keys() != self.decl.keys():
             got, want = set(values), set(self.decl)
             missing = sorted(want - got)
@@ -224,31 +226,32 @@ class OutputsDecl:
             if extra:
                 parts.append(f"undeclared {extra}")
             raise RecordError("iteration outputs do not match declaration: " + ", ".join(parts))
-        out = {}
+        out = {} if convert else None
         for name, spec in self._fields:     # declaration order fixes serialization order
             v = values[name]
             if spec is int:
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
                     raise RecordError(f"output {name!r} must be an integer, got {type(v).__name__}")
-                out[name] = int(v)
             elif spec is float:
-                if not isinstance(v, (int, float, np.integer, np.floating)):
+                if type(v) is not float and not isinstance(v, (int, float, np.integer, np.floating)):
                     raise RecordError(f"output {name!r} must be a float, got {type(v).__name__}")
-                out[name] = float(v)
             else:
-                arr = np.array(v, dtype=float)
-                if arr.shape != spec:
-                    raise RecordError(f"output {name!r} has shape {arr.shape}, declared {spec}")
-                out[name] = arr
+                v = np.asarray(v, dtype=float)
+                if v.shape != spec:
+                    raise RecordError(f"output {name!r} has shape {v.shape}, declared {spec}")
+            if convert:
+                out[name] = spec(v) if spec in (int, float) else np.array(v)
         return out
 
 
 def update_outputs(decl, record, **values):
-    """Validate one iteration's declared outputs and append them to the record."""
-    checked = decl.validate(values)
-    event = IterEvent(values=checked)
-    if record is not None:
-        record.events.append(event)
+    """Validate one iteration's declared outputs and append them to the record
+    as an IterEvent, which is returned.  With ``record`` None they are checked
+    the same way but neither converted nor copied, and None is returned."""
+    if record is None:
+        return decl.validate(values, convert=False)
+    event = IterEvent(values=decl.validate(values))
+    record.events.append(event)
     return event
 
 

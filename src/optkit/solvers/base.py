@@ -127,6 +127,7 @@ class RunContext:
             view.record.set_solver(solver_name, options.as_dict())
 
     def emit(self, **values):
+        """Validate and record one iteration's outputs; without a record, validate only."""
         return update_outputs(self.decl, self.view.record, **values)
 
     def finish(self, xs, fs, optimality, feasibility, niter, converged, multipliers=None):
@@ -146,16 +147,3 @@ class RunContext:
             m=view.m,
             multipliers=None if multipliers is None else np.asarray(multipliers, dtype=float).copy(),
         )
-
-
-def clip_to_bounds(x, lower, upper):
-    return np.minimum(np.maximum(x, lower), upper)
-
-
-def projected_gradient(g, x, lower, upper, tol=1e-12):
-    """Zero out gradient components that push against an active bound."""
-    g = np.array(g, dtype=float)
-    at_lower = (x <= lower + tol) & (g > 0.0)
-    at_upper = (x >= upper - tol) & (g < 0.0)
-    g[at_lower | at_upper] = 0.0
-    return g

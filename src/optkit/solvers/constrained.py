@@ -3,8 +3,8 @@
 import numpy as np
 
 from .. import kit
-from ..problem import signed_violation, violation
-from .base import (RunContext, SolverError, clip_to_bounds, ensure_view, make_options)
+from ..problem import Bounds, signed_violation, violation
+from .base import (RunContext, SolverError, ensure_view, make_options)
 from .direct import _nelder_mead_loop
 from .gradient import _descent_loop, _quasi_newton_direction
 
@@ -114,7 +114,7 @@ def quadratic_penalty(problem, **options):
                      {"itr": int, "obj": float, "opt": float, "feas": float,
                       "rho": float, "x": (float, (view.n,))}, opts)
     m = view.m
-    lower, upper = view.var_lower, view.var_upper
+    bounds = Bounds(view.var_lower, view.var_upper)
 
     def make_penalized(rho):
         merit = kit.MeritSpec("quadratic_penalty", rho)
@@ -135,7 +135,7 @@ def quadratic_penalty(problem, **options):
 
         return pobj, pgrad
 
-    x = clip_to_bounds(view.x0, lower, upper)
+    x = bounds.clip(view.x0)
     rho = opts.rho0
     schedule = list(opts.subsolver_tol_schedule)
     converged = False
@@ -154,7 +154,7 @@ def quadratic_penalty(problem, **options):
         try:
             pobj, pgrad = make_penalized(rho)
             approx = kit.HessianApprox(n=view.n, inverse=True)
-            state = _descent_loop(pobj, pgrad, x, lower, upper, _quasi_newton_direction(approx),
+            state = _descent_loop(pobj, pgrad, x, bounds, _quasi_newton_direction(approx),
                                   ls_kind="wolfe", maxiter=opts.sub_maxiter, opt_tol=tol,
                                   on_step=approx.update)
         except Exception as exc:
@@ -212,8 +212,7 @@ def exact_penalty(problem, **options):
     def on_iter(itr, x, fbest, spread):
         ctx.emit(itr=itr, merit=fbest, spread=spread, x=x)
 
-    free = np.full(view.n, np.inf)
-    state = _nelder_mead_loop(penalized, view.x0, -free, free,
+    state = _nelder_mead_loop(penalized, view.x0, Bounds.unbounded(view.n),
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
                               init_scale=opts.init_scale, on_iter=on_iter)
     x = state["x"]
@@ -251,7 +250,8 @@ def sqp(problem, **options):
     eq = np.flatnonzero(cl == cu) if m else np.zeros(0, dtype=int)
     ineq = np.flatnonzero(cl != cu) if m else np.zeros(0, dtype=int)
 
-    x = clip_to_bounds(view.x0, xl, xu)
+    bounds = Bounds(xl, xu)
+    x = bounds.clip(view.x0)
     lam = np.zeros(m)
     bound_mult = np.zeros(n)
     f = view.obj(x)
@@ -307,7 +307,7 @@ def sqp(problem, **options):
             restorations += 1
             if restorations > 5:
                 raise SolverError(f"QP subproblem failed {restorations} times in a row: {exc}") from exc
-            x, f, c, g, J = _restore_feasibility(view, x, c, J)
+            x, f, c, g, J = _restore_feasibility(view, bounds, x, c, J)
             continue
         restorations = 0
 
@@ -334,7 +334,7 @@ def sqp(problem, **options):
         trials = {}
 
         def phi(a):
-            xa = clip_to_bounds(x + a * p, xl, xu)
+            xa = bounds.clip(x + a * p)
             fa = view.obj(xa)
             ca = view.con(xa) if m else np.zeros(0)
             trials[a] = (xa, fa, ca)
@@ -364,24 +364,23 @@ def sqp(problem, **options):
     return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
 
 
-def _restore_feasibility(view, x, c, J):
+def _restore_feasibility(view, bounds, x, c, J):
     """One descent step on 0.5*||violation||^2 after an infeasible QP."""
     r = signed_violation(c, view.con_lower, view.con_upper)
     grad_v = J.T @ r
     norm = float(np.linalg.norm(grad_v))
     if norm == 0.0:
         raise SolverError("QP infeasible and the violation gradient vanishes; cannot restore")
-    xl, xu = view.var_lower, view.var_upper
 
     def psi(a):
-        xa = clip_to_bounds(x - a * grad_v, xl, xu)
+        xa = bounds.clip(x - a * grad_v)
         va = _scaled_violation(view, view.con(xa))
         return 0.5 * float(va @ va)
 
     v0 = _scaled_violation(view, c)
     res = kit.line_search("armijo", psi, f0=0.5 * float(v0 @ v0),
                           slope0=-norm ** 2, alpha0=1.0 / max(1.0, norm))
-    x_new = clip_to_bounds(x - res.alpha * grad_v, xl, xu)
+    x_new = bounds.clip(x - res.alpha * grad_v)
     f = view.obj(x_new)
     c_new = view.con(x_new)
     g = view.grad(x_new)

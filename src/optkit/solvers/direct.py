@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from .base import (RunContext, SolverError, clip_to_bounds, ensure_view,
-                   make_options, require_unconstrained)
+from ..problem import Bounds
+from .base import (RunContext, SolverError, ensure_view, make_options,
+                   require_unconstrained)
 
 # canonical simplex coefficients: reflection, expansion, contraction, shrink
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -12,19 +13,19 @@ STAGNATION_WINDOW = 50
 STAGNATION_IMPROVEMENT = 1e-12
 
 
-def _nelder_mead_loop(fun, x0, lower, upper, *, maxiter, opt_tol, init_scale, on_iter=None):
+def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=None):
     """Standard simplex iteration; vertices are clipped into the bounds.
 
     Terminates when both the objective spread and the simplex diameter are
     small, or at ``maxiter``.  Returns the terminal state as a dict.
     """
-    x0 = clip_to_bounds(np.asarray(x0, dtype=float), lower, upper)
+    x0 = bounds.clip(np.array(x0, dtype=float))
     n = x0.size
     verts = [x0]
     for i in range(n):
         v = x0.copy()
         v[i] += init_scale * max(1.0, abs(x0[i]))
-        verts.append(clip_to_bounds(v, lower, upper))
+        verts.append(bounds.clip(v))
     verts = np.array(verts)
     fvals = np.array([fun(v) for v in verts])
 
@@ -33,22 +34,23 @@ def _nelder_mead_loop(fun, x0, lower, upper, *, maxiter, opt_tol, init_scale, on
         order = np.argsort(fvals, kind="stable")
         verts, fvals = verts[order], fvals[order]
         spread = float(fvals[-1] - fvals[0])
-        diameter = float(np.max(np.linalg.norm(verts[1:] - verts[0], axis=1))) if n else 0.0
         if on_iter is not None:
             on_iter(itr, verts[0], float(fvals[0]), spread)
-        if spread <= opt_tol and diameter <= opt_tol * max(1.0, float(np.linalg.norm(verts[0]))):
-            return {"x": verts[0], "f": float(fvals[0]), "spread": spread,
-                    "niter": itr, "converged": True}
+        if spread <= opt_tol:       # the diameter is measured only once the spread is small
+            diameter = float(np.max(np.linalg.norm(verts[1:] - verts[0], axis=1))) if n else 0.0
+            if diameter <= opt_tol * max(1.0, float(np.linalg.norm(verts[0]))):
+                return {"x": verts[0], "f": float(fvals[0]), "spread": spread,
+                        "niter": itr, "converged": True}
         if itr >= maxiter:
             return {"x": verts[0], "f": float(fvals[0]), "spread": spread,
                     "niter": itr, "converged": False}
         itr += 1
 
-        centroid = np.mean(verts[:-1], axis=0)
+        centroid = np.add.reduce(verts[:-1], axis=0) / n     # np.mean's sum and divide
         worst, f_worst = verts[-1], fvals[-1]
 
         def trial(coef):
-            point = clip_to_bounds(centroid + coef * (centroid - worst), lower, upper)
+            point = bounds.clip(centroid + coef * (centroid - worst))
             return point, fun(point)
 
         x_r, f_r = trial(REFLECT)
@@ -71,7 +73,7 @@ def _nelder_mead_loop(fun, x0, lower, upper, *, maxiter, opt_tol, init_scale, on
                 continue
         # shrink toward the best vertex
         for j in range(1, n + 1):
-            verts[j] = clip_to_bounds(verts[0] + SHRINK * (verts[j] - verts[0]), lower, upper)
+            verts[j] = bounds.clip(verts[0] + SHRINK * (verts[j] - verts[0]))
             fvals[j] = fun(verts[j])
 
 
@@ -91,7 +93,7 @@ def nelder_mead(problem, **options):
     def on_iter(itr, x, f, spread):
         ctx.emit(itr=itr, obj=f, spread=spread, x=x)
 
-    state = _nelder_mead_loop(view.obj, view.x0, view.var_lower, view.var_upper,
+    state = _nelder_mead_loop(view.obj, view.x0, Bounds(view.var_lower, view.var_upper),
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
                               init_scale=opts.init_scale, on_iter=on_iter)
     return ctx.finish(state["x"], state["f"], state["spread"], 0.0,
@@ -110,7 +112,7 @@ def _sampling_box(view, opts):
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise SolverError("unbounded variables: provide finite bounds or a sampling box "
                           "(sample_lower/sample_upper)")
-    return lower, upper
+    return Bounds(lower, upper)
 
 
 def pso(problem, **options):
@@ -136,13 +138,13 @@ def pso(problem, **options):
     require_unconstrained(view, "pso")
     ctx = RunContext(view, "pso",
                      {"itr": int, "obj": float, "x": (float, (view.n,))}, opts)
-    lower, upper = _sampling_box(view, opts)
-    width = upper - lower
+    box = _sampling_box(view, opts)
+    width = box.upper - box.lower
     rng = np.random.default_rng(opts.seed)
 
     npart, n = opts.n_particles, view.n
     w, c_p, c_g, maxiter = opts.w, opts.c_p, opts.c_g, opts.maxiter
-    pos = lower + rng.uniform(0.0, 1.0, (npart, n)) * width
+    pos = box.lower + rng.uniform(0.0, 1.0, (npart, n)) * width
     vel = rng.uniform(-1.0, 1.0, (npart, n)) * width
 
     p_best = pos.copy()
@@ -162,7 +164,7 @@ def pso(problem, **options):
         r_g = rng.uniform(0.0, 1.0, (npart, 1))
         vel = (w * vel + c_p * r_p * (p_best - pos)
                + c_g * r_g * (g_best[None, :] - pos))
-        pos = clip_to_bounds(pos + vel, lower, upper)
+        pos = box.clip(pos + vel)
 
         for i in range(npart):
             fi = view.obj(pos[i])
@@ -207,14 +209,14 @@ def simulated_annealing(problem, **options):
     require_unconstrained(view, "simulated_annealing")
     ctx = RunContext(view, "simulated_annealing",
                      {"itr": int, "obj": float, "T": float, "x": (float, (view.n,))}, opts)
-    lower, upper = _sampling_box(view, opts)
-    width = upper - lower
+    box = _sampling_box(view, opts)
+    width = box.upper - box.lower
     rng = np.random.default_rng(opts.seed)
 
     T0, k_max, n = opts.T0, opts.k_max, view.n
     step = opts.step_scale * width
 
-    x = clip_to_bounds(view.x0, lower, upper)
+    x = box.clip(view.x0)
     f = view.obj(x)
     best_x, best_f = x.copy(), f
     window_best = best_f
@@ -224,7 +226,7 @@ def simulated_annealing(problem, **options):
     for k in range(k_max):
         T = max(T0 * (1.0 - k / k_max), 1e-12)
         u = rng.uniform(-1.0, 1.0, n)
-        x_new = clip_to_bounds(x + step * u, lower, upper)
+        x_new = box.clip(x + step * u)
         f_new = view.obj(x_new)
         if f_new <= f or rng.uniform() < np.exp(-(f_new - f) / T):
             x, f = x_new, f_new

@@ -5,13 +5,14 @@ rule that picks the search direction p_k.
 """
 
 import logging
+import math
 
 import numpy as np
 
 from .. import kit
-from ..problem import EvaluationError
-from .base import (RunContext, SolverError, clip_to_bounds, ensure_view,
-                   make_options, projected_gradient, require_unconstrained)
+from ..problem import Bounds, EvaluationError
+from .base import (RunContext, SolverError, ensure_view, make_options,
+                   require_unconstrained)
 
 log = logging.getLogger(__name__)
 
@@ -19,22 +20,22 @@ _OUTPUTS = lambda n: {"itr": int, "obj": float, "opt": float, "x": (float, (n,))
 _STEP_OPTIONS = {"use_line_search": (bool, True), "alpha": (float, 1.0)}
 
 
-def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, opt_tol,
+def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol,
                   use_line_search=True, alpha=1.0, on_step=None, on_iter=None):
     """Line-searched (or fixed-alpha) descent shared by every gradient solver.
 
     ``direction(x, f, g, pg)`` returns the search direction and the line
     search's initial step; ``pg`` is the projected gradient at ``x``, computed
-    once per iterate.  ``obj``/``grad`` evaluate the (scaled) objective; bounds
-    are enforced by clipping trial points.  ``on_step(d, w)`` sees each step
+    once per iterate.  ``obj``/``grad`` evaluate the (scaled) objective; the
+    ``bounds`` (a Bounds) are enforced by clipping trial points.  ``on_step(d, w)`` sees each step
     and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.  Returns a
     dict with the terminal state.
     """
-    x = clip_to_bounds(np.asarray(x0, dtype=float), lower, upper)
+    x = bounds.clip(np.array(x0, dtype=float))
     f = obj(x)
     g = grad(x)
-    pg = projected_gradient(g, x, lower, upper)
-    opt = float(np.linalg.norm(pg))
+    pg = bounds.project(g, x)
+    opt = math.sqrt(pg.dot(pg))
     itr = 0
     if on_iter is not None:
         on_iter(itr, x, f, opt)
@@ -49,7 +50,7 @@ def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, o
             def trial(a):
                 xa = points.get(a)
                 if xa is None:
-                    xa = points[a] = clip_to_bounds(x + a * p, lower, upper)
+                    xa = points[a] = bounds.clip(x + a * p)
                 return xa
 
             def phi(a):
@@ -66,7 +67,7 @@ def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, o
             f_new = res.f_new
             g_new = grads.get(res.alpha)
         else:
-            x_new = clip_to_bounds(x + alpha * p, lower, upper)
+            x_new = bounds.clip(x + alpha * p)
             f_new = obj(x_new)
         if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
             raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
@@ -76,8 +77,8 @@ def _descent_loop(obj, grad, x0, lower, upper, direction, *, ls_kind, maxiter, o
         if on_step is not None:
             on_step(x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
-        pg = projected_gradient(g, x, lower, upper)
-        opt = float(np.linalg.norm(pg))
+        pg = bounds.project(g, x)
+        opt = math.sqrt(pg.dot(pg))
         if on_iter is not None:
             on_iter(itr, x, f, opt)
 
@@ -89,8 +90,8 @@ def _solve(view, ctx, opts, direction, ls_kind, on_step=None):
     def on_iter(itr, x, f, opt):
         ctx.emit(itr=itr, obj=f, opt=opt, x=x)
 
-    state = _descent_loop(view.obj, view.grad, view.x0, view.var_lower, view.var_upper,
-                          direction, ls_kind=ls_kind, maxiter=opts.maxiter,
+    state = _descent_loop(view.obj, view.grad, view.x0,
+                          Bounds(view.var_lower, view.var_upper), direction, ls_kind=ls_kind, maxiter=opts.maxiter,
                           opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
                           alpha=opts.alpha, on_step=on_step, on_iter=on_iter)
     return ctx.finish(state["x"], state["f"], state["opt"], 0.0,

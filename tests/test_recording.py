@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from optkit import (EvalEvent, HotStartError, IterEvent, OutputsDecl, RecordError, RunRecord,
-                    ScaledView, build_problem, print_results, quasi_newton,
-                    read_record, sqp, update_outputs, write_readable_outputs,
-                    write_record)
+                    ScaledView, build_problem, nelder_mead, print_results, quasi_newton,
+                    read_record, recording, simulated_annealing, sqp, steepest_descent,
+                    update_outputs, write_readable_outputs, write_record)
 from optkit.bench import quadratic_example, rosenbrock2
 from optkit.cli import main as cli_main
 from optkit.solvers.base import RunContext, make_options
@@ -54,15 +54,52 @@ def test_update_outputs_rejects_bad_shape():
     ({"itr": 0, "obj": 1.0}, "missing \\['x'\\]"),
     ({"itr": 0, "obj": 1.0, "x": np.zeros(2), "step": 0.5}, "undeclared \\['step'\\]"),
     ({"itr": 0, "obj": 1.0, "x": np.zeros(3)}, "'x' has shape \\(3,\\)"),
-], ids=["missing", "undeclared", "shape"])
+    ({"itr": 1.5, "obj": 1.0, "x": np.zeros(2)}, "'itr' must be an integer, got float"),
+    ({"itr": True, "obj": 1.0, "x": np.zeros(2)}, "'itr' must be an integer, got bool"),
+    ({"itr": 0, "obj": "a", "x": np.zeros(2)}, "'obj' must be a float, got str"),
+], ids=["missing", "undeclared", "shape", "float-itr", "bool-itr", "str-obj"])
 def test_emit_validates_with_recording_off(values, message):
-    view = ScaledView(rosenbrock2(), record=None)
-    ctx = RunContext(view, "steepest_descent",
-                     {"itr": int, "obj": float, "x": (float, (2,))}, make_options())
-    ctx.emit(itr=0, obj=1.0, x=np.zeros(2))
-    with pytest.raises(RecordError, match=message):
-        ctx.emit(**values)
-    assert view.record is None
+    messages = []
+    for record in (None, True):
+        view = ScaledView(rosenbrock2(), record=record)
+        ctx = RunContext(view, "steepest_descent",
+                         {"itr": int, "obj": float, "x": (float, (2,))}, make_options())
+        ctx.emit(itr=0, obj=1.0, x=np.zeros(2))
+        with pytest.raises(RecordError, match=message) as info:
+            ctx.emit(**values)
+        messages.append(str(info.value))
+        assert (view.record is None) == (record is None)
+    assert messages[0] == messages[1]   # the same check with recording off and on
+    assert len(view.record.iter_events()) == 1
+
+
+def test_unrecorded_solve_builds_no_iter_event(monkeypatch):
+    def no_event(**_):
+        raise AssertionError("IterEvent built for a run without a record")
+
+    monkeypatch.setattr(recording, "IterEvent", no_event)
+    for solver in (steepest_descent, quasi_newton, nelder_mead, sqp):
+        assert solver(ScaledView(quadratic_example() if solver is sqp else rosenbrock2()),
+                      maxiter=20).niter > 0
+    with pytest.raises(AssertionError, match="IterEvent built"):
+        quasi_newton(ScaledView(rosenbrock2(), record=True), maxiter=20)
+
+
+def _simulated_annealing(spec, **options):
+    return simulated_annealing(spec, seed=3, k_max=500, sample_lower=[-2.0, -2.0],
+                               sample_upper=[2.0, 2.0], **options)
+
+
+@pytest.mark.parametrize("solver, spec", [
+    (steepest_descent, rosenbrock2), (quasi_newton, rosenbrock2), (nelder_mead, rosenbrock2),
+    (_simulated_annealing, rosenbrock2), (sqp, quadratic_example),
+], ids=["steepest_descent", "quasi_newton", "nelder_mead", "simulated_annealing", "sqp"])
+def test_recording_does_not_change_a_solve(solver, spec):
+    off = solver(ScaledView(spec(), record=None), maxiter=300)
+    on = solver(ScaledView(spec(), record=True), maxiter=300)
+    assert on.x_star.tobytes() == off.x_star.tobytes()
+    assert on.f_star.hex() == off.f_star.hex()
+    assert (on.niter, on.counters) == (off.niter, off.counters)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,32 @@ def test_every_solver_reports_view_counters():
         assert report.counters == view.counters, name
 
 
+def shifted_sphere(n=4, **bounds):
+    """(x - 2)'(x - 2), minimized at (2, ..., 2)."""
+    return build_problem("shifted_sphere", np.zeros(n), obj=lambda x: float((x - 2.0) @ (x - 2.0)),
+                         grad=lambda x: 2.0 * (x - 2.0), **bounds)
+
+
+@pytest.mark.parametrize("solver", ["steepest_descent", "quasi_newton", "nelder_mead"])
+def test_descent_stops_on_active_upper_bound(solver):
+    xu = np.full(4, np.inf)
+    xu[0] = 1.0
+    report = SOLVERS[solver](shifted_sphere(xu=xu), maxiter=5000)
+    assert report.converged
+    assert 1.0 - 1e-9 <= report.x_star[0] <= 1.0   # clipped trial points never pass the bound
+    assert_allclose(report.x_star[1:], 2.0, atol=1e-5)
+    assert report.f_star == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["steepest_descent", "quasi_newton", "nelder_mead"])
+def test_far_finite_bounds_change_nothing(solver):
+    free = SOLVERS[solver](shifted_sphere(), maxiter=5000)
+    far = SOLVERS[solver](shifted_sphere(xl=-1e300, xu=1e300), maxiter=5000)
+    assert far.x_star.tobytes() == free.x_star.tobytes()
+    assert far.f_star.hex() == free.f_star.hex()
+    assert (far.niter, far.counters) == (free.niter, free.counters)
+
+
 def test_sd_monotone_objective_with_line_search():
     view = ScaledView(bean(), record=True)
     ok.steepest_descent(view, maxiter=60)
@@ -547,6 +573,8 @@ def test_pso_requires_finite_box():
     spec = build_problem("free", [0.0, 0.0], obj=lambda x: float(x @ x))
     with pytest.raises(SolverError, match="sampling box"):
         ok.pso(spec, seed=1)
+    with pytest.raises(ok.ProblemError, match="lower bound exceeds upper bound"):
+        ok.pso(spec, seed=1, sample_lower=[1.0, 1.0], sample_upper=[-1.0, -1.0])
     report = ok.pso(spec, seed=1, sample_lower=[-1.0, -1.0], sample_upper=[1.0, 1.0],
                     maxiter=50)
     assert report.f_star < 1.0
