@@ -292,8 +292,9 @@ def merit_value(spec, f, c, con_lower, con_upper):
 # ---------------------------------------------------------------------------
 
 def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, *,
-             inverse=False):
-    """Minimize 0.5 p'Hp + g'p subject to A_eq p = b_eq and A_in p >= b_in.
+             inverse=False, lower=None, upper=None):
+    """Minimize 0.5 p'Hp + g'p subject to A_eq p = b_eq, A_in p >= b_in and
+    lower <= p <= upper.
 
     Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) on H^-1.  It
     starts at the unconstrained minimizer -H^-1 g, adds the equality rows one
@@ -312,20 +313,38 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     With ``inverse=False`` H is the Hessian, which must be positive definite:
     H^-1 is built from its Cholesky factor.  With ``inverse=True`` (as in
     :class:`HessianApprox`) the first argument is H^-1, taken as given.
-    Returns (p, lam_eq, lam_in): multipliers satisfy the stationarity
-    convention H p + g = A_eq' lam_eq + A_in' lam_in with lam_in >= 0 and
-    lam_in = 0 on inactive rows.
+    ``lower``/``upper`` bound p (length n; an infinite entry or a None side
+    is absent, a NaN raises ValueError).  Finite lower[i] and upper[i] are
+    the index rows e_i'p >= lower[i] and -e_i'p >= -upper[i], which follow
+    the A_in rows (lower rows by ascending i, then upper rows) and are never
+    formed: a product with one costs O(1), not O(n).  They count among the q
+    inequality rows, and lam_in and error messages number them in that
+    order, exactly as for the explicit rows.  Returns (p, lam_eq, lam_in).
+    Multipliers satisfy the stationarity convention H p + g = A_eq' lam_eq +
+    A_in' lam_in[:k] + mu (k = len(A_in); mu: lower-row minus upper-row
+    multipliers at their indices), lam_in >= 0, and lam_in = 0 on inactive rows.
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size
     H = np.asarray(H, dtype=float).reshape(n, n)
-    H = 0.5 * (H + H.T)
+    H = H + H.T
+    H *= 0.5
     A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     A_in = np.zeros((0, n)) if A_in is None else np.asarray(A_in, dtype=float).reshape(-1, n)
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float).ravel()
     if A_eq.shape[0] != b_eq.size or A_in.shape[0] != b_in.size:
         raise ValueError("constraint matrix/vector sizes disagree")
+    # bound s in {0: lower, 1: upper} on entry i is the index row
+    # sgn e_i'p >= B[s, i] with sgn = 1 - 2s, present where B is finite
+    B = np.empty((2, n))
+    B[0] = -np.inf if lower is None else lower
+    B[1] = -np.inf if upper is None else np.negative(upper)
+    finite = np.isfinite(B)
+    side, idx = finite.nonzero()
+    if idx.size < 2 * n and np.count_nonzero(np.isnan(B)):
+        raise ValueError("a bound on p is NaN")
+    sgn = np.array([1.0, -1.0])[side]
     if inverse:
         H_inv = H
     else:
@@ -335,13 +354,15 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
             raise QpError("QP Hessian is not positive definite; regularize the Hessian") from None
         H_inv = L_inv.T @ L_inv
 
-    n_eq, q = A_eq.shape[0], A_in.shape[0]
+    # rows: the equalities and general inequalities in A, then index rows
+    n_eq, n_gen = A_eq.shape[0], A_eq.shape[0] + A_in.shape[0]
+    q = A_in.shape[0] + idx.size
     if max_cycles is None:
         max_cycles = 10 * (n + q)
     A = np.vstack([A_eq, A_in])
-    b = np.concatenate([b_eq, b_in])
+    b = np.concatenate([b_eq, b_in, B[finite]])
     eq_tol = 1e-7 * (1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
-    slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b_in), initial=0.0)))
+    slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0)))
     p = -(H_inv @ g)
     # working rows: their indices into A, H^-1 a, (N H^-1 N')^-1, multipliers
     rows = np.empty(n, dtype=int)
@@ -356,7 +377,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         # the equality rows in order, then the most violated inequality
         yield from range(n_eq)
         while q:
-            slack = A_in @ p - b_in
+            slack = np.concatenate([A_in @ p, sgn * p[idx]]) - b[n_eq:]
             slack[working[n_eq:]] = np.inf
             j = int(np.argmin(slack))
             if slack[j] >= -slack_tol:
@@ -364,15 +385,22 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
             yield n_eq + j
 
     for new in targets():
-        a = A[new]
+        # an index row is sg e_i: each product with it picks entry i, exactly
+        # as the dense product, which only adds zeros
+        k = new - n_gen
+        bound = k >= 0
+        if bound:
+            i, sg = idx[k], sgn[k]
+            v, dot = sg * H_inv[:, i], lambda y: sg * y[i]
+        else:
+            a = A[new]
+            v, dot = H_inv @ a, a.dot
         u_new = 0.0
         while True:
-            v = H_inv @ a
-            r = M_inv[:nw, :nw] @ (V[:nw] @ a)
+            r = M_inv[:nw, :nw] @ (sg * V[:nw, i] if bound else V[:nw] @ a)
             z = v - V[:nw].T @ r
-            az = float(a @ z)
-            s = float(a @ p) - b[new]
-            full = nw < n and az > 1e-12 * float(a @ v)
+            az, s = float(dot(z)), float(dot(p)) - b[new]
+            full = nw < n and az > 1e-12 * float(dot(v))
             if new < n_eq:
                 if not full:
                     # a dependent equality row: redundant or inconsistent

@@ -209,10 +209,6 @@ class OutputsDecl:
         self._fields = [(name, spec if spec in (int, float) else tuple(spec[1]))
                         for name, spec in self.decl.items()]
 
-    @property
-    def names(self):
-        return list(self.decl)
-
     def validate(self, values, convert=True):
         """Check ``values`` against the declaration and return them as ints, floats
         and float-array copies; with ``convert`` false, check only and return None."""

@@ -234,7 +234,7 @@ def sqp(problem, **options):
     matrix and none needs a phase-1 feasible point.
 
     Each iteration solves the QP linearization of the constraints (variable
-    bounds folded in as linear inequalities) for a step p and multiplier
+    bounds passed as index rows, O(1) each) for a step p and multiplier
     estimates, line-searches the l1 merit with rho >= ||lam||_inf + 1, and
     moves the multipliers along lam + alpha*(lam_hat - lam).  Infeasible QPs
     trigger a feasibility-restoration descent step on ||violation||^2.
@@ -270,22 +270,17 @@ def sqp(problem, **options):
             r = r - J.T @ lam
         return float(np.max(np.abs(r)))
 
-    # QP inequality rows in a fixed order: finite cl, finite cu, finite xl,
-    # finite xu; lam_in splits back into these four groups
+    # QP inequality rows in order: finite cl, finite cu, then the index rows
+    # of finite xl and finite xu; lam_in splits back into these four groups
     con_lo = ineq[np.isfinite(cl[ineq])]
     con_up = ineq[np.isfinite(cu[ineq])]
     var_lo = np.flatnonzero(np.isfinite(xl))
     var_up = np.flatnonzero(np.isfinite(xu))
     splits = np.cumsum([con_lo.size, con_up.size, var_lo.size])
-    bound_cols = np.concatenate([var_lo, var_up])
-    bound_at = (splits[1] + np.arange(bound_cols.size), bound_cols)
-    bound_sign = np.repeat([1.0, -1.0], [var_lo.size, var_up.size])
 
-    def build_qp(c, J, x):
-        a_in = np.vstack([J[con_lo], -J[con_up], np.zeros((bound_cols.size, n))])
-        a_in[bound_at] = bound_sign
-        b_in = np.concatenate([cl[con_lo] - c[con_lo], c[con_up] - cu[con_up],
-                               xl[var_lo] - x[var_lo], x[var_up] - xu[var_up]])
+    def build_qp(c, J):
+        a_in = np.vstack([J[con_lo], -J[con_up]])
+        b_in = np.concatenate([cl[con_lo] - c[con_lo], c[con_up] - cu[con_up]])
         return J[eq], cl[eq] - c[eq], a_in, b_in
 
     while True:
@@ -300,9 +295,10 @@ def sqp(problem, **options):
             break
         itr += 1
 
-        a_eq, b_eq, a_in, b_in = build_qp(c, J, x)
+        a_eq, b_eq, a_in, b_in = build_qp(c, J)
         try:
-            p, lam_eq, lam_in = kit.qp_solve(approx.H, g, a_eq, b_eq, a_in, b_in, inverse=True)
+            p, lam_eq, lam_in = kit.qp_solve(approx.H, g, a_eq, b_eq, a_in, b_in, inverse=True,
+                                             lower=xl - x, upper=xu - x)
         except kit.QpError as exc:
             restorations += 1
             if restorations > 5:

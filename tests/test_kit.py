@@ -487,3 +487,94 @@ def test_qp_vertex_swap_under_bad_scaling():
     assert np.max(np.abs(resid)) <= 1e-7
     assert np.all(A_in @ p - b_in >= -1e-7)
     assert np.all(lam_in >= 0.0)
+
+
+def _bounded_qp(rng):
+    # a QP feasible at z with equality and general inequality rows and bounds
+    # on p around z: one- and two-sided, infinite on some entries, and in one
+    # QP of eight a crossed pair lower > upper that no p satisfies
+    n = int(rng.integers(1, 9))
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + 0.5 * np.eye(n)
+    g = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+    z = rng.normal(size=n)
+    A_eq = rng.normal(size=(int(rng.integers(0, n)), n))
+    A_in = rng.normal(size=(int(rng.integers(0, n + 1)), n))
+    b_in = A_in @ z - rng.uniform(0.0, 2.0, A_in.shape[0])
+    lower = z - rng.uniform(0.0, 1.0, n)
+    upper = z + rng.uniform(0.0, 1.0, n)
+    lower[rng.random(n) < 0.3] = -np.inf
+    upper[rng.random(n) < 0.3] = np.inf
+    if rng.random() < 0.125:
+        k = int(rng.integers(n))
+        lower[k], upper[k] = 1.0, 0.5
+    return H, g, A_eq, A_eq @ z, A_in, b_in, lower, upper
+
+
+def _explicit_bound_rows(A_in, b_in, lower, upper):
+    # the same bounds as dense +-I rows appended to A_in in the documented order
+    n = A_in.shape[1]
+    I = np.eye(n)
+    lo = np.zeros(0, dtype=int) if lower is None else np.flatnonzero(np.isfinite(lower))
+    up = np.zeros(0, dtype=int) if upper is None else np.flatnonzero(np.isfinite(upper))
+    return (np.vstack([A_in, I[lo], -I[up]]),
+            np.concatenate([b_in, np.zeros(0) if lower is None else lower[lo],
+                            np.zeros(0) if upper is None else -upper[up]]))
+
+
+def _outcome(*args, **kwargs):
+    try:
+        return qp_solve(*args, **kwargs)
+    except QpError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_qp_bounds_as_index_rows_equal_explicit_rows(inverse):
+    # lower/upper give bit for bit the result of the explicit identity rows:
+    # the same p and multipliers, or the same QpError message; the caller's
+    # matrix is never written
+    rng = np.random.default_rng(13 + inverse)
+    solved = failed = 0
+    for _ in range(300):
+        H, g, A_eq, b_eq, A_in, b_in, lower, upper = _bounded_qp(rng)
+        if rng.random() < 0.15:
+            lower = None
+        if rng.random() < 0.15:
+            upper = None
+        H_arg = np.linalg.inv(H) if inverse else H
+        A_full, b_full = _explicit_bound_rows(A_in, b_in, lower, upper)
+        H_before = H_arg.copy()
+        got = _outcome(H_arg, g, A_eq, b_eq, A_in, b_in, inverse=inverse,
+                       lower=lower, upper=upper)
+        assert np.array_equal(H_arg, H_before)
+        want = _outcome(H_arg, g, A_eq, b_eq, A_full, b_full, inverse=inverse)
+        if isinstance(want, str):
+            assert got == want
+            failed += 1
+            continue
+        assert not isinstance(got, str), got
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        solved += 1
+    assert solved >= 200 and failed >= 10
+
+
+def test_qp_absent_bound_sides():
+    # None and an all-infinite side both mean no rows on that side
+    H, g = np.eye(2), np.array([-2.0, 2.0])
+    p, _, lam_in = qp_solve(H, g, lower=None, upper=[1.0, np.inf])
+    assert_allclose(p, [1.0, -2.0], atol=1e-12)
+    assert_allclose(lam_in, [1.0], atol=1e-12)
+    p_inf, _, lam_inf = qp_solve(H, g, lower=[-np.inf, -np.inf], upper=[1.0, np.inf])
+    assert np.array_equal(p_inf, p) and np.array_equal(lam_inf, lam_in)
+    # the lower rows come before the upper rows in lam_in
+    p, _, lam_in = qp_solve(H, g, lower=[-np.inf, -1.0], upper=[1.0, np.inf])
+    assert_allclose(p, [1.0, -1.0], atol=1e-12)
+    assert_allclose(lam_in, [1.0, 1.0], atol=1e-12)
+
+
+def test_qp_nan_bound_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        qp_solve(np.eye(2), np.zeros(2), lower=[0.0, np.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        qp_solve(np.eye(2), np.zeros(2), upper=[np.nan, np.inf])

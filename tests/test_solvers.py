@@ -488,6 +488,63 @@ def test_sqp_does_no_cubic_work_per_qp(monkeypatch):
     assert big == []
 
 
+def _record_qp_calls(monkeypatch):
+    # wrap kit.qp_solve, as sqp calls it, and keep each call's arguments and result
+    calls = []
+    solve = ok.kit.qp_solve
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(ok.kit, "qp_solve", recorded)
+    return calls
+
+
+def test_sqp_passes_variable_bounds_as_index_rows(monkeypatch):
+    # the cantilever's only general constraint is its volume equality, so
+    # every inequality of its QP is a variable bound: none may be a dense row
+    calls = _record_qp_calls(monkeypatch)
+    report = ok.sqp(parse_problem_token("cantilever:60"))
+    assert report.converged and calls
+    for args, kwargs, _ in calls:
+        A_in = args[4]
+        assert A_in.shape == (0, 60)
+        assert kwargs["lower"].size == 60 and kwargs["upper"].size == 60
+
+
+def test_sqp_two_sided_bound_active_at_upper(monkeypatch):
+    # f = 0.5 |x - a|^2 with x0 + x1 = 1, -1 <= x1 <= 0.2 and x2 >= -1;
+    # the unbounded minimizer has x1 = 1.5, so x* = (0.8, 0.2, 0.5) with
+    # lam = 0.8 and the bound multiplier g - J' lam = -2.6 on x1 (upper side)
+    a = np.array([0.0, 2.0, 0.5])
+    J = np.array([[1.0, 1.0, 0.0]])
+    spec = build_problem("two_sided", [0.0, 0.0, 0.0],
+                         obj=lambda x: 0.5 * float((x - a) @ (x - a)),
+                         grad=lambda x: x - a,
+                         con=lambda x: J @ x, jac=lambda x: J.copy(),
+                         cl=[1.0], cu=[1.0],
+                         xl=[-np.inf, -1.0, -1.0], xu=[np.inf, 0.2, np.inf])
+    calls = _record_qp_calls(monkeypatch)
+    opt_tol = 1e-6
+    report = ok.sqp(spec, opt_tol=opt_tol)
+    assert report.converged
+    assert_allclose(report.x_star, [0.8, 0.2, 0.5], atol=1e-8)
+    assert_allclose(report.multipliers, [0.8], atol=1e-6)
+    # the last QP's rows are lower x1, lower x2, upper x1: only the upper
+    # row is active, so sqp's bound_mult on x1 is -lam_in[2] < 0
+    lam_in = calls[-1][2][2]
+    assert lam_in.size == 3 and lam_in[0] == lam_in[1] == 0.0
+    assert lam_in[2] == pytest.approx(2.6, abs=1e-6)
+    # certificate from the callbacks
+    x = report.x_star
+    r = spec.callbacks.gradient(x) - spec.callbacks.jacobian(x).T @ report.multipliers
+    assert np.max(np.abs(r[[0, 2]])) <= 10 * opt_tol
+    assert r[1] == pytest.approx(-2.6, abs=1e-6)
+    assert_allclose(spec.callbacks.constraints(x), [1.0], atol=1e-8)
+
+
 @pytest.mark.parametrize("n_t", [10, 20])
 def test_sqp_unscaled_spacecraft_is_infeasible_quickly(n_t):
     # n_t = 10 looks infeasible (local least squares on the defects bottoms
