@@ -316,10 +316,11 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     ``lower``/``upper`` bound p (length n; an infinite entry or a None side
     is absent, a NaN raises ValueError).  Finite lower[i] and upper[i] are
     the index rows e_i'p >= lower[i] and -e_i'p >= -upper[i], which follow
-    the A_in rows (lower rows by ascending i, then upper rows) and are never
-    formed: a product with one costs O(1), not O(n).  They count among the q
-    inequality rows, and lam_in and error messages number them in that
-    order, exactly as for the explicit rows.  Returns (p, lam_eq, lam_in).
+    the A_in rows (lower rows by ascending i, then upper rows).  The slack
+    scan reads them from p, and only a row the dual loop steps toward is
+    formed as a dense row.  They count among the q inequality rows, and
+    lam_in and error messages number them in that order, exactly as for the
+    explicit rows.  Returns (p, lam_eq, lam_in).
     Multipliers satisfy the stationarity convention H p + g = A_eq' lam_eq +
     A_in' lam_in[:k] + mu (k = len(A_in); mu: lower-row minus upper-row
     multipliers at their indices), lam_in >= 0, and lam_in = 0 on inactive rows.
@@ -355,8 +356,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         H_inv = L_inv.T @ L_inv
 
     # rows: the equalities and general inequalities in A, then index rows
-    n_eq, n_gen = A_eq.shape[0], A_eq.shape[0] + A_in.shape[0]
-    q = A_in.shape[0] + idx.size
+    n_eq, n_gen, q = A_eq.shape[0], A_eq.shape[0] + A_in.shape[0], A_in.shape[0] + idx.size
     if max_cycles is None:
         max_cycles = 10 * (n + q)
     A = np.vstack([A_eq, A_in])
@@ -385,22 +385,20 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
             yield n_eq + j
 
     for new in targets():
-        # an index row is sg e_i: each product with it picks entry i, exactly
-        # as the dense product, which only adds zeros
-        k = new - n_gen
-        bound = k >= 0
-        if bound:
-            i, sg = idx[k], sgn[k]
-            v, dot = sg * H_inv[:, i], lambda y: sg * y[i]
-        else:
+        if new < n_gen:
             a = A[new]
-            v, dot = H_inv @ a, a.dot
+        else:
+            # the loop steps toward an index row: form its dense row once
+            a = np.zeros(n)
+            a[idx[new - n_gen]] = sgn[new - n_gen]
+        v = H_inv @ a
         u_new = 0.0
         while True:
-            r = M_inv[:nw, :nw] @ (sg * V[:nw, i] if bound else V[:nw] @ a)
+            r = M_inv[:nw, :nw] @ (V[:nw] @ a)
             z = v - V[:nw].T @ r
-            az, s = float(dot(z)), float(dot(p)) - b[new]
-            full = nw < n and az > 1e-12 * float(dot(v))
+            az = float(a @ z)
+            s = float(a @ p) - b[new]
+            full = nw < n and az > 1e-12 * float(a @ v)
             if new < n_eq:
                 if not full:
                     # a dependent equality row: redundant or inconsistent

@@ -234,7 +234,7 @@ def sqp(problem, **options):
     matrix and none needs a phase-1 feasible point.
 
     Each iteration solves the QP linearization of the constraints (variable
-    bounds passed as index rows, O(1) each) for a step p and multiplier
+    bounds passed as index rows) for a step p and multiplier
     estimates, line-searches the l1 merit with rho >= ||lam||_inf + 1, and
     moves the multipliers along lam + alpha*(lam_hat - lam).  Infeasible QPs
     trigger a feasibility-restoration descent step on ||violation||^2.
@@ -270,13 +270,11 @@ def sqp(problem, **options):
             r = r - J.T @ lam
         return float(np.max(np.abs(r)))
 
-    # QP inequality rows in order: finite cl, finite cu, then the index rows
-    # of finite xl and finite xu; lam_in splits back into these four groups
+    # QP inequality rows: finite cl, finite cu, then the index rows where the
+    # step bounds xl - x and xu - x (which can overflow) are finite
     con_lo = ineq[np.isfinite(cl[ineq])]
     con_up = ineq[np.isfinite(cu[ineq])]
-    var_lo = np.flatnonzero(np.isfinite(xl))
-    var_up = np.flatnonzero(np.isfinite(xu))
-    splits = np.cumsum([con_lo.size, con_up.size, var_lo.size])
+    n_con = con_lo.size + con_up.size
 
     def build_qp(c, J):
         a_in = np.vstack([J[con_lo], -J[con_up]])
@@ -296,9 +294,10 @@ def sqp(problem, **options):
         itr += 1
 
         a_eq, b_eq, a_in, b_in = build_qp(c, J)
+        lower, upper = xl - x, xu - x
         try:
             p, lam_eq, lam_in = kit.qp_solve(approx.H, g, a_eq, b_eq, a_in, b_in, inverse=True,
-                                             lower=xl - x, upper=xu - x)
+                                             lower=lower, upper=upper)
         except kit.QpError as exc:
             restorations += 1
             if restorations > 5:
@@ -307,7 +306,10 @@ def sqp(problem, **options):
             continue
         restorations = 0
 
-        lam_lo, lam_up, mu_lo, mu_up = np.split(lam_in, splits)
+        var_lo, var_up = np.isfinite(lower).nonzero()[0], np.isfinite(upper).nonzero()[0]
+        k = n_con + var_lo.size
+        lam_lo, lam_up = lam_in[:con_lo.size], lam_in[con_lo.size:n_con]
+        mu_lo, mu_up = lam_in[n_con:k], lam_in[k:]
         lam_hat = np.zeros(m)
         lam_hat[eq] = lam_eq
         lam_hat[con_lo] += lam_lo

@@ -545,6 +545,22 @@ def test_sqp_two_sided_bound_active_at_upper(monkeypatch):
     assert_allclose(spec.callbacks.constraints(x), [1.0], atol=1e-8)
 
 
+def test_sqp_bound_that_overflows_the_step_bound(monkeypatch):
+    # x1 = 1e308 sits at its finite upper bound, but its finite lower bound
+    # -1e308 gives the step bound xl - x = -inf, so the QP drops that row;
+    # sqp must split lam_in by the rows the QP actually had
+    spec = build_problem("overflow", [0.0, 1e308],
+                         obj=lambda x: float((x[0] - 1.0) ** 2),
+                         grad=lambda x: np.array([2.0 * (x[0] - 1.0), 0.0]),
+                         xl=[-np.inf, -1e308], xu=[np.inf, 1e308])
+    calls = _record_qp_calls(monkeypatch)
+    with np.errstate(over="ignore"):
+        report = ok.sqp(spec)
+    assert report.converged
+    assert_allclose(report.x_star, [1.0, 1e308], atol=1e-8)
+    assert calls and all(out[2].size == 1 for _, _, out in calls)
+
+
 @pytest.mark.parametrize("n_t", [10, 20])
 def test_sqp_unscaled_spacecraft_is_infeasible_quickly(n_t):
     # n_t = 10 looks infeasible (local least squares on the defects bottoms
