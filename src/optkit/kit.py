@@ -19,52 +19,52 @@ class QpError(RuntimeError):
 # Hessian approximations
 # ---------------------------------------------------------------------------
 
-def _bfgs(B, d, w):
-    # B - Bd Bd'/d'Bd + w w'/w'd as one n x 2 by 2 x n product, O(n^2)
-    Bd = B @ d
+def _bfgs(dot, d, w):
+    # B + w w'/w'd - Bd Bd'/d'Bd: columns (w, Bd) against (w/w'd, -Bd/d'Bd)
+    Bd = dot(d)
     dBd = d @ Bd
     if dBd <= 0.0:
         return None
-    return B + np.column_stack((w, Bd)) @ np.vstack((w / (w @ d), -Bd / dBd))
+    return (w, Bd), (w / (w @ d), -Bd / dBd)
 
 
-def _dfp(B, d, w):
+def _dfp(dot, d, w):
     # (I - w d'/wd) B (I - d w'/wd) + w w'/wd for symmetric B, expanded into
-    # the rank-2 form B + w u' + u w': an n x 2 by 2 x n product, O(n^2)
+    # the rank-2 form B + w u' + u w'
     wd = w @ d
-    Bd = B @ d
+    Bd = dot(d)
     u = (0.5 * (1.0 + (d @ Bd) / wd) / wd) * w - Bd / wd
-    return B + np.column_stack((w, u)) @ np.vstack((u, w))
+    return (w, u), (u, w)
 
 
-def _sr1(B, d, w):
-    v = w - B @ d
+def _sr1(dot, d, w):
+    v = w - dot(d)
     denom = v @ d
     # standard SR1 safeguard: |v'd| must not be negligible vs |v||d|
     if abs(denom) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(v):
         return None
-    return B + np.outer(v, v) / denom
+    return (v,), (v / denom,)
 
 
-def _broyden(B, d, w):
-    return B + np.outer(w - B @ d, d) / (d @ d)
+def _broyden(dot, d, w):
+    return (w - dot(d),), (d / (d @ d),)
 
 
-def _broyden_inverse(H, d, w):
-    # Sherman-Morrison inverse of the direct Broyden update
-    Hw = H @ w
+def _broyden_inverse(dot, tdot, d, w):
+    # Sherman-Morrison inverse of the direct Broyden update: H + (d - Hw) d'H / d'Hw
+    Hw = dot(w)
     dHw = d @ Hw
     if abs(dHw) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(Hw):
         return None
-    return H + np.outer(d - Hw, d @ H) / dHw
+    return (d - Hw,), (tdot(d) / dHw,)
 
 
 _FORMULAS = {"broyden": _broyden, "sr1": _sr1, "bfgs": _bfgs, "dfp": _dfp}
 # the inverse form of each rule is its dual formula applied to (w, d)
 _DUALS = {"sr1": _sr1, "bfgs": _dfp, "dfp": _bfgs}
+_CAPACITY = 16  # pending columns held before a fold: eight rank-2 updates
 
 
-@dataclass
 class HessianApprox:
     """Quasi-Newton approximation with a rank-1/rank-2 update rule.
 
@@ -76,38 +76,57 @@ class HessianApprox:
     instead of a linear solve.  The inverse updates use duality: inverse BFGS
     is the DFP formula with (d, w) swapped, inverse DFP is the BFGS formula
     swapped, SR1 is self-dual, and Broyden uses the Sherman-Morrison form.
-    Every update costs O(n^2).  In exact arithmetic H_new = inv(B_new).
-    The SR1, BFGS and DFP updates add symmetric terms, so a symmetric matrix
-    stays symmetric up to rounding.
+    In exact arithmetic H_new = inv(B_new).  The SR1, BFGS and DFP updates
+    add symmetric terms, so a symmetric matrix stays symmetric up to rounding.
+    The approximation is held as M + L'R, a dense M and up to 16 pending
+    columns (Byrd, Nocedal & Schnabel 1994): an update takes its vectors from
+    M x + L'(R x) and appends its columns, first folding them into a new M
+    with one (n x k)(k x n) product when they do not fit.  ``dot(x)`` needs
+    no fold; reading ``H`` (inverse mode) or ``B`` folds and returns M, which
+    later folds never write; assigning it (copied) or ``reset()`` replaces M.
 
     Non-finite pairs, degenerate denominators and curvature violations skip
-    the update (matrix unchanged).
+    the update (approximation unchanged).
     """
 
-    n: int
-    variant: str = "bfgs"
-    skip_tol: float = 1e-10
-    B: np.ndarray = None
-    inverse: bool = False
-    H: np.ndarray = None
+    B = property(lambda self: None if self.inverse else self._fold(),
+                 lambda self, M: self._assign(B=M))
+    H = property(lambda self: self._fold() if self.inverse else None,
+                 lambda self, M: self._assign(H=M))
 
-    def __post_init__(self):
-        if self.variant not in HESSIAN_VARIANTS:
-            raise ValueError(f"unknown Hessian update variant {self.variant!r}; expected one of {HESSIAN_VARIANTS}")
-        given, unused = (self.H, self.B) if self.inverse else (self.B, self.H)
+    def __init__(self, n, variant="bfgs", skip_tol=1e-10, B=None, inverse=False, H=None):
+        if variant not in HESSIAN_VARIANTS:
+            raise ValueError(f"unknown Hessian update variant {variant!r}; expected one of {HESSIAN_VARIANTS}")
+        self.n, self.variant, self.skip_tol, self.inverse = n, variant, skip_tol, inverse
+        # row j of _L and _R holds the j-th pending left and right column
+        self._L, self._R = np.empty((2, _CAPACITY, n))
+        self._assign(B=B, H=H)
+
+    def _assign(self, B=None, H=None):
+        given, unused = (H, B) if self.inverse else (B, H)
         if unused is not None:
             raise ValueError("HessianApprox takes B when inverse=False and H when inverse=True")
-        self._set(np.eye(self.n) if given is None
-                  else np.asarray(given, dtype=float).reshape(self.n, self.n).copy())
+        self._M = np.eye(self.n) if given is None else np.asarray(given, dtype=float).reshape(self.n, self.n).copy()
+        self._k = 0
 
-    def _set(self, M):
-        if self.inverse:
-            self.H = M
-        else:
-            self.B = M
+    def _fold(self):
+        if self._k:
+            M = self._L[:self._k].T @ self._R[:self._k]
+            M += self._M
+            self._M, self._k = M, 0
+        return self._M
+
+    def dot(self, x):
+        """The approximation (H or B) times x, without a fold."""
+        k = self._k
+        return self._M @ x + self._L[:k].T @ (self._R[:k] @ x) if k else self._M @ x
+
+    def _tdot(self, x):
+        # x' times the approximation
+        return x @ self._M + (self._L[:self._k] @ x) @ self._R[:self._k]
 
     def reset(self):
-        self._set(np.eye(self.n))
+        self._assign()
 
     def update(self, d, w):
         """Apply one update; returns True if the update was skipped by a guard."""
@@ -123,14 +142,17 @@ class HessianApprox:
             return True
 
         if not self.inverse:
-            M = _FORMULAS[self.variant](self.B, d, w)
+            cols = _FORMULAS[self.variant](self.dot, d, w)
         elif self.variant == "broyden":
-            M = _broyden_inverse(self.H, d, w)
+            cols = _broyden_inverse(self.dot, self._tdot, d, w)
         else:
-            M = _DUALS[self.variant](self.H, w, d)
-        if M is None:
+            cols = _DUALS[self.variant](self.dot, w, d)
+        if cols is None:
             return True
-        self._set(M)
+        if self._k + len(cols[0]) > _CAPACITY:
+            self._fold()
+        k, self._k = self._k, self._k + len(cols[0])
+        self._L[k:self._k], self._R[k:self._k] = cols
         return False
 
 
@@ -320,7 +342,9 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     scan reads them from p, and only a row the dual loop steps toward is
     formed as a dense row.  They count among the q inequality rows, and
     lam_in and error messages number them in that order, exactly as for the
-    explicit rows.  Returns (p, lam_eq, lam_in).
+    explicit rows.  A row with b_in = -inf is absent (multiplier 0), one with
+    b_in = +inf cannot be reached (QpError), and a NaN b_in raises
+    ValueError.  Returns (p, lam_eq, lam_in).
     Multipliers satisfy the stationarity convention H p + g = A_eq' lam_eq +
     A_in' lam_in[:k] + mu (k = len(A_in); mu: lower-row minus upper-row
     multipliers at their indices), lam_in >= 0, and lam_in = 0 on inactive rows.
@@ -363,6 +387,11 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     b = np.concatenate([b_eq, b_in, B[finite]])
     eq_tol = 1e-7 * (1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
     slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0)))
+    if not np.isfinite(slack_tol):
+        # the scan skips a -inf row (slack +inf); a +inf row (slack -inf) is never reached
+        if np.isnan(b_in).any():
+            raise ValueError("an inequality right-hand side b_in is NaN")
+        slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0, where=np.isfinite(b[n_eq:]))))
     p = -(H_inv @ g)
     # working rows: their indices into A, H^-1 a, (N H^-1 N')^-1, multipliers
     rows = np.empty(n, dtype=int)
@@ -398,7 +427,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
             z = v - V[:nw].T @ r
             az = float(a @ z)
             s = float(a @ p) - b[new]
-            full = nw < n and az > 1e-12 * float(a @ v)
+            full = nw < n and az > 1e-12 * float(a @ v) and s > -np.inf
             if new < n_eq:
                 if not full:
                     # a dependent equality row: redundant or inconsistent

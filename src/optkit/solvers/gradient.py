@@ -174,7 +174,7 @@ def _quasi_newton_direction(approx):
     approximation restarts from the identity when p is not a descent
     direction."""
     def direction(x, f, g, pg):
-        p = -(approx.H @ g)
+        p = -approx.dot(g)
         if float(g @ p) >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
@@ -188,7 +188,8 @@ def quasi_newton(problem, **options):
 
     ``variant`` selects the update formula (bfgs, dfp, sr1, broyden), applied
     in inverse form to H, the inverse-Hessian approximation, which starts
-    from the identity; an iteration costs O(n^2) and solves no linear system.
+    from the identity; an iteration costs one matrix-vector product and no
+    linear solve, and updates are folded into H once per eight.
     """
     view = ensure_view(problem)
     opts = make_options({**_STEP_OPTIONS, "variant": (str, "bfgs")}, options)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -140,6 +142,96 @@ def test_guards_skip_in_both_modes(variant, make_w):
     assert inv.update(d, w)
     assert np.array_equal(direct.B, B0)
     assert np.array_equal(inv.H, np.diag([0.5, 0.25, 2.0]))
+
+
+def _matrix(approx):
+    return approx.H if approx.inverse else approx.B
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("inverse", [False, True])
+def test_pending_columns_match_folding_after_every_update(variant, inverse):
+    # one approximation is never read, so its updates stay pending until a
+    # fold; the other folds after every update by reading its matrix
+    n = 12
+    rng = np.random.default_rng(42)
+    M = rng.normal(size=(n, n))
+    A = M @ M.T + n * np.eye(n)  # secant pairs w = A d have w'd > 0
+    lazy = HessianApprox(n=n, variant=variant, inverse=inverse)
+    eager = HessianApprox(n=n, variant=variant, inverse=inverse)
+    for _ in range(40):
+        d = rng.normal(size=n)
+        assert lazy.update(d, A @ d) == eager.update(d, A @ d)
+        _matrix(eager)
+        x = rng.normal(size=n)
+        assert _close(lazy.dot(x), eager.dot(x))
+    assert _close(_matrix(lazy), _matrix(eager))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_pending_columns_reset_assign_skip_and_earlier_reads(inverse):
+    n = 12
+    rng = np.random.default_rng(3)
+    approx = HessianApprox(n=n, inverse=inverse)
+    early = _matrix(approx)
+    first = early.copy()
+    x = rng.normal(size=n)
+    for _ in range(3):
+        d = rng.normal(size=n)
+        assert not approx.update(d, 2.0 * d)
+    # a skipped update (w'd < 0) leaves the pending state as it was
+    before = approx.dot(x)
+    assert approx.update(d, -d)
+    assert np.array_equal(approx.dot(x), before)
+    approx.reset()
+    assert np.array_equal(approx.dot(x), x)
+    assert np.array_equal(_matrix(approx), np.eye(n))
+    for _ in range(3):
+        d = rng.normal(size=n)
+        approx.update(d, 2.0 * d)
+    given = np.diag(np.arange(1.0, n + 1))
+    if inverse:
+        approx.H = given
+    else:
+        approx.B = given
+    assert np.array_equal(approx.dot(x), given @ x)
+    assert np.array_equal(_matrix(approx), given)
+    with pytest.raises(ValueError, match="H when inverse=True"):
+        if inverse:
+            approx.B = given
+        else:
+            approx.H = given
+    # an array read earlier never changes through later updates and folds
+    mid = _matrix(approx)
+    for _ in range(20):
+        d = rng.normal(size=n)
+        approx.update(d, 2.0 * d)
+    _matrix(approx)
+    given[0, 0] = 7.0  # assigning copied the array
+    assert np.array_equal(mid, np.diag(np.arange(1.0, n + 1)))
+    assert np.array_equal(early, first)
+    assert (approx.B if inverse else approx.H) is None
+
+
+def test_update_allocates_no_dense_matrix_before_a_fold():
+    # seven inverse-BFGS updates fit in the pending columns: none may build
+    # an n x n array (2 MiB at n = 512)
+    n = 512
+    rng = np.random.default_rng(0)
+    pairs = [(d, 2.0 * d) for d in rng.normal(size=(7, n))]
+    approx = HessianApprox(n=n, inverse=True)
+    tracemalloc.start()
+    try:
+        for d, w in pairs:
+            assert not approx.update(d, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +670,21 @@ def test_qp_nan_bound_raises():
         qp_solve(np.eye(2), np.zeros(2), lower=[0.0, np.nan])
     with pytest.raises(ValueError, match="NaN"):
         qp_solve(np.eye(2), np.zeros(2), upper=[np.nan, np.inf])
+
+
+def test_qp_neg_inf_inequality_never_binds():
+    # the -inf row is left out of the slack tolerance, which would otherwise
+    # be infinite and switch off the finite row as well
+    p, _, lam_in = qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, -np.inf])
+    assert_allclose(p, [1.0, 0.0], atol=1e-12)
+    assert_allclose(lam_in, [1.0, 0.0], atol=1e-12)
+
+
+def test_qp_pos_inf_inequality_cannot_be_reached():
+    with pytest.raises(QpError, match="inequality row 1 cannot be reached"):
+        qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.inf])
+
+
+def test_qp_nan_inequality_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.nan])
