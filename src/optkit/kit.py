@@ -1,8 +1,10 @@
 """Reusable solver building blocks: quasi-Newton updates, line searches,
 merit functions, and a Goldfarb-Idnani dual active-set QP subsolver on H^-1."""
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .problem import violation
 
@@ -82,8 +84,10 @@ class HessianApprox:
     columns (Byrd, Nocedal & Schnabel 1994): an update takes its vectors from
     M x + L'(R x) and appends its columns, first folding them into a new M
     with one (n x k)(k x n) product when they do not fit.  ``dot(x)`` needs
-    no fold; reading ``H`` (inverse mode) or ``B`` folds and returns M, which
-    later folds never write; assigning it (copied) or ``reset()`` replaces M.
+    no fold, and ``qp_solve(approx, ..., inverse=True)`` reads H^-1 only
+    through it, so ``sqp`` folds once per eight updates, inside ``update``;
+    reading ``H`` (inverse mode) or ``B`` folds and returns M, which later
+    folds never write; assigning it (copied) or ``reset()`` replaces M.
 
     Non-finite pairs, degenerate denominators and curvature violations skip
     the update (approximation unchanged).
@@ -132,13 +136,14 @@ class HessianApprox:
         """Apply one update; returns True if the update was skipped by a guard."""
         d = np.asarray(d, dtype=float).ravel()
         w = np.asarray(w, dtype=float).ravel()
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(d).all() and np.isfinite(w).all()):
             return True
-        nd = np.linalg.norm(d)
+        # sqrt(x @ x) is np.linalg.norm's own 1-D formula, bit for bit
+        nd = math.sqrt(d @ d)
         if nd == 0.0:
             return True
         # bfgs / dfp need positive curvature along the step (symmetric in d, w)
-        if self.variant in ("bfgs", "dfp") and w @ d <= self.skip_tol * np.linalg.norm(w) * nd:
+        if self.variant in ("bfgs", "dfp") and w @ d <= self.skip_tol * math.sqrt(w @ w) * nd:
             return True
 
         if not self.inverse:
@@ -333,8 +338,12 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     with a consistent right-hand side is skipped with a zero multiplier.
 
     With ``inverse=False`` H is the Hessian, which must be positive definite:
-    H^-1 is built from its Cholesky factor.  With ``inverse=True`` (as in
-    :class:`HessianApprox`) the first argument is H^-1, taken as given.
+    it is symmetrized and H^-1 is built from its Cholesky factor.  With
+    ``inverse=True`` the first argument is H^-1, taken as given (neither
+    checked nor symmetrized): an (n, n) array, or an inverse-mode
+    :class:`HessianApprox`, which is read only through ``dot`` (p = -H^-1 g
+    and H^-1 a per row stepped toward), so no call folds it or forms an
+    n x n matrix from it.
     ``lower``/``upper`` bound p (length n; an infinite entry or a None side
     is absent, a NaN raises ValueError).  Finite lower[i] and upper[i] are
     the index rows e_i'p >= lower[i] and -e_i'p >= -upper[i], which follow
@@ -351,9 +360,10 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size
-    H = np.asarray(H, dtype=float).reshape(n, n)
-    H = H + H.T
-    H *= 0.5
+    if not isinstance(H, HessianApprox):
+        H = np.asarray(H, dtype=float).reshape(n, n)
+    elif not (inverse and H.inverse):
+        raise ValueError("qp_solve takes a HessianApprox only in inverse mode, with inverse=True")
     A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     A_in = np.zeros((0, n)) if A_in is None else np.asarray(A_in, dtype=float).reshape(-1, n)
@@ -370,30 +380,32 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     if idx.size < 2 * n and np.count_nonzero(np.isnan(B)):
         raise ValueError("a bound on p is NaN")
     sgn = np.array([1.0, -1.0])[side]
-    if inverse:
-        H_inv = H
-    else:
+    if not inverse:
+        H = H + H.T
+        H *= 0.5
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(H))
         except np.linalg.LinAlgError:
             raise QpError("QP Hessian is not positive definite; regularize the Hessian") from None
-        H_inv = L_inv.T @ L_inv
+        H = L_inv.T @ L_inv
+    # from here H is H^-1, an array or an inverse-mode HessianApprox, and it
+    # is read only through products H.dot(x): never folded, copied or symmetrized
 
-    # rows: the equalities and general inequalities in A, then index rows
+    # rows: the equalities in A_eq, the general inequalities in A_in, then index rows
     n_eq, n_gen, q = A_eq.shape[0], A_eq.shape[0] + A_in.shape[0], A_in.shape[0] + idx.size
     if max_cycles is None:
         max_cycles = 10 * (n + q)
-    A = np.vstack([A_eq, A_in])
     b = np.concatenate([b_eq, b_in, B[finite]])
-    eq_tol = 1e-7 * (1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
-    slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0)))
-    if not np.isfinite(slack_tol):
+    eq_tol = 1e-7 * (1.0 + float(np.abs(b_eq).max())) if n_eq else 1e-7
+    slack_tol = 1e-9 * (1.0 + float(np.abs(b[n_eq:]).max())) if q else 1e-9
+    if not math.isfinite(slack_tol):
         # the scan skips a -inf row (slack +inf); a +inf row (slack -inf) is never reached
         if np.isnan(b_in).any():
             raise ValueError("an inequality right-hand side b_in is NaN")
         slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0, where=np.isfinite(b[n_eq:]))))
-    p = -(H_inv @ g)
-    # working rows: their indices into A, H^-1 a, (N H^-1 N')^-1, multipliers
+    p = -H.dot(g)
+    # working rows: their row numbers (equalities, then inequalities), H^-1 a,
+    # (N H^-1 N')^-1, multipliers
     rows = np.empty(n, dtype=int)
     V = np.empty((n, n))
     M_inv = np.empty((n, n))
@@ -408,19 +420,21 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         while q:
             slack = np.concatenate([A_in @ p, sgn * p[idx]]) - b[n_eq:]
             slack[working[n_eq:]] = np.inf
-            j = int(np.argmin(slack))
+            j = int(slack.argmin())
             if slack[j] >= -slack_tol:
                 return
             yield n_eq + j
 
     for new in targets():
-        if new < n_gen:
-            a = A[new]
+        if new < n_eq:
+            a = A_eq[new]
+        elif new < n_gen:
+            a = A_in[new - n_eq]
         else:
             # the loop steps toward an index row: form its dense row once
             a = np.zeros(n)
             a[idx[new - n_gen]] = sgn[new - n_gen]
-        v = H_inv @ a
+        v = H.dot(a)
         u_new = 0.0
         while True:
             r = M_inv[:nw, :nw] @ (V[:nw] @ a)
@@ -481,7 +495,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     lam = np.zeros(n_eq + q)
     lam[rows[:nw]] = u[:nw]
     lam_eq, lam_in = lam[:n_eq], np.maximum(lam[n_eq:], 0.0)
-    if (not (np.all(np.isfinite(p)) and np.all(np.isfinite(lam)))
-            or np.max(np.abs(A_eq @ p - b_eq), initial=0.0) > eq_tol):
+    if (not (np.isfinite(p).all() and np.isfinite(lam).all())
+            or n_eq and np.abs(A_eq @ p - b_eq).max() > eq_tol):
         raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
     return p, lam_eq, lam_in

@@ -226,10 +226,12 @@ def exact_penalty(problem, **options):
 def sqp(problem, **options):
     """Sequential quadratic programming with a BFGS Lagrangian Hessian.
 
-    The Hessian approximation is kept in inverse form, H^-1, and passed as
-    given to ``qp_solve(..., inverse=True)``; the BFGS curvature guard keeps
-    it positive definite, so the QP checks nothing.  The QP is a dual active
-    set that starts at the unconstrained minimizer and updates
+    The Hessian approximation is kept in inverse form, H^-1, and the
+    ``HessianApprox`` itself is passed to ``qp_solve(..., inverse=True)``,
+    which reads it only through ``dot``: no QP folds its pending columns or
+    copies it, so it is folded once per eight updates.  The BFGS curvature
+    guard keeps it positive definite, so the QP checks nothing.  The QP is a
+    dual active set that starts at the unconstrained minimizer and updates
     (N H^-1 N')^-1 as rows join or leave, so no iteration factorizes a
     matrix and none needs a phase-1 feasible point.
 
@@ -296,7 +298,7 @@ def sqp(problem, **options):
         a_eq, b_eq, a_in, b_in = build_qp(c, J)
         lower, upper = xl - x, xu - x
         try:
-            p, lam_eq, lam_in = kit.qp_solve(approx.H, g, a_eq, b_eq, a_in, b_in, inverse=True,
+            p, lam_eq, lam_in = kit.qp_solve(approx, g, a_eq, b_eq, a_in, b_in, inverse=True,
                                              lower=lower, upper=upper)
         except kit.QpError as exc:
             restorations += 1

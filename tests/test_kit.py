@@ -505,6 +505,47 @@ def test_qp_inverse_form_agrees_with_dense():
     assert solved >= 300 and infeasible >= 20
 
 
+def test_qp_reads_hessian_approx_without_folding():
+    # an inverse-mode HessianApprox with BFGS updates still pending poses the
+    # QP of its folded matrix: the same p and multipliers to rounding, or the
+    # same QpError, and the call leaves the pending columns as they were
+    rng = np.random.default_rng(17)
+    solved = failed = 0
+    for _ in range(300):
+        H, g, A_eq, b_eq, A_in, b_in, _ = _fuzz_qp(rng)
+        n = g.size
+        N = rng.normal(size=(n, n))
+        A = N @ N.T + 0.5 * np.eye(n)  # secant pairs w = A d have w'd > 0
+        approx = HessianApprox(n=n, inverse=True, H=np.linalg.inv(H))
+        for d in rng.normal(size=(int(rng.integers(1, 16)), n)):
+            assert not approx.update(d, A @ d)
+        pending = approx._k
+        assert pending > 0
+        got = _outcome(approx, g, A_eq, b_eq, A_in, b_in, inverse=True)
+        assert approx._k == pending
+        want = _outcome(approx.H.copy(), g, A_eq, b_eq, A_in, b_in, inverse=True)
+        if isinstance(want, str):
+            assert got == want
+            failed += 1
+            continue
+        assert not isinstance(got, str), got
+        for x, y in zip(got, want):
+            assert np.max(np.abs(x - y), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(y), initial=0.0))
+        solved += 1
+    assert solved >= 200 and failed >= 10
+
+
+def test_qp_inverse_array_is_taken_as_given():
+    # H^-1 is not symmetrized: p = -H^-1 g even for a nonsymmetric array
+    H_inv = np.array([[1.0, 1.0], [0.0, 1.0]])
+    p, _, _ = qp_solve(H_inv, [1.0, 2.0], inverse=True)
+    assert np.array_equal(p, [-3.0, -2.0])
+    with pytest.raises(ValueError, match="only in inverse mode"):
+        qp_solve(HessianApprox(n=2), [1.0, 2.0], inverse=True)
+    with pytest.raises(ValueError, match="only in inverse mode"):
+        qp_solve(HessianApprox(n=2, inverse=True), [1.0, 2.0])
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-7])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_qp_nearly_dependent_rows_fail_the_residual_guard(eps, inverse):

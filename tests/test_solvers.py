@@ -488,6 +488,28 @@ def test_sqp_does_no_cubic_work_per_qp(monkeypatch):
     assert big == []
 
 
+def test_sqp_folds_once_per_eight_updates(monkeypatch):
+    # the QP reads H^-1 through HessianApprox.dot, so sqp folds the pending
+    # columns only when eight BFGS updates have filled them, never per QP
+    counts = {"fold": 0, "update": 0}
+    fold, update = HessianApprox._fold, HessianApprox.update
+
+    def counted_fold(self):
+        counts["fold"] += 1
+        return fold(self)
+
+    def counted_update(self, d, w):
+        skipped = update(self, d, w)
+        counts["update"] += not skipped
+        return skipped
+
+    monkeypatch.setattr(HessianApprox, "_fold", counted_fold)
+    monkeypatch.setattr(HessianApprox, "update", counted_update)
+    report = ok.sqp(parse_problem_token("cantilever:60"))
+    assert report.converged and counts["update"] > 16
+    assert counts["fold"] <= -(-counts["update"] // 8) + 1
+
+
 def _record_qp_calls(monkeypatch):
     # wrap kit.qp_solve, as sqp calls it, and keep each call's arguments and result
     calls = []
