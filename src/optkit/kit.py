@@ -222,7 +222,7 @@ def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
 
 
 def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
-    # bracket-and-zoom strong Wolfe search (quadratic/bisection zoom)
+    # bracket-and-zoom strong Wolfe search; the zoom bisects the bracket
     n = {"f": 0, "g": 0}
 
     def eval_phi(a):

@@ -6,8 +6,9 @@ A problem is a bounded NLP
 
 held in an immutable :class:`ProblemSpec`.  Solvers never touch the spec
 directly; they evaluate through a :class:`ScaledView`, which applies the
-diagonal scaling, counts callback invocations, falls back to forward finite
-differences for missing derivatives, and (optionally) records or replays
+diagonal scaling, counts callback invocations, falls back to finite
+differences for missing derivatives (forward, or central for a gradient once
+a solver nears a stationary point), and (optionally) records or replays
 every evaluation.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 
 EVAL_KINDS = ("obj", "grad", "con", "jac", "obj_hess", "lag_hess")
 
@@ -308,22 +310,34 @@ def _is_finite(result):
     return np.count_nonzero(np.isfinite(result)) == result.size
 
 
-def fd_step(x):
-    """Forward-difference steps h_i = sqrt(eps) * max(1, |x_i|)."""
-    return SQRT_EPS * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+def fd_step(x, central=False):
+    """Difference steps h_i = c * max(1, |x_i|): c = sqrt(eps) for forward
+    differences, eps^(1/3) for central ones (Nocedal & Wright, sec. 8.1)."""
+    return (CBRT_EPS if central else SQRT_EPS) * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
 
 
-def _fd_columns(func, x, base):
-    """Forward-difference d(func)/dx column by column from a known base value."""
+def _fd_columns(func, x, base=None):
+    """d(func)/dx column by column: forward differences from the known value
+    ``base`` at x, or central differences when ``base`` is None."""
     x = np.asarray(x, dtype=float)
-    h = fd_step(x)
-    base = np.asarray(base, dtype=float)
-    cols = np.empty((base.size, x.size))
+    central = base is None
+    h = fd_step(x, central)
+    if not central:
+        base = np.asarray(base, dtype=float).ravel()
+    cols = None
     for i in range(x.size):
         xp = x.copy()
         xp[i] += h[i]
-        fp = np.asarray(func(xp), dtype=float)
-        cols[:, i] = (fp.ravel() - base.ravel()) / h[i]
+        col = np.asarray(func(xp), dtype=float).ravel()
+        if central:
+            xm = x.copy()
+            xm[i] -= h[i]
+            col = (col - np.asarray(func(xm), dtype=float).ravel()) / (2.0 * h[i])
+        else:
+            col = (col - base) / h[i]
+        if cols is None:
+            cols = np.empty((col.size, x.size))
+        cols[:, i] = col
     return cols
 
 
@@ -371,6 +385,7 @@ class ScaledView:
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
         self._memo = {}  # kind -> (x, lam, result): most recent raw evaluation
+        self._central_grad = False  # FD gradient by central differences
         # the spec is frozen, so derivative scale factors are fixed per view
         self._grad_scale = spec.f_scaler / spec.x_scaler
 
@@ -501,16 +516,33 @@ class ScaledView:
             raise EvaluationError(f"no {kind} callback and finite differencing is disabled", kind=kind, x=x)
         return self._fd(kind, x, lam)
 
-    def _fd(self, kind, x, lam=None):
-        """Forward-difference derivative of kind grad, jac, obj_hess or lag_hess.
+    def central_fd_grad(self):
+        """Take this view's FD gradient by central differences from now on.
 
-        Gradients and Jacobians difference the obj/con callbacks; Hessians
-        difference the (analytic or FD) gradient of f - lam @ c.
+        Forward differences err by about h |f''| / 2, which near a
+        stationary point can exceed the gradient itself; central ones err by
+        O(h^2) at twice the evaluations.  The switch is one way.  Returns
+        True when this call made it, False when the gradient has a callback
+        or is central already.  The gradient solvers call it once, when the
+        projected gradient norm first falls to 10 opt_tol.
+        """
+        if self._central_grad or self.spec.callbacks.gradient is not None:
+            return False
+        self._central_grad = True
+        return True
+
+    def _fd(self, kind, x, lam=None):
+        """Finite-difference derivative of kind grad, jac, obj_hess or lag_hess.
+
+        Gradients and Jacobians difference the obj/con callbacks, forward or,
+        for the gradient after :meth:`central_fd_grad`, central; Hessians
+        take forward differences of the (analytic or FD) gradient of
+        f - lam @ c.
         """
         if kind in ("grad", "jac"):
             base_kind = "obj" if kind == "grad" else "con"
             fn = self.spec.callbacks.get(base_kind)
-            base = self._base_value(base_kind, fn, x)
+            base = None if kind == "grad" and self._central_grad else self._base_value(base_kind, fn, x)
             cols = _fd_columns(lambda y: self._invoke(base_kind, fn, y), x, base)
             return cols.ravel() if kind == "grad" else cols
 

@@ -6,7 +6,7 @@ from .. import kit
 from ..problem import Bounds, signed_violation, violation
 from .base import (RunContext, SolverError, ensure_view, make_options)
 from .direct import _nelder_mead_loop
-from .gradient import _descent_loop, _quasi_newton_direction
+from .gradient import _descent_loop, _quasi_newton_rule
 
 RHO_CAP = 1e12
 
@@ -153,10 +153,10 @@ def quadratic_penalty(problem, **options):
                       opts.opt_tol)
         try:
             pobj, pgrad = make_penalized(rho)
-            approx = kit.HessianApprox(n=view.n, inverse=True)
-            state = _descent_loop(pobj, pgrad, x, bounds, _quasi_newton_direction(approx),
+            direction, on_step = _quasi_newton_rule(kit.HessianApprox(n=view.n, inverse=True))
+            state = _descent_loop(pobj, pgrad, x, bounds, direction,
                                   ls_kind="wolfe", maxiter=opts.sub_maxiter, opt_tol=tol,
-                                  on_step=approx.update)
+                                  on_step=on_step)
         except Exception as exc:
             raise SolverError(f"penalty subsolver failed at outer iteration {outer} "
                               f"(rho={rho:g}): {exc}") from exc

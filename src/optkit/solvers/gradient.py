@@ -21,21 +21,34 @@ _STEP_OPTIONS = {"use_line_search": (bool, True), "alpha": (float, 1.0)}
 
 
 def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol,
-                  use_line_search=True, alpha=1.0, on_step=None, on_iter=None):
+                  use_line_search=True, alpha=1.0, on_step=None, on_iter=None,
+                  refine_grad=None):
     """Line-searched (or fixed-alpha) descent shared by every gradient solver.
 
     ``direction(x, f, g, pg)`` returns the search direction and the line
     search's initial step; ``pg`` is the projected gradient at ``x``, computed
     once per iterate.  ``obj``/``grad`` evaluate the (scaled) objective; the
     ``bounds`` (a Bounds) are enforced by clipping trial points.  ``on_step(d, w)`` sees each step
-    and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.  Returns a
-    dict with the terminal state.
+    and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.
+    ``refine_grad()`` is called once, at the first iterate whose projected
+    gradient norm is at most 10 ``opt_tol``; when it returns True the
+    gradient is taken again there.  Returns a dict with the terminal state.
     """
     x = bounds.clip(np.array(x0, dtype=float))
     f = obj(x)
-    g = grad(x)
-    pg = bounds.project(g, x)
-    opt = math.sqrt(pg.dot(pg))
+
+    def measure(x, g):
+        # g at x, its projection and the projection's norm
+        nonlocal refine_grad
+        pg = bounds.project(g, x)
+        opt = math.sqrt(pg.dot(pg))
+        if refine_grad is not None and opt <= 10.0 * opt_tol:
+            refined, refine_grad = refine_grad(), None
+            if refined:
+                return measure(x, grad(x))
+        return g, pg, opt
+
+    g, pg, opt = measure(x, grad(x))
     itr = 0
     if on_iter is not None:
         on_iter(itr, x, f, opt)
@@ -76,9 +89,8 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
 
         if on_step is not None:
             on_step(x_new - x, g_new - g)
-        x, f, g = x_new, f_new, g_new
-        pg = bounds.project(g, x)
-        opt = math.sqrt(pg.dot(pg))
+        x, f = x_new, f_new
+        g, pg, opt = measure(x, g_new)
         if on_iter is not None:
             on_iter(itr, x, f, opt)
 
@@ -93,7 +105,8 @@ def _solve(view, ctx, opts, direction, ls_kind, on_step=None):
     state = _descent_loop(view.obj, view.grad, view.x0,
                           Bounds(view.var_lower, view.var_upper), direction, ls_kind=ls_kind, maxiter=opts.maxiter,
                           opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
-                          alpha=opts.alpha, on_step=on_step, on_iter=on_iter)
+                          alpha=opts.alpha, on_step=on_step, on_iter=on_iter,
+                          refine_grad=view.central_fd_grad)
     return ctx.finish(state["x"], state["f"], state["opt"], 0.0,
                       state["niter"], state["converged"])
 
@@ -169,27 +182,52 @@ def newton(problem, **options):
     return _solve(view, ctx, opts, direction, "armijo")
 
 
-def _quasi_newton_direction(approx):
-    """Direction rule p = -H g for an inverse-mode ``approx``; the
-    approximation restarts from the identity when p is not a descent
-    direction."""
+def _quasi_newton_rule(approx, scaled_start=False):
+    """Direction rule p = -H g for an inverse-mode ``approx`` and the step
+    hook that updates it.  The approximation restarts from the identity when
+    p is not a descent direction.  With ``scaled_start`` the first update
+    that passes its guards, from the start or after a restart, is applied to
+    gamma I, gamma = w'd / w'w (Shanno & Phua 1978; Nocedal & Wright eq.
+    6.20), in place of I."""
+    fresh = True
+
     def direction(x, f, g, pg):
+        nonlocal fresh
         p = -approx.dot(g)
         if float(g @ p) >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
+            fresh = True
             p = -g
         return p, 1.0
-    return direction
+
+    def on_step(d, w):
+        nonlocal fresh
+        if scaled_start and fresh:
+            wd, ww = float(w @ d), float(w @ w)
+            gamma = wd / ww if wd > 0.0 and ww > 0.0 else 0.0
+            if 0.0 < gamma < math.inf:
+                # a new H, not M scaled in place: an H read earlier keeps its values
+                approx.H = gamma * np.eye(approx.n)
+                fresh = approx.update(d, w)
+                if fresh:
+                    approx.reset()      # skipped by a guard: back to the identity
+                return
+        approx.update(d, w)
+
+    return direction, on_step
 
 
 def quasi_newton(problem, **options):
     """Quasi-Newton solver: p = -H g directions with a Wolfe line search.
 
     ``variant`` selects the update formula (bfgs, dfp, sr1, broyden), applied
-    in inverse form to H, the inverse-Hessian approximation, which starts
-    from the identity; an iteration costs one matrix-vector product and no
-    linear solve, and updates are folded into H once per eight.
+    in inverse form to H, the inverse-Hessian approximation; an iteration
+    costs one matrix-vector product and no linear solve, and updates are
+    folded into H once per eight.  H starts from the identity.  For bfgs the
+    first update, and the first after a restart, is applied to gamma I with
+    gamma = w'd / w'w from that step d and gradient change w, so H takes the
+    problem's scale from the first step; the other variants update I itself.
     """
     view = ensure_view(problem)
     opts = make_options({**_STEP_OPTIONS, "variant": (str, "bfgs")}, options)
@@ -198,5 +236,5 @@ def quasi_newton(problem, **options):
     require_unconstrained(view, "quasi_newton")
     ctx = RunContext(view, "quasi_newton", _OUTPUTS(view.n), opts)
     approx = kit.HessianApprox(n=view.n, variant=opts.variant, inverse=True)
-    return _solve(view, ctx, opts, _quasi_newton_direction(approx), "wolfe",
-                  on_step=approx.update)
+    direction, on_step = _quasi_newton_rule(approx, scaled_start=opts.variant == "bfgs")
+    return _solve(view, ctx, opts, direction, "wolfe", on_step=on_step)

@@ -295,6 +295,24 @@ def test_fd_gradient_at_fresh_point_adds_n_plus_one():
     assert view.counters.n_obj == 3  # base + n probes
 
 
+def test_central_fd_gradient_switch_is_one_way():
+    # after the switch an FD gradient costs 2n objective calls and no base
+    # value, and its error falls from O(h) to O(h^2)
+    spec = build_problem("cubic", np.array([0.4, 1.7, -2.0]), obj=lambda x: float(np.sum(x ** 3)))
+    view = ScaledView(spec)
+    x = view.x0
+    exact = 3.0 * x ** 2
+    forward = view.grad(x)
+    assert view.central_fd_grad()
+    assert not view.central_fd_grad()
+    before = view.counters.n_obj
+    central = view.grad(x)
+    assert view.counters.n_obj - before == 2 * x.size
+    assert np.max(np.abs(central - exact)) < 1e-2 * np.max(np.abs(forward - exact))
+    # an analytic gradient has nothing to switch
+    assert not ScaledView(quad_spec()).central_fd_grad()
+
+
 # ---------------------------------------------------------------------------
 # derivative checking
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import sys
 import time
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +143,33 @@ def test_qn_bean_matches_reference_minimum():
 @pytest.mark.parametrize("variant", ["bfgs", "dfp", "sr1", "broyden"])
 def test_qn_variants_solve_sphere(variant):
     report = ok.quasi_newton(sphere([2.0, -1.5, 0.5]), variant=variant)
+    assert report.converged
+
+
+def _jittered(spec, rng):
+    # a 1e-3 relative perturbation of the default start
+    scale = 1e-3 * np.maximum(1.0, np.abs(spec.x0))
+    return replace(spec, x0=spec.x0 + scale * rng.uniform(-1.0, 1.0, spec.n))
+
+
+def test_bfgs_scaled_start_on_jittered_uncoupled_rosenbrock():
+    # H0 = (w'd / w'w) I takes the curvature scale from the first step; from
+    # H0 = I, BFGS learns it one rank-2 update at a time (271 iterations here)
+    spec = _jittered(parse_problem_token("rosen_uncoupled:64"), np.random.default_rng(0))
+    report = ok.quasi_newton(spec, maxiter=5000)
+    assert report.converged and report.niter <= 60
+
+
+@pytest.mark.parametrize("seed", [14, 16, 423])
+def test_fd_quasi_newton_does_not_stall_near_the_minimum(seed):
+    # the benchmark's FD cell: forward differences err by about h |f''| / 2,
+    # close to opt_tol here, and with them alone these starts stall at
+    # maxiter (14 and 423 from H0 = I, 16 from the scaled H0); central
+    # differences near the minimum converge
+    rng = np.random.default_rng([seed, zlib.crc32(b"quasi_newton:rosen_coupled:32/no-grad")])
+    spec = _jittered(parse_problem_token("rosen_coupled:32"), rng)
+    spec = replace(spec, callbacks=replace(spec.callbacks, gradient=None))
+    report = ok.quasi_newton(spec, opt_tol=1e-4, maxiter=5000)
     assert report.converged
 
 
