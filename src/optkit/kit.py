@@ -87,7 +87,8 @@ class HessianApprox:
     no fold, and ``qp_solve(approx, ..., inverse=True)`` reads H^-1 only
     through it, so ``sqp`` folds once per eight updates, inside ``update``;
     reading ``H`` (inverse mode) or ``B`` folds and returns M, which later
-    folds never write; assigning it (copied) or ``reset()`` replaces M.
+    folds never write; assigning it (copied), ``set_identity(scale)`` or
+    ``reset()`` replaces M.
 
     Non-finite pairs, degenerate denominators and curvature violations skip
     the update (approximation unchanged).
@@ -110,8 +111,10 @@ class HessianApprox:
         given, unused = (H, B) if self.inverse else (B, H)
         if unused is not None:
             raise ValueError("HessianApprox takes B when inverse=False and H when inverse=True")
-        self._M = np.eye(self.n) if given is None else np.asarray(given, dtype=float).reshape(self.n, self.n).copy()
-        self._k = 0
+        if given is None:
+            self.set_identity()
+        else:
+            self._M, self._k = np.asarray(given, dtype=float).reshape(self.n, self.n).copy(), 0
 
     def _fold(self):
         if self._k:
@@ -129,8 +132,15 @@ class HessianApprox:
         # x' times the approximation
         return x @ self._M + (self._L[:self._k] @ x) @ self._R[:self._k]
 
+    def set_identity(self, scale=1.0):
+        """Replace the approximation by scale * I and drop the pending columns.
+        I is scaled in place, so no product or copy sits beside the old M."""
+        M = np.eye(self.n)
+        M *= scale
+        self._M, self._k = M, 0
+
     def reset(self):
-        self._assign()
+        self.set_identity()
 
     def update(self, d, w):
         """Apply one update; returns True if the update was skipped by a guard."""

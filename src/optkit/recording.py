@@ -1,9 +1,9 @@
 """Run records, hot-start replay, readable outputs, and result presentation.
 
-Record file format (version 2): UTF-8, newline-delimited JSON objects.
+Record file format (version 3): UTF-8, newline-delimited JSON objects.
 Line 1 is the header::
 
-    {"format_version": 2, "problem": ..., "solver": ..., "n": ..., "m": ...,
+    {"format_version": 3, "problem": ..., "solver": ..., "n": ..., "m": ...,
      "x0": [hexfloats], "scalers": {"x": [...], "f": ..., "c": [...]},
      "options": {...}, "timestamp": "..."}
 
@@ -11,7 +11,7 @@ Every following line is one event::
 
     {"t": "eval", "k": "obj|grad|con|jac|obj_hess|lag_hess",
      "x": block | index, "lam": block?, "r": hexfloat | block}
-    {"t": "iter", <declared output names>: int | bool | hexfloat | block}
+    {"t": "iter", <declared output names>: int | bool | hexfloat | block | ref}
 
 Scalars are hexadecimal literals (float.hex()).  A block is one float
 array, ``{"f8": "<base64>"}``: the base64 of the array's little-endian
@@ -20,15 +20,21 @@ Both forms round-trip bit-exactly, and a block is told apart from a scalar
 by its JSON type, never by its text.  The first evaluation event at a given
 x carries that x as a block; every later event at a bit-identical x stores
 instead the index of that x among the distinct x of the file, counted from
-0 in order of first appearance.  Evaluation events store the unscaled
-iterate and the raw callback result.  The timestamp lives only in the
-header, so record bodies from identical runs compare byte-for-byte.
+0 in order of first appearance (the x table).  An iteration output array
+with the shape and float64 bits of an x already in the table is written as
+the ref ``{"ref": index}``; any other array is a block.  Iteration arrays
+only point into the table and never join it.  Evaluation events store the
+unscaled iterate and the raw callback result, so the iteration x of a
+scaled run, which is in scaled space, is a block.  The timestamp lives only
+in the header, so record bodies from identical runs compare byte-for-byte.
 
 :func:`read_record` returns the events at one distinct x sharing one
-read-only ``x`` array.  It also reads version 1 files, in which every float
-is a hexfloat and every event spells out its x; they give the same events,
-and only the header's ``"format_version"`` says 1.  :func:`write_record`
-always writes version 2.
+read-only ``x`` array; a ref decodes to a writable copy of its x.  It reads
+versions 1, 2 and 3.  A version 2 body is a version 3 body without refs.
+In a version 1 body every float is a hexfloat and every event spells out
+its x.  All three give the same events, and only the header's
+``"format_version"`` tells them apart.  :func:`write_record` always writes
+version 3.
 """
 
 import base64
@@ -39,7 +45,7 @@ import time
 import numpy as np
 from dataclasses import dataclass, field
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -115,8 +121,9 @@ def _unblock(block):
     return np.frombuffer(raw, "<f8").reshape(shape)
 
 
-def _encode_value(v):
-    """Encode an iter-output value: ints stay ints, floats go hex, arrays go to blocks."""
+def _encode_value(v, xs):
+    """Encode an iter-output value: ints stay ints, floats go hex, an array
+    bit-identical to an x of the table ``xs`` goes to a ref, other arrays to blocks."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
@@ -125,15 +132,29 @@ def _encode_value(v):
         return _hex(v)
     arr = np.asarray(v)
     if arr.ndim and arr.dtype.kind in "biuf":
-        return _block(arr)
+        arr = np.asarray(arr, dtype="<f8")
+        raw = arr.tobytes()
+        index = xs.get((arr.shape, raw))
+        return _bytes_block(raw, arr.shape) if index is None else {"ref": index}
     raise RecordError(f"cannot encode iteration value of type {type(v).__name__}")
 
 
-def _decode_value(v):
+def _decode_value(v, xs):
+    """Decode an iter-output value; ``xs`` is the x table read so far, or
+    None in a version 2 body, which has no refs."""
     if isinstance(v, str):
         return _unhex(v)
     if isinstance(v, (bool, int)):
         return v
+    if type(v) is dict and "ref" in v:
+        if xs is None:
+            raise RecordError(f"x ref {v!r} in a version 2 body")
+        index = v["ref"]
+        if len(v) != 1 or type(index) is not int:
+            raise RecordError(f"bad x ref {v!r}")
+        if not 0 <= index < len(xs):
+            raise RecordError(f"x ref {index} is not one of the {len(xs)} x read so far")
+        return xs[index].copy()
     return _unblock(v).copy()
 
 
@@ -296,7 +317,7 @@ class RunRecord:
     def body_lines(self):
         """The event lines, exactly as :func:`write_record` writes them after the header."""
         xs = {}     # (shape, bytes) of each distinct x written so far -> its index
-        return [_eval_line(e, xs) if isinstance(e, EvalEvent) else _iter_line(e)
+        return [_eval_line(e, xs) if isinstance(e, EvalEvent) else _iter_line(e, xs)
                 for e in self.events]
 
     def __eq__(self, other):
@@ -343,10 +364,10 @@ def _eval_line(event, xs):
     return _dumps(payload)
 
 
-def _iter_line(event):
+def _iter_line(event, xs):
     payload = {"t": "iter"}
     for name, value in event.values.items():
-        payload[name] = _encode_value(value)
+        payload[name] = _encode_value(value, xs)
     return _dumps(payload)
 
 
@@ -359,7 +380,7 @@ def write_record(record, path):
     return path
 
 
-def _event_v2(payload, xs):
+def _event_v2(payload, xs, refs=False):
     tag = payload.get("t")
     if tag == "eval":
         x = payload["x"]
@@ -376,8 +397,13 @@ def _event_v2(payload, xs):
                          lam=None if lam is None else _unblock(lam).copy(),
                          result=_unhex(r) if isinstance(r, str) else _unblock(r).copy())
     if tag == "iter":
-        return IterEvent(values={k: _decode_value(v) for k, v in payload.items() if k != "t"})
+        table = xs if refs else None    # a version 2 body has no refs
+        return IterEvent(values={k: _decode_value(v, table) for k, v in payload.items() if k != "t"})
     raise RecordError(f"unknown event tag {tag!r}")
+
+
+def _event_v3(payload, xs):     # version 2 plus iteration refs into the x table
+    return _event_v2(payload, xs, refs=True)
 
 
 def _event_v1(payload, _xs):     # version 1 bodies spell out every x
@@ -392,7 +418,7 @@ def _event_v1(payload, _xs):     # version 1 bodies spell out every x
     raise RecordError(f"unknown event tag {tag!r}")
 
 
-_EVENT_DECODERS = {1: _event_v1, 2: _event_v2}
+_EVENT_DECODERS = {1: _event_v1, 2: _event_v2, 3: _event_v3}
 
 
 def _decode_header(header):
@@ -419,7 +445,7 @@ def _decode_header(header):
 
 
 def read_record(path):
-    """Parse a version 2 or version 1 record file.
+    """Parse a version 3, 2 or 1 record file.
 
     Malformed lines report their 1-based line number.
     """
@@ -438,7 +464,7 @@ def read_record(path):
     except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
         raise RecordError(f"{path}:1: malformed header: {exc}") from exc
     decode = _EVENT_DECODERS[record.header["format_version"]]
-    xs = []     # each distinct x of a version 2 body, in order of first appearance
+    xs = []     # the x table: each distinct eval x of the body, in order of first appearance
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.isspace():
             continue

@@ -144,7 +144,7 @@ def pso(problem, **options):
 
     npart, n = opts.n_particles, view.n
     w, c_p, c_g, maxiter = opts.w, opts.c_p, opts.c_g, opts.maxiter
-    pos = box.lower + rng.uniform(0.0, 1.0, (npart, n)) * width
+    pos = box.lower + rng.random((npart, n)) * width
     vel = rng.uniform(-1.0, 1.0, (npart, n)) * width
 
     p_best = pos.copy()
@@ -160,8 +160,8 @@ def pso(problem, **options):
 
     while itr < maxiter:
         itr += 1
-        r_p = rng.uniform(0.0, 1.0, (npart, 1))
-        r_g = rng.uniform(0.0, 1.0, (npart, 1))
+        r_p = rng.random((npart, 1))
+        r_g = rng.random((npart, 1))
         vel = (w * vel + c_p * r_p * (p_best - pos)
                + c_g * r_g * (g_best[None, :] - pos))
         pos = box.clip(pos + vel)
@@ -228,7 +228,7 @@ def simulated_annealing(problem, **options):
         u = rng.uniform(-1.0, 1.0, n)
         x_new = box.clip(x + step * u)
         f_new = view.obj(x_new)
-        if f_new <= f or rng.uniform() < np.exp(-(f_new - f) / T):
+        if f_new <= f or rng.random() < np.exp(-(f_new - f) / T):
             x, f = x_new, f_new
             if f < best_f:
                 best_x, best_f = x.copy(), f

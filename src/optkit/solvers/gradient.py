@@ -207,8 +207,8 @@ def _quasi_newton_rule(approx, scaled_start=False):
             wd, ww = float(w @ d), float(w @ w)
             gamma = wd / ww if wd > 0.0 and ww > 0.0 else 0.0
             if 0.0 < gamma < math.inf:
-                # a new H, not M scaled in place: an H read earlier keeps its values
-                approx.H = gamma * np.eye(approx.n)
+                # a new M, so an H read earlier keeps its values
+                approx.set_identity(gamma)
                 fresh = approx.update(d, w)
                 if fresh:
                     approx.reset()      # skipped by a guard: back to the identity

@@ -217,6 +217,34 @@ def test_pending_columns_reset_assign_skip_and_earlier_reads(inverse):
     assert (approx.B if inverse else approx.H) is None
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_set_identity_scales_in_place(inverse):
+    n = 256
+    rng = np.random.default_rng(5)
+    approx = HessianApprox(n=n, inverse=inverse)
+    for _ in range(3):
+        d = rng.normal(size=n)
+        approx.update(d, 2.0 * d)
+    early = _matrix(approx).copy()
+    held = _matrix(approx)
+    for _ in range(2):
+        d = rng.normal(size=n)
+        approx.update(d, 2.0 * d)
+    scale = 0.37
+    tracemalloc.start()
+    try:
+        approx.set_identity(scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled identity is built in place: one n x n array, no product or copy
+    assert peak < 1.5 * 8 * n * n
+    assert approx._k == 0
+    assert np.array_equal(_matrix(approx), scale * np.eye(n))
+    assert _matrix(approx).tobytes() == (scale * np.eye(n)).tobytes()
+    assert np.array_equal(held, early)      # an array read earlier keeps its values
+
+
 def test_update_allocates_no_dense_matrix_before_a_fold():
     # seven inverse-BFGS updates fit in the pending columns: none may build
     # an n x n array (2 MiB at n = 512)

@@ -212,10 +212,10 @@ def _truncate(lines):
      "12 bytes is not a float64 vector"),
     (_edit(4, lambda p: p["r"].update(shape=[2, 3])), 4, "does not hold shape"),
     (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
-    (_edit(1, lambda p: p.update(format_version=3)), 1, "unsupported format_version 3"),
+    (_edit(1, lambda p: p.update(format_version=4)), 1, "unsupported format_version 4"),
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
 ], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
-        "version_3", "header_x0"])
+        "version_4", "header_x0"])
 def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
     record.append_eval("obj", np.array([1.0, 2.0]), None, 5.0)
@@ -258,6 +258,31 @@ def v1_spec():
                          lag_hess=lambda x, lam: 2.0 * np.eye(2), cl=[0.0], cu=[0.0])
 
 
+# The same run written by the version 2 writer: blocks and x indices, no refs.
+V2_RECORD = """\
+{"format_version":2,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.0000000000000p+0","0x1.0000000000000p+0"],"f":"0x1.0000000000000p+0","c":["0x1.0000000000000p+0"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
+{"t":"eval","k":"obj","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="},"r":"0x1.71c71c71c71c7p-2"}
+{"t":"eval","k":"grad","x":0,"r":{"f8":"AAAAAAAA8D9VVVVVVVXlPw=="}}
+{"t":"eval","k":"jac","x":0,"r":{"f8":"AAAAAAAA8D8AAAAAAADwPw==","shape":[1,2]}}
+{"t":"eval","k":"lag_hess","x":0,"lam":{"f8":"AAAAAAAA0D8="},"r":{"f8":"AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEA=","shape":[2,2]}}
+{"t":"iter","itr":0,"obj":"0x1.71c71c71c71c7p-2","opt":"inf","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="}}
+"""
+
+
+def tiny_record():
+    """The run that V1_RECORD and V2_RECORD hold, built in memory."""
+    spec = v1_spec()
+    record = RunRecord.for_problem(spec)
+    record.set_solver("sqp", {"maxiter": 1})
+    record.header["timestamp"] = "2026-01-01T00:00:00"
+    for kind in ("obj", "grad", "jac"):
+        record.append_eval(kind, V1_X, None, spec.callbacks.get(kind)(V1_X))
+    record.append_eval("lag_hess", V1_X, V1_LAM, 2.0 * np.eye(2))
+    update_outputs(OutputsDecl({"itr": int, "obj": float, "opt": float, "x": (float, (2,))}),
+                   record, itr=0, obj=float(V1_X @ V1_X), opt=math.inf, x=V1_X)
+    return record
+
+
 @pytest.fixture
 def v1_path(tmp_path):
     path = tmp_path / "v1.rec"
@@ -265,23 +290,27 @@ def v1_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def v2_path(tmp_path):
+    path = tmp_path / "v2.rec"
+    path.write_text(V2_RECORD)
+    return path
+
+
 def test_v1_record_reads_as_built(v1_path):
-    spec = v1_spec()
-    expected = RunRecord.for_problem(spec)
-    expected.set_solver("sqp", {"maxiter": 1})
-    expected.header["timestamp"] = "2026-01-01T00:00:00"
-    for kind in ("obj", "grad", "jac"):
-        expected.append_eval(kind, V1_X, None, spec.callbacks.get(kind)(V1_X))
-    expected.append_eval("lag_hess", V1_X, V1_LAM, 2.0 * np.eye(2))
-    update_outputs(OutputsDecl({"itr": int, "obj": float, "opt": float, "x": (float, (2,))}),
-                   expected, itr=0, obj=float(V1_X @ V1_X), opt=math.inf, x=V1_X)
     back = read_record(v1_path)
     assert back.header["format_version"] == 1
-    assert back == expected
+    assert back == tiny_record()
 
 
-def test_v1_record_hot_starts(v1_path):
-    view = ScaledView(v1_spec(), hot_start=read_record(v1_path))
+def test_v2_record_reads_as_built(v2_path):
+    back = read_record(v2_path)
+    assert back.header["format_version"] == 2
+    assert back == tiny_record()
+
+
+def _hot_starts_with_no_live_call(path):
+    view = ScaledView(v1_spec(), hot_start=read_record(path))
     assert view.obj(V1_X) == float(V1_X @ V1_X)
     view.grad(V1_X)
     view.jac(V1_X)
@@ -290,6 +319,70 @@ def test_v1_record_hot_starts(v1_path):
                                        "n_jac": 0, "n_hess": 0}
     assert view.replayed.as_dict() == {"n_obj": 1, "n_grad": 1, "n_con": 0,
                                        "n_jac": 1, "n_hess": 1}
+
+
+def test_v1_record_hot_starts(v1_path):
+    _hot_starts_with_no_live_call(v1_path)
+
+
+def test_v2_record_hot_starts(v2_path):
+    _hot_starts_with_no_live_call(v2_path)
+
+
+def test_iteration_x_refers_to_eval_x(tmp_path):
+    record = tiny_record()
+    path = tmp_path / "v3.rec"
+    write_record(record, path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["format_version"] == 3
+    assert json.loads(lines[-1])["x"] == {"ref": 0}
+    back = read_record(path)
+    assert back == record
+    x = back.iter_events()[0].values["x"]
+    assert x.tobytes() == V1_X.tobytes()
+    x[0] = 5.0      # a ref decodes to a writable copy of the eval x
+    assert back.eval_events()[0].x[0] == 0.5
+
+
+def test_iteration_x_refs_need_identical_bits(tmp_path):
+    nan_a = np.array([math.nan, 1.0])
+    nan_b = nan_a.copy()
+    nan_b.view(np.int64)[0] |= 1            # the same NaN value, another payload
+    record = RunRecord.for_problem(quad_spec())
+    decl = OutputsDecl({"itr": int, "x": (float, (2,))})
+    record.append_eval("obj", np.array([0.0, 1.0]), None, 1.0)
+    record.append_eval("obj", nan_a, None, math.nan)
+    for itr, x in enumerate([np.array([-0.0, 1.0]), nan_b, nan_a, np.array([0.0, 1.0])]):
+        update_outputs(decl, record, itr=itr, x=x)
+    path = tmp_path / "bits.rec"
+    write_record(record, path)
+    xs = [json.loads(line)["x"] for line in path.read_text().splitlines()[3:]]
+    assert xs[:2] == [{"f8": base64.b64encode(x.tobytes()).decode("ascii")}
+                      for x in (np.array([-0.0, 1.0]), nan_b)]
+    assert xs[2:] == [{"ref": 1}, {"ref": 0}]
+    back = read_record(path)
+    assert back == record
+    assert [e.values["x"].tobytes() for e in back.iter_events()] == [
+        e.values["x"].tobytes() for e in record.iter_events()]
+
+
+@pytest.mark.parametrize("ref, version, message", [
+    ({"ref": 99}, 3, "x ref 99 is not one of the 1 x read so far"),
+    ({"ref": -1}, 3, "x ref -1 is not one of the 1"),
+    ({"ref": 0, "f8": ""}, 3, "bad x ref"),
+    ({"ref": "0"}, 3, "bad x ref"),
+    ({"ref": 0}, 2, "in a version 2 body"),
+], ids=["out_of_range", "negative", "extra_key", "not_int", "in_version_2"])
+def test_bad_x_ref_reports_line(tmp_path, ref, version, message):
+    lines = V2_RECORD.splitlines()
+    lines[0] = lines[0].replace('"format_version":2', f'"format_version":{version}')
+    payload = json.loads(lines[5])
+    payload["x"] = ref
+    lines[5] = json.dumps(payload)
+    path = tmp_path / "bad.rec"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordError, match=rf"bad\.rec:6: .*{message}"):
+        read_record(path)
 
 
 def test_v1_record_inspect(v1_path, capsys):
