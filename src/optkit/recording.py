@@ -35,15 +35,27 @@ In a version 1 body every float is a hexfloat and every event spells out
 its x.  All three give the same events, and only the header's
 ``"format_version"`` tells them apart.  :func:`write_record` always writes
 version 3.
+
+One line encoder serves both :meth:`RunRecord.body_lines` and
+:func:`write_record`: it builds each event line as text by concatenation
+rather than through ``json``, and writes the same bytes as a
+``json.JSONEncoder(separators=(",", ":"))`` over the event's payload would,
+so the file format is unchanged.  :func:`read_record` streams its file line
+by line.  An evaluation kind outside ``EVAL_KINDS`` is a RecordError both
+ways.
 """
 
 import base64
 import json
 import os
 import time
+from binascii import b2a_base64
+from functools import partial
 
 import numpy as np
 from dataclasses import dataclass, field
+
+from .problem import EVAL_KINDS
 
 FORMAT_VERSION = 3
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -80,18 +92,6 @@ def _unhex_vec(items):
     return np.array([_unhex(s) for s in items], dtype=float)
 
 
-def _bytes_block(raw, shape):
-    block = {"f8": base64.b64encode(raw).decode("ascii")}
-    if len(shape) != 1:
-        block["shape"] = list(shape)
-    return block
-
-
-def _block(v):
-    arr = np.asarray(v, dtype="<f8")
-    return _bytes_block(arr.tobytes(), arr.shape)
-
-
 def _unblock(block):
     """A read-only array over a float64 block's bytes; a malformed block is a RecordError.
 
@@ -119,24 +119,6 @@ def _unblock(block):
     if 8 * size != len(raw):
         raise RecordError(f"float block of {len(raw)} bytes does not hold shape {shape!r}")
     return np.frombuffer(raw, "<f8").reshape(shape)
-
-
-def _encode_value(v, xs):
-    """Encode an iter-output value: ints stay ints, floats go hex, an array
-    bit-identical to an x of the table ``xs`` goes to a ref, other arrays to blocks."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return _hex(v)
-    arr = np.asarray(v)
-    if arr.ndim and arr.dtype.kind in "biuf":
-        arr = np.asarray(arr, dtype="<f8")
-        raw = arr.tobytes()
-        index = xs.get((arr.shape, raw))
-        return _bytes_block(raw, arr.shape) if index is None else {"ref": index}
-    raise RecordError(f"cannot encode iteration value of type {type(v).__name__}")
 
 
 def _decode_value(v, xs):
@@ -316,9 +298,7 @@ class RunRecord:
 
     def body_lines(self):
         """The event lines, exactly as :func:`write_record` writes them after the header."""
-        xs = {}     # (shape, bytes) of each distinct x written so far -> its index
-        return [_eval_line(e, xs) if isinstance(e, EvalEvent) else _iter_line(e, xs)
-                for e in self.events]
+        return _encode_body(self.events)
 
     def __eq__(self, other):
         if not isinstance(other, RunRecord):
@@ -348,41 +328,118 @@ def _header_json(header):
     return _dumps(payload)
 
 
-def _eval_line(event, xs):
-    x = np.asarray(event.x, dtype="<f8")
-    key = (x.shape, x.tobytes())
-    index = xs.get(key)
-    if index is None:
-        xs[key] = len(xs)
-        payload = {"t": "eval", "k": event.kind, "x": _bytes_block(key[1], x.shape)}
-    else:
-        payload = {"t": "eval", "k": event.kind, "x": index}
-    if event.lam is not None:
-        payload["lam"] = _block(event.lam)
-    r = event.result
-    payload["r"] = _block(r) if np.ndim(r) else _hex(r)
-    return _dumps(payload)
+# ---------------------------------------------------------------------------
+# The line encoder: each event line is built as JSON text by concatenation.
+# Every piece is fixed text, a JSON-encoded output name, an int, or base64 and
+# hexfloat text, none of which needs escaping, so a line is byte for byte what
+# json.JSONEncoder(separators=(",", ":")) writes for the same payload.
+# ---------------------------------------------------------------------------
+
+# an eval line up to its x, per evaluation kind
+_EVAL_START = {kind: '{"t":"eval","k":"' + kind + '","x":' for kind in EVAL_KINDS}
 
 
-def _iter_line(event, xs):
-    payload = {"t": "iter"}
-    for name, value in event.values.items():
-        payload[name] = _encode_value(value, xs)
-    return _dumps(payload)
+def _block_text(raw, shape):
+    """The block of float64 bytes ``raw`` holding an array of ``shape``, as JSON text."""
+    b64 = b2a_base64(raw, newline=False).decode("ascii")
+    if len(shape) == 1:
+        return f'{{"f8":"{b64}"}}'
+    return f'{{"f8":"{b64}","shape":[{",".join(map(str, shape))}]}}'
+
+
+def _array_text(v):
+    arr = np.asarray(v, dtype="<f8")
+    return _block_text(arr.tobytes(), arr.shape)
+
+
+def _value_text(v, xs):
+    """An iter-output value: ints stay ints, floats go hex, an array bit-identical
+    to an x of the table ``xs`` goes to a ref, other arrays to blocks."""
+    if type(v) is float:                    # the common case first
+        return f'"{v.hex()}"'
+    if isinstance(v, (bool, np.bool_)):     # before int: a bool is an int
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f'"{float(v).hex()}"'
+    arr = np.asarray(v)
+    if arr.ndim and arr.dtype.kind in "biuf":
+        arr = np.asarray(arr, dtype="<f8")
+        raw = arr.tobytes()
+        index = xs.get((arr.shape, raw))
+        return _block_text(raw, arr.shape) if index is None else f'{{"ref":{index}}}'
+    raise RecordError(f"cannot encode iteration value of type {type(v).__name__}")
+
+
+def _encode_body(events):
+    """The event lines of a record body, in order; an event that cannot be
+    encoded is a RecordError."""
+    xs = {}         # (shape, bytes) of each distinct eval x written so far -> its index
+    names = {}      # output name -> its JSON text between "," and ":"
+    lines = []
+    for event in events:
+        if isinstance(event, EvalEvent):
+            try:
+                start = _EVAL_START[event.kind]
+            except (KeyError, TypeError):
+                raise RecordError(f"unknown evaluation kind {event.kind!r}") from None
+            x = np.asarray(event.x, dtype="<f8")
+            key = (x.shape, x.tobytes())
+            x_text = xs.get(key)
+            if x_text is None:
+                xs[key] = len(xs)
+                x_text = _block_text(key[1], x.shape)
+            lam_text = "" if event.lam is None else ',"lam":' + _array_text(event.lam)
+            r = event.result
+            if type(r) is float or not np.ndim(r):
+                lines.append(f'{start}{x_text}{lam_text},"r":"{float(r).hex()}"}}')
+            else:
+                lines.append(f'{start}{x_text}{lam_text},"r":{_array_text(r)}}}')
+        else:
+            parts = ['{"t":"iter"']
+            for name, value in event.values.items():
+                key = names.get(name)
+                if key is None:
+                    if not isinstance(name, str) or name == "t":
+                        raise RecordError(f"cannot encode iteration output name {name!r}")
+                    key = names[name] = "," + json.dumps(name) + ":"
+                parts.append(key)
+                parts.append(_value_text(value, xs))
+            parts.append("}")
+            lines.append("".join(parts))
+    return lines
+
+
+# lines joined per write: no copy of the whole file is made in memory
+_LINES_PER_WRITE = 256
 
 
 def write_record(record, path):
-    """Serialize a record to a newline-delimited file; floats are bit-exact."""
-    lines = [_header_json(record.header)]
-    lines.extend(record.body_lines())
+    """Serialize a record to a newline-delimited file; floats are bit-exact.
+
+    Every line is encoded before the file is opened, so a record that cannot
+    be encoded leaves ``path`` as it was.
+    """
+    header = _header_json(record.header)
+    lines = record.body_lines()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.write("\n")
+        for i in range(0, len(lines), _LINES_PER_WRITE):
+            fh.write("\n".join(lines[i:i + _LINES_PER_WRITE]))
+            fh.write("\n")
     return path
 
 
-def _event_v2(payload, xs, refs=False):
+def _event_v3(payload, xs, refs=True):
+    """One event of a version 3 body; a version 2 body, which has no refs,
+    is read with ``refs`` false."""
     tag = payload.get("t")
     if tag == "eval":
+        kind = payload["k"]
+        if type(kind) is not str or kind not in _EVAL_START:
+            raise RecordError(f"unknown evaluation kind {kind!r}")
         x = payload["x"]
         if type(x) is int:
             if not 0 <= x < len(xs):
@@ -393,24 +450,22 @@ def _event_v2(payload, xs, refs=False):
             xs.append(x)
         lam = payload.get("lam")
         r = payload["r"]
-        return EvalEvent(kind=payload["k"], x=x,
-                         lam=None if lam is None else _unblock(lam).copy(),
-                         result=_unhex(r) if isinstance(r, str) else _unblock(r).copy())
+        return EvalEvent(kind, x, None if lam is None else _unblock(lam).copy(),
+                         _unhex(r) if isinstance(r, str) else _unblock(r).copy())
     if tag == "iter":
-        table = xs if refs else None    # a version 2 body has no refs
-        return IterEvent(values={k: _decode_value(v, table) for k, v in payload.items() if k != "t"})
+        table = xs if refs else None
+        return IterEvent({k: _decode_value(v, table) for k, v in payload.items() if k != "t"})
     raise RecordError(f"unknown event tag {tag!r}")
-
-
-def _event_v3(payload, xs):     # version 2 plus iteration refs into the x table
-    return _event_v2(payload, xs, refs=True)
 
 
 def _event_v1(payload, _xs):     # version 1 bodies spell out every x
     tag = payload.get("t")
     if tag == "eval":
+        kind = payload["k"]
+        if type(kind) is not str or kind not in _EVAL_START:
+            raise RecordError(f"unknown evaluation kind {kind!r}")
         lam = payload.get("lam")
-        return EvalEvent(kind=payload["k"], x=_unhex_vec(payload["x"]),
+        return EvalEvent(kind=kind, x=_unhex_vec(payload["x"]),
                          lam=None if lam is None else _unhex_vec(lam),
                          result=_decode_result_v1(payload["r"]))
     if tag == "iter":
@@ -418,7 +473,7 @@ def _event_v1(payload, _xs):     # version 1 bodies spell out every x
     raise RecordError(f"unknown event tag {tag!r}")
 
 
-_EVENT_DECODERS = {1: _event_v1, 2: _event_v2, 3: _event_v3}
+_EVENT_DECODERS = {1: _event_v1, 2: partial(_event_v3, refs=False), 3: _event_v3}
 
 
 def _decode_header(header):
@@ -450,33 +505,34 @@ def read_record(path):
     Malformed lines report their 1-based line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
-    if not lines or not lines[0].strip():
-        raise RecordError(f"{path}:1: empty record file")
-    try:
-        header = json.loads(lines[0])
-        if type(header) is not dict:
-            raise RecordError("header is not a JSON object")
-        record = RunRecord(header=_decode_header(header))
-    except RecordError as exc:
-        raise RecordError(f"{path}:1: {exc}") from None
-    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
-        raise RecordError(f"{path}:1: malformed header: {exc}") from exc
-    decode = _EVENT_DECODERS[record.header["format_version"]]
-    xs = []     # the x table: each distinct eval x of the body, in order of first appearance
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.isspace():
-            continue
+        first = fh.readline().rstrip("\n")
+        if not first.strip():
+            raise RecordError(f"{path}:1: empty record file")
         try:
-            payload = json.loads(line)
-            if type(payload) is not dict:
-                raise RecordError(f"event is not a JSON object: {line[:40]!r}")
-            record.events.append(decode(payload, xs))
+            header = json.loads(first)
+            if type(header) is not dict:
+                raise RecordError("header is not a JSON object")
+            record = RunRecord(header=_decode_header(header))
         except RecordError as exc:
-            raise RecordError(f"{path}:{lineno}: {exc}") from None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise RecordError(f"{path}:{lineno}: malformed record line: {exc}") from exc
+            raise RecordError(f"{path}:1: {exc}") from None
+        except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+            raise RecordError(f"{path}:1: malformed header: {exc}") from exc
+        decode = _EVENT_DECODERS[record.header["format_version"]]
+        xs = []     # the x table: each distinct eval x of the body, in order of first appearance
+        append = record.events.append
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line or line.isspace():
+                continue
+            try:
+                payload = json.loads(line)
+                if type(payload) is not dict:
+                    raise RecordError(f"event is not a JSON object: {line[:40]!r}")
+                append(decode(payload, xs))
+            except RecordError as exc:
+                raise RecordError(f"{path}:{lineno}: {exc}") from None
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise RecordError(f"{path}:{lineno}: malformed record line: {exc}") from exc
     return record
 
 

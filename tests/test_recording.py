@@ -201,6 +201,13 @@ def _edit(lineno, edit):
     return corrupt
 
 
+def _replace(lineno, text):
+    """A corruption that replaces line ``lineno`` with ``text``."""
+    def corrupt(lines):
+        lines[lineno - 1] = text
+    return corrupt
+
+
 def _truncate(lines):
     lines[-1] = lines[-1][:-10]
 
@@ -214,8 +221,10 @@ def _truncate(lines):
     (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
     (_edit(1, lambda p: p.update(format_version=4)), 1, "unsupported format_version 4"),
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
+    (_edit(2, lambda p: p.update(k="foo")), 2, "unknown evaluation kind 'foo'"),
+    (_replace(3, "[1, 2]"), 3, r"event is not a JSON object: '\[1, 2\]'$"),
 ], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
-        "version_4", "header_x0"])
+        "version_4", "header_x0", "unknown_kind", "not_an_object"])
 def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
     record.append_eval("obj", np.array([1.0, 2.0]), None, 5.0)
@@ -235,6 +244,28 @@ def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "v9.rec"
     path.write_text('{"format_version": 9}\n')
     with pytest.raises(RecordError, match="format_version"):
+        read_record(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n{}\n"], ids=["no_bytes", "newline", "blank_header"])
+def test_empty_record_file_rejected(tmp_path, text):
+    path = tmp_path / "empty.rec"
+    path.write_text(text)
+    with pytest.raises(RecordError, match=r"empty\.rec:1: empty record file"):
+        read_record(path)
+
+
+def test_blank_lines_skipped_and_counted(tmp_path):
+    record = tiny_record()
+    write_record(record, tmp_path / "good.rec")
+    lines = (tmp_path / "good.rec").read_text().splitlines()
+    lines[2:2] = ["", "   "]             # the grad event moves to line 5
+    path = tmp_path / "blank.rec"
+    path.write_text("\n".join(lines) + "\n\n")
+    assert read_record(path) == record
+    lines[4] = lines[4][:-10]
+    path.write_text("\n".join(lines))    # no newline after the last line
+    with pytest.raises(RecordError, match=r"blank\.rec:5: malformed record line"):
         read_record(path)
 
 
@@ -329,6 +360,14 @@ def test_v2_record_hot_starts(v2_path):
     _hot_starts_with_no_live_call(v2_path)
 
 
+@pytest.mark.parametrize("text", [V1_RECORD, V2_RECORD], ids=["v1", "v2"])
+def test_unknown_kind_rejected_in_old_bodies(tmp_path, text):
+    path = tmp_path / "kind.rec"
+    path.write_text(text.replace('"k":"jac"', '"k":"hess"'))
+    with pytest.raises(RecordError, match=r"kind\.rec:4: unknown evaluation kind 'hess'"):
+        read_record(path)
+
+
 def test_iteration_x_refers_to_eval_x(tmp_path):
     record = tiny_record()
     path = tmp_path / "v3.rec"
@@ -400,6 +439,120 @@ def test_record_bodies_deterministic():
         quasi_newton(view, maxiter=15)
         bodies.append("\n".join(view.record.body_lines()))
     assert bodies[0] == bodies[1]
+
+
+# The payload encoder that the text line encoder replaced: each event's
+# payload built as a dict and written by json.  body_lines must match it
+# byte for byte.
+_reference_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _reference_block(v):
+    arr = np.asarray(v, dtype="<f8")
+    block = {"f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+    if arr.ndim != 1:
+        block["shape"] = list(arr.shape)
+    return block
+
+
+def _reference_body_lines(record):
+    xs = {}
+    lines = []
+    for event in record.events:
+        if isinstance(event, EvalEvent):
+            x = np.asarray(event.x, dtype="<f8")
+            key = (x.shape, x.tobytes())
+            payload = {"t": "eval", "k": event.kind, "x": xs.get(key)}
+            if payload["x"] is None:
+                payload["x"] = _reference_block(x)
+                xs[key] = len(xs)
+            if event.lam is not None:
+                payload["lam"] = _reference_block(event.lam)
+            r = event.result
+            payload["r"] = _reference_block(r) if np.ndim(r) else float(r).hex()
+        else:
+            payload = {"t": "iter"}
+            for name, v in event.values.items():
+                if isinstance(v, (bool, np.bool_)):
+                    v = bool(v)
+                elif isinstance(v, (int, np.integer)):
+                    v = int(v)
+                elif isinstance(v, (float, np.floating)):
+                    v = float(v).hex()
+                else:
+                    arr = np.asarray(v, dtype="<f8")
+                    index = xs.get((arr.shape, arr.tobytes()))
+                    v = _reference_block(arr) if index is None else {"ref": index}
+                payload[name] = v
+        lines.append(_reference_dumps(payload))
+    return lines
+
+
+def _oracle_record():
+    record = RunRecord.for_problem(quad_spec())
+    nan_x = np.array([math.nan, -0.0])
+    nan_x.view(np.int64)[0] |= 5                        # a NaN with a payload
+    nan_r = np.array([math.inf, -math.inf, math.nan])
+    nan_r.view(np.int64)[2] |= 3
+    record.append_eval("obj", nan_x, None, nan_r[2])
+    record.append_eval("grad", nan_x.copy(), None, nan_r[:2])   # x written as its index
+    record.append_eval("con", np.array([math.inf, -math.inf]), None, nan_r)
+    record.append_eval("jac", np.array([1.0, 2.0]), None, np.arange(6.0).reshape(3, 2))
+    record.append_eval("jac", np.array([1.0, 2.0]), None, np.zeros((0, 2)))
+    record.append_eval("obj", np.array([1.0, 2.0]), None, -0.0)
+    record.append_eval("obj_hess", np.array([1.0, 2.0]), None, -np.eye(2))
+    record.append_eval("lag_hess", np.array([1.0, 2.0]), np.array([0.5, -0.0, math.nan]),
+                       np.eye(2) * math.pi)
+    for itr, x in enumerate([nan_x, np.array([1.0, 2.0]), np.array([2.0, 1.0])]):
+        record.events.append(IterEvent({
+            "itr": itr, "n64": np.int64(-7 - itr), "ok": True, "np_ok": np.bool_(itr % 2),
+            "obj": [-0.0, math.inf, math.nan][itr], "f32": np.float32(0.1),
+            'say "h\u00e9"': x, "x": x}))
+    return record
+
+
+def test_body_lines_match_the_json_encoder(tmp_path):
+    record = _oracle_record()
+    lines = record.body_lines()
+    assert lines == _reference_body_lines(record)
+    assert '"shape":[3,2]' in lines[3] and '"shape":[0,2]' in lines[4]
+    assert ',"lam":{"f8":' in lines[7]
+    xs = [json.loads(line)["x"] for line in lines]
+    assert xs[1] == 0 and xs[4:8] == [2, 2, 2, 2]       # repeated x written as its index
+    assert xs[8:10] == [{"ref": 0}, {"ref": 2}] and "f8" in xs[10]
+    assert '"say \\"h\\u00e9\\"":{"ref":0}' in lines[8]
+    path = tmp_path / "oracle.rec"
+    write_record(record, path)
+    assert path.read_text().splitlines()[1:] == lines
+    # a hexfloat keeps no NaN payload, so the scalar result of event 0 is left out
+    assert read_record(path).events[1:] == record.events[1:]
+
+
+@pytest.mark.parametrize("solve, spec", [
+    (lambda view: quasi_newton(view, maxiter=15), rosenbrock2),
+    (lambda view: sqp(view, maxiter=10), quadratic_example),
+    (lambda view: nelder_mead(view, maxiter=40), rosenbrock2),
+], ids=["quasi_newton", "sqp", "nelder_mead"])
+def test_solver_bodies_match_the_json_encoder(solve, spec):
+    view = ScaledView(spec(), record=True)
+    solve(view)
+    assert view.record.body_lines() == _reference_body_lines(view.record)
+
+
+@pytest.mark.parametrize("event, message", [
+    (IterEvent({"itr": 0, "note": "text"}), "cannot encode iteration value of type str"),
+    (EvalEvent("hess", np.array([1.0, 2.0]), result=1.0), "unknown evaluation kind 'hess'"),
+    (IterEvent({"t": 0}), "cannot encode iteration output name 't'"),
+], ids=["str_value", "unknown_kind", "name_t"])
+def test_failed_encode_leaves_file_untouched(tmp_path, event, message):
+    path = tmp_path / "kept.rec"
+    write_record(tiny_record(), path)
+    before = path.read_bytes()
+    record = tiny_record()
+    record.events.append(event)
+    with pytest.raises(RecordError, match=message):
+        write_record(record, path)
+    assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
