@@ -16,8 +16,11 @@ Every following line is one event::
 Scalars are hexadecimal literals (float.hex()).  A block is one float
 array, ``{"f8": "<base64>"}``: the base64 of the array's little-endian
 float64 bytes, with ``"shape": [...]`` added for any array that is not 1-D.
-Both forms round-trip bit-exactly, and a block is told apart from a scalar
-by its JSON type, never by its text.  The first evaluation event at a given
+float.hex() writes every NaN as "nan", so a NaN scalar whose sign or
+payload differs from float("nan")'s is written as a 0-d block
+(``"shape": []``), which reads back as a float with those bits.  Both forms
+round-trip bit-exactly, and a block is told apart from a scalar by its JSON
+type, never by its text.  The first evaluation event at a given
 x carries that x as a block; every later event at a bit-identical x stores
 instead the index of that x among the distinct x of the file, counted from
 0 in order of first appearance (the x table).  An iteration output array
@@ -41,13 +44,19 @@ One line encoder serves both :meth:`RunRecord.body_lines` and
 rather than through ``json``, and writes the same bytes as a
 ``json.JSONEncoder(separators=(",", ":"))`` over the event's payload would,
 so the file format is unchanged.  :func:`read_record` streams its file line
-by line.  An evaluation kind outside ``EVAL_KINDS`` is a RecordError both
-ways.
+by line and parses each line with ``json.JSONDecoder().raw_decode``; a line
+that parse does not consume whole (surrounding whitespace, trailing data,
+malformed text) goes to ``json.loads``, which parses it under json's own
+whitespace rules or raises the error reported for that line.  Lines are
+never joined, so two broken lines cannot pass as one event.  The decoder
+turns each event's values into floats and arrays in place, in one pass.  An
+evaluation kind outside ``EVAL_KINDS`` is a RecordError both ways.
 """
 
 import base64
 import json
 import os
+import struct
 import time
 from binascii import b2a_base64
 from functools import partial
@@ -59,6 +68,8 @@ from .problem import EVAL_KINDS
 
 FORMAT_VERSION = 3
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+_fromhex = float.fromhex
 
 
 class RecordError(RuntimeError):
@@ -79,8 +90,8 @@ def _hex(value):
 
 def _unhex(text):
     try:
-        return float.fromhex(text)
-    except (ValueError, TypeError) as exc:
+        return _fromhex(text)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise RecordError(f"bad hexfloat {text!r}") from exc
 
 
@@ -105,11 +116,14 @@ def _unblock(block):
         raise RecordError(f"float block without 'f8': {block!r}") from None
     except (TypeError, ValueError) as exc:   # binascii.Error is a ValueError
         raise RecordError(f"bad base64 in float block: {exc}") from None
-    shape = block.get("shape")
+    if len(block) == 1:                      # the common case: a vector
+        if not len(raw) % 8:
+            return np.frombuffer(raw, "<f8")
+        shape = None
+    else:
+        shape = block.get("shape")
     if shape is None:
-        if len(raw) % 8 or len(block) != 1:
-            raise RecordError(f"float block of {len(raw)} bytes is not a float64 vector")
-        return np.frombuffer(raw, "<f8")
+        raise RecordError(f"float block of {len(raw)} bytes is not a float64 vector")
     if (type(shape) is not list or len(block) != 2
             or not all(type(dim) is int and dim >= 0 for dim in shape)):
         raise RecordError(f"bad float block shape {shape!r}")
@@ -121,13 +135,18 @@ def _unblock(block):
     return np.frombuffer(raw, "<f8").reshape(shape)
 
 
-def _decode_value(v, xs):
-    """Decode an iter-output value; ``xs`` is the x table read so far, or
-    None in a version 2 body, which has no refs."""
-    if isinstance(v, str):
-        return _unhex(v)
-    if isinstance(v, (bool, int)):
-        return v
+def _owned(block):
+    """A block as a value an event owns: a writable copy of its array, or the
+    float of a 0-d block, the form of a NaN scalar whose bits hexfloat text
+    would lose."""
+    arr = _unblock(block)
+    return arr.copy() if arr.ndim else float(arr)
+
+
+def _iter_array(v, xs):
+    """An iter-output value that is neither a hexfloat nor an int: a ref into
+    ``xs``, the x table read so far (None in a version 2 body, which has no
+    refs), or a block."""
     if type(v) is dict and "ref" in v:
         if xs is None:
             raise RecordError(f"x ref {v!r} in a version 2 body")
@@ -137,7 +156,7 @@ def _decode_value(v, xs):
         if not 0 <= index < len(xs):
             raise RecordError(f"x ref {index} is not one of the {len(xs)} x read so far")
         return xs[index].copy()
-    return _unblock(v).copy()
+    return _owned(v)
 
 
 # version 1 bodies: every float a hexfloat, arrays as (nested) lists
@@ -337,6 +356,8 @@ def _header_json(header):
 
 # an eval line up to its x, per evaluation kind
 _EVAL_START = {kind: '{"t":"eval","k":"' + kind + '","x":' for kind in EVAL_KINDS}
+_pack_f8 = struct.Struct("<d").pack
+_NAN_BITS = _pack_f8(float("nan"))
 
 
 def _block_text(raw, shape):
@@ -352,17 +373,24 @@ def _array_text(v):
     return _block_text(arr.tobytes(), arr.shape)
 
 
+def _nan_text(v):
+    """A NaN scalar: hexfloat "nan" when it has the bits of float("nan"),
+    else a 0-d block, since float.hex() writes every NaN as "nan"."""
+    raw = _pack_f8(v)
+    return '"nan"' if raw == _NAN_BITS else _block_text(raw, ())
+
+
 def _value_text(v, xs):
     """An iter-output value: ints stay ints, floats go hex, an array bit-identical
     to an x of the table ``xs`` goes to a ref, other arrays to blocks."""
     if type(v) is float:                    # the common case first
-        return f'"{v.hex()}"'
+        return f'"{v.hex()}"' if v == v else _nan_text(v)
     if isinstance(v, (bool, np.bool_)):     # before int: a bool is an int
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return f'"{float(v).hex()}"'
+        return _value_text(float(v), xs)
     arr = np.asarray(v)
     if arr.ndim and arr.dtype.kind in "biuf":
         arr = np.asarray(arr, dtype="<f8")
@@ -393,9 +421,11 @@ def _encode_body(events):
             lam_text = "" if event.lam is None else ',"lam":' + _array_text(event.lam)
             r = event.result
             if type(r) is float or not np.ndim(r):
-                lines.append(f'{start}{x_text}{lam_text},"r":"{float(r).hex()}"}}')
+                r = float(r)
+                r_text = f'"{r.hex()}"' if r == r else _nan_text(r)
             else:
-                lines.append(f'{start}{x_text}{lam_text},"r":{_array_text(r)}}}')
+                r_text = _array_text(r)
+            lines.append(f'{start}{x_text}{lam_text},"r":{r_text}}}')
         else:
             parts = ['{"t":"iter"']
             for name, value in event.values.items():
@@ -434,7 +464,8 @@ def write_record(record, path):
 
 def _event_v3(payload, xs, refs=True):
     """One event of a version 3 body; a version 2 body, which has no refs,
-    is read with ``refs`` false."""
+    is read with ``refs`` false.  The event's values are decoded in place in
+    ``payload``, which an iteration event keeps as its values."""
     tag = payload.get("t")
     if tag == "eval":
         kind = payload["k"]
@@ -450,11 +481,27 @@ def _event_v3(payload, xs, refs=True):
             xs.append(x)
         lam = payload.get("lam")
         r = payload["r"]
-        return EvalEvent(kind, x, None if lam is None else _unblock(lam).copy(),
-                         _unhex(r) if isinstance(r, str) else _unblock(r).copy())
+        if type(r) is str:
+            try:
+                r = _fromhex(r)
+            except (ValueError, OverflowError):
+                _unhex(r)       # raises the RecordError
+        else:
+            r = _owned(r)
+        return EvalEvent(kind, x, None if lam is None else _unblock(lam).copy(), r)
     if tag == "iter":
+        del payload["t"]
         table = xs if refs else None
-        return IterEvent({k: _decode_value(v, table) for k, v in payload.items() if k != "t"})
+        for name, v in payload.items():
+            cls = type(v)
+            if cls is str:
+                try:
+                    payload[name] = _fromhex(v)
+                except (ValueError, OverflowError):
+                    _unhex(v)       # raises the RecordError
+            elif cls is not int and cls is not bool:
+                payload[name] = _iter_array(v, table)
+        return IterEvent(payload)
     raise RecordError(f"unknown event tag {tag!r}")
 
 
@@ -525,7 +572,12 @@ def read_record(path):
             if not line or line.isspace():
                 continue
             try:
-                payload = json.loads(line)
+                try:
+                    payload, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):    # json.loads parses the line or raises its error
+                    payload = json.loads(line)
                 if type(payload) is not dict:
                     raise RecordError(f"event is not a JSON object: {line[:40]!r}")
                 append(decode(payload, xs))
@@ -573,11 +625,13 @@ class HotStartCache:
             self.live = True
             return False, None
         event = self.events[self.cursor]
-        if event.kind != kind or not np.array_equal(event.x, x):
+        ex = event.x        # float64 arrays, compared by shape and bytes
+        if event.kind != kind or ex.shape != x.shape or ex.tobytes() != x.tobytes():
             self.live = True
             return False, None
-        if (event.lam is None) != (lam is None) or (
-                lam is not None and not np.array_equal(event.lam, lam)):
+        elam = event.lam
+        if (elam is None) != (lam is None) or (lam is not None and (
+                elam.shape != lam.shape or elam.tobytes() != lam.tobytes())):
             self.live = True
             return False, None
         self.cursor += 1

@@ -208,6 +208,13 @@ def _replace(lineno, text):
     return corrupt
 
 
+def _rewrite(lineno, lines_of):
+    """A corruption that replaces line ``lineno`` with the lines ``lines_of`` makes of its text."""
+    def corrupt(lines):
+        lines[lineno - 1:lineno] = lines_of(lines[lineno - 1])
+    return corrupt
+
+
 def _truncate(lines):
     lines[-1] = lines[-1][:-10]
 
@@ -223,8 +230,13 @@ def _truncate(lines):
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
     (_edit(2, lambda p: p.update(k="foo")), 2, "unknown evaluation kind 'foo'"),
     (_replace(3, "[1, 2]"), 3, r"event is not a JSON object: '\[1, 2\]'$"),
+    (_rewrite(3, lambda line: [line + " " + line]), 3, "malformed record line"),
+    # {"t":"eval" on line 3 and the rest of the event on line 4
+    (_rewrite(3, lambda line: line.split(",", 1)), 3, "malformed record line"),
+    (_edit(5, lambda p: p.update(r="0x1p+99999")), 5, "bad hexfloat '0x1p\\+99999'"),
 ], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
-        "version_4", "header_x0", "unknown_kind", "not_an_object"])
+        "version_4", "header_x0", "unknown_kind", "not_an_object", "two_objects",
+        "split_event", "hexfloat_overflow"])
 def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
     record.append_eval("obj", np.array([1.0, 2.0]), None, 5.0)
@@ -238,6 +250,20 @@ def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     (tmp_path / "bad.rec").write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordError, match=rf"bad\.rec:{lineno}: .*{message}"):
         read_record(tmp_path / "bad.rec")
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.split("\n", 1)[0] + "\n" + "".join(
+        f" \t{line}\t \n" for line in text.split("\n")[1:-1]),
+], ids=["crlf", "padded_lines"])
+def test_record_lines_read_under_json_whitespace_rules(tmp_path, rewrite):
+    record = _oracle_record()
+    path = tmp_path / "a.rec"
+    write_record(record, path)
+    text = path.read_bytes().decode("utf-8")
+    path.write_bytes(rewrite(text).encode("utf-8"))
+    assert read_record(path) == record
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -455,6 +481,15 @@ def _reference_block(v):
     return block
 
 
+def _reference_scalar(v):
+    """A float as hexfloat text, or as a 0-d block for a NaN whose bits are not
+    those of float("nan"): float.hex() writes every NaN as "nan"."""
+    v = float(v)
+    if math.isnan(v) and np.float64(v).tobytes() != np.float64(math.nan).tobytes():
+        return _reference_block(v)
+    return v.hex()
+
+
 def _reference_body_lines(record):
     xs = {}
     lines = []
@@ -469,7 +504,7 @@ def _reference_body_lines(record):
             if event.lam is not None:
                 payload["lam"] = _reference_block(event.lam)
             r = event.result
-            payload["r"] = _reference_block(r) if np.ndim(r) else float(r).hex()
+            payload["r"] = _reference_block(r) if np.ndim(r) else _reference_scalar(r)
         else:
             payload = {"t": "iter"}
             for name, v in event.values.items():
@@ -478,7 +513,7 @@ def _reference_body_lines(record):
                 elif isinstance(v, (int, np.integer)):
                     v = int(v)
                 elif isinstance(v, (float, np.floating)):
-                    v = float(v).hex()
+                    v = _reference_scalar(v)
                 else:
                     arr = np.asarray(v, dtype="<f8")
                     index = xs.get((arr.shape, arr.tobytes()))
@@ -507,6 +542,7 @@ def _oracle_record():
         record.events.append(IterEvent({
             "itr": itr, "n64": np.int64(-7 - itr), "ok": True, "np_ok": np.bool_(itr % 2),
             "obj": [-0.0, math.inf, math.nan][itr], "f32": np.float32(0.1),
+            "nan": [-math.nan, nan_r[2], np.float32(math.nan)][itr],
             'say "h\u00e9"': x, "x": x}))
     return record
 
@@ -521,11 +557,15 @@ def test_body_lines_match_the_json_encoder(tmp_path):
     assert xs[1] == 0 and xs[4:8] == [2, 2, 2, 2]       # repeated x written as its index
     assert xs[8:10] == [{"ref": 0}, {"ref": 2}] and "f8" in xs[10]
     assert '"say \\"h\\u00e9\\"":{"ref":0}' in lines[8]
+    # a NaN scalar with a payload or a sign is a 0-d block; float("nan") is "nan"
+    assert lines[0].endswith(',"r":{"f8":"AwAAAAAA+H8=","shape":[]}}')
+    assert '"nan":{"f8":"AAAAAAAA+P8=","shape":[]}' in lines[8] and '"nan":"nan"' in lines[10]
     path = tmp_path / "oracle.rec"
     write_record(record, path)
     assert path.read_text().splitlines()[1:] == lines
-    # a hexfloat keeps no NaN payload, so the scalar result of event 0 is left out
-    assert read_record(path).events[1:] == record.events[1:]
+    back = read_record(path)
+    assert back.events == record.events
+    assert type(back.events[0].result) is float and type(back.events[8].values["nan"]) is float
 
 
 @pytest.mark.parametrize("solve, spec", [
@@ -582,6 +622,22 @@ def test_hot_start_mismatch_goes_live():
     assert v2.obj(np.array([0.5, 0.5])) == 0.5
     assert v2.counters.n_obj == 1 and v2.replayed.n_obj == 0
     assert v2._cache.live
+
+
+def test_hot_start_matches_by_bits():
+    spec = quad_spec()
+    v1 = ScaledView(spec, record=True)
+    v1.obj(np.array([0.0, 1.0]))
+    # -0.0 is not 0.0
+    v2 = ScaledView(spec, hot_start=v1.record)
+    assert v2.obj(np.array([-0.0, 1.0])) == 1.0
+    assert v2.counters.n_obj == 1 and v2.replayed.n_obj == 0
+    assert v2._cache.live
+    # an x holding a NaN matches the same NaN
+    record = RunRecord.for_problem(spec)
+    record.append_eval("obj", np.array([math.nan, 1.0]), None, 2.0)
+    cache = recording.HotStartCache(record, spec)
+    assert cache.try_replay("obj", np.array([math.nan, 1.0])) == (True, 2.0)
 
 
 def test_hot_start_incompatible_record_rejected():
