@@ -162,10 +162,6 @@ class EvalCounters:
     n_jac: int = 0
     n_hess: int = 0
 
-    def bump(self, kind):
-        name = _COUNTER_OF[kind]
-        setattr(self, name, getattr(self, name) + 1)
-
     def copy(self):
         return replace(self)
 
@@ -276,8 +272,8 @@ def build_problem(name, x0, obj, *, grad=None, con=None, jac=None,
 # Raw (unscaled) evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _coerce_result(kind, value, n, m):
-    """Coerce a callback result to its canonical shape; raises on mismatch.
+def _coerce_result(kind, value, want):
+    """Coerce a callback result to its canonical shape ``want``; raises on mismatch.
 
     A float objective (np.float64 included) is returned as a Python float
     without a round trip through NumPy; array results are always copied, so
@@ -290,11 +286,8 @@ def _coerce_result(kind, value, n, m):
         if v.size != 1:
             raise EvaluationError(f"objective returned shape {v.shape}, expected a scalar", kind=kind)
         return float(v.reshape(()))
-    shapes = {"grad": (n,), "con": (m,), "jac": (m, n),
-              "obj_hess": (n, n), "lag_hess": (n, n)}
-    want = shapes[kind]
     v = np.array(value, dtype=float)
-    if v.shape != want and v.size == int(np.prod(want)):
+    if v.shape != want and v.size == math.prod(want):
         v = v.reshape(want)
     if v.shape != want:
         raise EvaluationError(f"{kind} callback returned shape {v.shape}, expected {want}", kind=kind)
@@ -302,11 +295,13 @@ def _coerce_result(kind, value, n, m):
 
 
 def _is_finite(result):
-    """True when a coerced result (a float or an array) has only finite entries."""
+    """True when a float or float array has only finite entries."""
     if isinstance(result, float):
         return math.isfinite(result)
-    # count_nonzero is a fraction of the cost of .all() on the small arrays
-    # cheap callbacks return
+    # a loop over at most 16 Python floats costs less than two ufunc calls;
+    # count_nonzero is a fraction of the cost of .all() on larger arrays
+    if result.size <= 16:
+        return all(map(math.isfinite, result.ravel().tolist()))
     return np.count_nonzero(np.isfinite(result)) == result.size
 
 
@@ -386,8 +381,13 @@ class ScaledView:
         self.replayed = EvalCounters()
         self._memo = {}  # kind -> (x, lam, result): most recent raw evaluation
         self._central_grad = False  # FD gradient by central differences
-        # the spec is frozen, so derivative scale factors are fixed per view
+        # the spec is frozen, so derivative scale factors and the table of
+        # kind -> (callback or None, counter name, result shape) are fixed per view
         self._grad_scale = spec.f_scaler / spec.x_scaler
+        n, m = spec.n, spec.m
+        shapes = {"obj": (), "grad": (n,), "con": (m,), "jac": (m, n),
+                  "obj_hess": (n, n), "lag_hess": (n, n)}
+        self._table = {kind: (spec.callbacks.get(kind), _COUNTER_OF[kind], shapes[kind]) for kind in EVAL_KINDS}
 
         # local import: recording depends on problem types
         from .recording import RunRecord, HotStartCache
@@ -467,17 +467,18 @@ class ScaledView:
             return None
         return res
 
-    def _invoke(self, kind, fn, x, lam=None):
-        """One raw callback invocation of ``fn``: replay if possible, else call and count.
+    def _invoke(self, kind, x, lam=None):
+        """One raw invocation of the ``kind`` callback: replay if possible, else call and count.
 
         ``x`` and ``lam`` are arrays the view made for this request (unscaled
         copies or FD stencil points) and nobody changes afterwards, so the
         memo keeps them without copying.
         """
+        fn, counter, shape = self._table[kind]
         if self._cache is not None:
             hit, result = self._cache.try_replay(kind, x, lam)
             if hit:
-                self.replayed.bump(kind)
+                self.replayed.__dict__[counter] += 1
                 self._memo[kind] = (x, lam, result)
                 if self.record is not None:
                     self.record.append_eval(kind, x, lam, result)
@@ -489,8 +490,8 @@ class ScaledView:
             raise
         except Exception as exc:
             raise EvaluationError(f"{kind} callback raised {exc!r} at x={x}", kind=kind, x=x) from exc
-        self.counters.bump(kind)
-        result = _coerce_result(kind, raw, self.spec.n, self.spec.m)
+        self.counters.__dict__[counter] += 1
+        result = _coerce_result(kind, raw, shape)
         if not _is_finite(result):
             raise EvaluationError(f"{kind} callback returned non-finite values at x={x}", kind=kind, x=x)
         self._memo[kind] = (x, lam, result)
@@ -498,18 +499,17 @@ class ScaledView:
             self.record.append_eval(kind, x, lam, result)
         return result
 
-    def _base_value(self, kind, fn, x):
+    def _base_value(self, kind, x):
         """Base value for an FD stencil, reusing the last evaluation at this x."""
         hit = self._memo_get(kind, x)
         if hit is not None:
             return hit
-        return self._invoke(kind, fn, x)
+        return self._invoke(kind, x)
 
     def _raw(self, kind, x, lam=None):
         """Raw-space result for any kind, dispatching to FD when needed."""
-        fn = self.spec.callbacks.get(kind)
-        if fn is not None:
-            return self._invoke(kind, fn, x, lam)
+        if self._table[kind][0] is not None:
+            return self._invoke(kind, x, lam)
         if kind in ("obj", "con"):
             raise EvaluationError(f"no {kind} callback available", kind=kind, x=x)
         if not self.allow_fd:
@@ -541,9 +541,8 @@ class ScaledView:
         """
         if kind in ("grad", "jac"):
             base_kind = "obj" if kind == "grad" else "con"
-            fn = self.spec.callbacks.get(base_kind)
-            base = None if kind == "grad" and self._central_grad else self._base_value(base_kind, fn, x)
-            cols = _fd_columns(lambda y: self._invoke(base_kind, fn, y), x, base)
+            base = None if kind == "grad" and self._central_grad else self._base_value(base_kind, x)
+            cols = _fd_columns(lambda y: self._invoke(base_kind, y), x, base)
             return cols.ravel() if kind == "grad" else cols
 
         # Hessians: difference the (FD or analytic) gradient of the Lagrangian.
@@ -562,11 +561,12 @@ class ScaledView:
         return 0.5 * (H + H.T)
 
     # -- scaled entry points ----------------------------------------------------
+    # obj and grad unscale inline: xs / x_scaler is unscale_x without its asarray
     def obj(self, xs):
-        return self.spec.f_scaler * self._raw("obj", self.unscale_x(xs))
+        return self.spec.f_scaler * self._raw("obj", xs / self.spec.x_scaler)
 
     def grad(self, xs):
-        return self._grad_scale * self._raw("grad", self.unscale_x(xs))
+        return self._grad_scale * self._raw("grad", xs / self.spec.x_scaler)
 
     def con(self, xs):
         return self.spec.c_scaler * self._raw("con", self.unscale_x(xs))
@@ -659,13 +659,13 @@ def check_first_derivatives(spec, x=None, tol=1e-4):
 
     report = DerivativeCheck(x=x, tol=tol)
     if cb.gradient is not None:
-        g = _coerce_result("grad", cb.gradient(x), spec.n, spec.m)
+        g = _coerce_result("grad", cb.gradient(x), (spec.n,))
         g_fd = fd_derivative(spec, "grad", x)
         report.grad_errors = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g))
         for i in np.flatnonzero(report.grad_errors > tol):
             report.flagged.append(("grad", int(i), float(report.grad_errors[i])))
     if cb.jacobian is not None and spec.m > 0:
-        J = _coerce_result("jac", cb.jacobian(x), spec.n, spec.m)
+        J = _coerce_result("jac", cb.jacobian(x), (spec.m, spec.n))
         J_fd = fd_derivative(spec, "jac", x)
         report.jac_errors = np.abs(J - J_fd) / np.maximum(1.0, np.abs(J))
         for j, i in zip(*np.nonzero(report.jac_errors > tol)):

@@ -128,7 +128,10 @@ class RunContext:
 
     def emit(self, **values):
         """Validate and record one iteration's outputs; without a record, validate only."""
-        return update_outputs(self.decl, self.view.record, **values)
+        record = self.view.record
+        if record is None:      # update_outputs would repack ``values`` to do the same
+            return self.decl.validate(values, convert=False)
+        return update_outputs(self.decl, record, **values)
 
     def finish(self, xs, fs, optimality, feasibility, niter, converged, multipliers=None):
         view = self.view

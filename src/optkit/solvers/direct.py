@@ -19,13 +19,14 @@ def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=
     Terminates when both the objective spread and the simplex diameter are
     small, or at ``maxiter``.  Returns the terminal state as a dict.
     """
-    x0 = bounds.clip(np.array(x0, dtype=float))
+    clip = bounds.clip
+    x0 = clip(np.array(x0, dtype=float))
     n = x0.size
     verts = [x0]
     for i in range(n):
         v = x0.copy()
         v[i] += init_scale * max(1.0, abs(x0[i]))
-        verts.append(bounds.clip(v))
+        verts.append(clip(v))
     verts = np.array(verts)
     fvals = np.array([fun(v) for v in verts])
 
@@ -50,7 +51,7 @@ def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=
         worst, f_worst = verts[-1], fvals[-1]
 
         def trial(coef):
-            point = bounds.clip(centroid + coef * (centroid - worst))
+            point = clip(centroid + coef * (centroid - worst))
             return point, fun(point)
 
         x_r, f_r = trial(REFLECT)
@@ -73,7 +74,7 @@ def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=
                 continue
         # shrink toward the best vertex
         for j in range(1, n + 1):
-            verts[j] = bounds.clip(verts[0] + SHRINK * (verts[j] - verts[0]))
+            verts[j] = clip(verts[0] + SHRINK * (verts[j] - verts[0]))
             fvals[j] = fun(verts[j])
 
 
@@ -90,8 +91,11 @@ def nelder_mead(problem, **options):
     ctx = RunContext(view, "nelder_mead",
                      {"itr": int, "obj": float, "spread": float, "x": (float, (view.n,))}, opts)
 
+    # names bound once per call (never at import, so patched methods are seen)
+    emit = ctx.emit
+
     def on_iter(itr, x, f, spread):
-        ctx.emit(itr=itr, obj=f, spread=spread, x=x)
+        emit(itr=itr, obj=f, spread=spread, x=x)
 
     state = _nelder_mead_loop(view.obj, view.x0, Bounds(view.var_lower, view.var_upper),
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
@@ -147,34 +151,35 @@ def pso(problem, **options):
     pos = box.lower + rng.random((npart, n)) * width
     vel = rng.uniform(-1.0, 1.0, (npart, n)) * width
 
+    obj, clip, random, emit = view.obj, box.clip, rng.random, ctx.emit
     p_best = pos.copy()
-    p_best_f = np.array([view.obj(p) for p in pos])
+    p_best_f = np.array([obj(p) for p in pos])
     g_idx = int(np.argmin(p_best_f))
     g_best, g_best_f = p_best[g_idx].copy(), float(p_best_f[g_idx])
 
     window_start_f = g_best_f
     stall = 0
     itr = 0
-    ctx.emit(itr=itr, obj=g_best_f, x=g_best)
+    emit(itr=itr, obj=g_best_f, x=g_best)
     converged = False
 
     while itr < maxiter:
         itr += 1
-        r_p = rng.random((npart, 1))
-        r_g = rng.random((npart, 1))
+        r_p = random((npart, 1))
+        r_g = random((npart, 1))
         vel = (w * vel + c_p * r_p * (p_best - pos)
                + c_g * r_g * (g_best[None, :] - pos))
-        pos = box.clip(pos + vel)
+        pos = clip(pos + vel)
 
         for i in range(npart):
-            fi = view.obj(pos[i])
+            fi = obj(pos[i])
             if fi < p_best_f[i]:
                 p_best_f[i] = fi
                 p_best[i] = pos[i]
                 if fi < g_best_f:
                     g_best_f = fi
                     g_best = pos[i].copy()
-        ctx.emit(itr=itr, obj=g_best_f, x=g_best)
+        emit(itr=itr, obj=g_best_f, x=g_best)
 
         stall += 1
         if stall >= STAGNATION_WINDOW:
@@ -216,26 +221,27 @@ def simulated_annealing(problem, **options):
     T0, k_max, n = opts.T0, opts.k_max, view.n
     step = opts.step_scale * width
 
-    x = box.clip(view.x0)
-    f = view.obj(x)
+    obj, clip, uniform, random, emit = view.obj, box.clip, rng.uniform, rng.random, ctx.emit
+    x = clip(view.x0)
+    f = obj(x)
     best_x, best_f = x.copy(), f
     window_best = best_f
     improvement = np.inf        # no window has closed yet
-    ctx.emit(itr=0, obj=best_f, T=T0, x=x)
+    emit(itr=0, obj=best_f, T=T0, x=x)
 
     for k in range(k_max):
         T = max(T0 * (1.0 - k / k_max), 1e-12)
-        u = rng.uniform(-1.0, 1.0, n)
-        x_new = box.clip(x + step * u)
-        f_new = view.obj(x_new)
-        if f_new <= f or rng.random() < np.exp(-(f_new - f) / T):
+        u = uniform(-1.0, 1.0, n)
+        x_new = clip(x + step * u)
+        f_new = obj(x_new)
+        if f_new <= f or random() < np.exp(-(f_new - f) / T):
             x, f = x_new, f_new
             if f < best_f:
                 best_x, best_f = x.copy(), f
         if (k + 1) % STAGNATION_WINDOW == 0:
             improvement = window_best - best_f
             window_best = best_f
-        ctx.emit(itr=k + 1, obj=best_f, T=T, x=x)
+        emit(itr=k + 1, obj=best_f, T=T, x=x)
 
     return ctx.finish(best_x, best_f, improvement, 0.0, k_max,
                       improvement <= opts.opt_tol)

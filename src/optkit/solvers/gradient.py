@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .. import kit
-from ..problem import Bounds, EvaluationError
+from ..problem import Bounds, EvaluationError, _is_finite
 from .base import (RunContext, SolverError, ensure_view, make_options,
                    require_unconstrained)
 
@@ -25,16 +25,19 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
                   refine_grad=None):
     """Line-searched (or fixed-alpha) descent shared by every gradient solver.
 
-    ``direction(x, f, g, pg)`` returns the search direction and the line
-    search's initial step; ``pg`` is the projected gradient at ``x``, computed
-    once per iterate.  ``obj``/``grad`` evaluate the (scaled) objective; the
-    ``bounds`` (a Bounds) are enforced by clipping trial points.  ``on_step(d, w)`` sees each step
+    ``direction(x, f, g, pg)`` returns the search direction p, the line
+    search's initial step and the slope g @ p, which the line search reuses;
+    ``pg`` is the projected gradient at ``x``, computed once per iterate.
+    ``obj``/``grad`` evaluate the (scaled) objective at trial points clipped
+    into the ``bounds`` (a Bounds) by closures built once per run, whose
+    caches are cleared at each iterate.  ``on_step(d, w)`` sees each step
     and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.
     ``refine_grad()`` is called once, at the first iterate whose projected
     gradient norm is at most 10 ``opt_tol``; when it returns True the
     gradient is taken again there.  Returns a dict with the terminal state.
     """
-    x = bounds.clip(np.array(x0, dtype=float))
+    clip = bounds.clip
+    x = clip(np.array(x0, dtype=float))
     f = obj(x)
 
     def measure(x, g):
@@ -48,6 +51,21 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
                 return measure(x, grad(x))
         return g, pg, opt
 
+    points, grads = {}, {}     # trial step -> clipped point, gradient there
+
+    def trial(a):
+        xa = points.get(a)
+        if xa is None:
+            xa = points[a] = clip(x + a * p)
+        return xa
+
+    def phi(a):
+        return obj(trial(a))
+
+    def dphi(a):
+        ga = grads[a] = grad(trial(a))
+        return float(ga.dot(p))
+
     g, pg, opt = measure(x, grad(x))
     itr = 0
     if on_iter is not None:
@@ -55,34 +73,21 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
 
     while opt > opt_tol and itr < maxiter:
         itr += 1
-        p, alpha0 = direction(x, f, g, pg)
+        p, alpha0, slope = direction(x, f, g, pg)
         g_new = None
         if use_line_search:
-            points, grads = {}, {}     # trial step -> clipped point, gradient there
-
-            def trial(a):
-                xa = points.get(a)
-                if xa is None:
-                    xa = points[a] = bounds.clip(x + a * p)
-                return xa
-
-            def phi(a):
-                return obj(trial(a))
-
-            def dphi(a):
-                ga = grads[a] = grad(trial(a))
-                return float(ga @ p)
-
-            res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=float(g @ p), alpha0=alpha0)
+            points.clear()
+            grads.clear()
+            res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=slope, alpha0=alpha0)
             if not res.converged:
                 log.debug("line search did not converge; continuing with best alpha %g", res.alpha)
             x_new = trial(res.alpha)
             f_new = res.f_new
             g_new = grads.get(res.alpha)
         else:
-            x_new = bounds.clip(x + alpha * p)
+            x_new = clip(x + alpha * p)
             f_new = obj(x_new)
-        if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
+        if not _is_finite(x_new):
             raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
         if g_new is None:
             g_new = grad(x_new)
@@ -130,14 +135,14 @@ def steepest_descent(problem, **options):
             # first gradient step has no natural unit scale; open the line search
             # at ~1/|g| and then at the step predicted from the previous decrease
             f_prev = f + 0.5 * float(np.linalg.norm(p))
-        slope = float(g @ p)
+        slope = float(g.dot(p))
         alpha0 = 1.0
         if slope < 0.0:
             alpha0 = min(1.0, 1.01 * 2.0 * (f - f_prev) / slope)
             if alpha0 <= 0.0:
                 alpha0 = 1.0
         f_prev = f
-        return p, alpha0
+        return p, alpha0, slope
 
     return _solve(view, ctx, opts, direction, "armijo")
 
@@ -175,9 +180,11 @@ def newton(problem, **options):
 
     def direction(x, f, g, pg):
         p = _regularized_newton_step(view.obj_hess(x), g)
-        if float(g @ p) >= 0.0:
+        slope = float(g.dot(p))
+        if slope >= 0.0:
             p = -g
-        return p, 1.0
+            slope = float(g.dot(p))
+        return p, 1.0, slope
 
     return _solve(view, ctx, opts, direction, "armijo")
 
@@ -194,12 +201,14 @@ def _quasi_newton_rule(approx, scaled_start=False):
     def direction(x, f, g, pg):
         nonlocal fresh
         p = -approx.dot(g)
-        if float(g @ p) >= 0.0:
+        slope = float(g.dot(p))
+        if slope >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
             fresh = True
             p = -g
-        return p, 1.0
+            slope = float(g.dot(p))
+        return p, 1.0, slope
 
     def on_step(d, w):
         nonlocal fresh

@@ -171,6 +171,60 @@ def test_nonfinite_callback_raises_with_context(case):
     assert sum(view.counters.as_dict().values()) == 1   # the bad call still counts
 
 
+@pytest.mark.parametrize("n", [2, 64])
+def test_finiteness_check_is_exact_at_any_size(n):
+    """Finite entries pass even when their sum overflows; a NaN or an inf at
+    either end raises, for arrays on both sides of the check's size switch."""
+    x0 = np.ones(n)
+    big = np.full(n, 1e308)
+    view = ScaledView(build_problem("big", x0, obj=lambda x: 0.0, grad=lambda x: big))
+    np.testing.assert_array_equal(view.grad(x0), big)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, n - 1):
+            g = big.copy()
+            g[i] = bad
+            view = ScaledView(build_problem("bad", x0, obj=lambda x: 0.0, grad=lambda x: g))
+            with pytest.raises(EvaluationError, match="non-finite") as err:
+                view.grad(x0)
+            assert err.value.kind == "grad"
+            np.testing.assert_array_equal(err.value.x, x0)
+
+
+_SHARED_GRAD = np.zeros(2)
+_SHARED_CON = np.zeros(1)
+
+
+def _shared_grad(x):
+    _SHARED_GRAD[:] = 2.0 * x       # the same array on every call, overwritten
+    return _SHARED_GRAD
+
+
+def _shared_con(x):
+    _SHARED_CON[:] = x[0] * x[1]
+    return _SHARED_CON
+
+
+def test_view_keeps_no_alias_of_callback_or_returned_arrays():
+    """Neither a callback that reuses its result array nor a solver that
+    writes into what the view returned changes the memo or the record."""
+    spec = build_problem("shared", [1.0, 2.0], obj=lambda x: float(x @ x), grad=_shared_grad,
+                         con=_shared_con, cl=[0.0], cu=[1.0])
+    view = ScaledView(spec, record=True)
+    x = np.array([1.0, 2.0])
+    g, c = view.grad(x), view.con(x)
+    g[:] = -1.0
+    c[:] = -1.0
+    view.grad(np.array([3.0, 4.0]))
+    J = view.jac(x)                 # forward differences from the memo's con base at x
+    assert view.counters.n_con == 1 + 2
+    assert_allclose(J, [[2.0, 1.0]], rtol=1e-6)
+    events = view.record.eval_events()
+    assert [e.kind for e in events[:3]] == ["grad", "con", "grad"]
+    np.testing.assert_array_equal(events[0].result, [2.0, 4.0])
+    np.testing.assert_array_equal(events[1].result, [2.0])
+    np.testing.assert_array_equal(events[2].result, [6.0, 8.0])
+
+
 @pytest.mark.parametrize("value", [3, np.float32(0.1), np.float64(0.1), 0.1,
                                    np.array(0.1), np.array([0.1]), [0.1]],
                          ids=["int", "float32", "float64", "float", "0d", "shape1", "list"])
