@@ -1,9 +1,9 @@
 """Run records, hot-start replay, readable outputs, and result presentation.
 
-Record file format (version 3): UTF-8, newline-delimited JSON objects.
+Record file format (version 4): UTF-8, newline-delimited JSON objects.
 Line 1 is the header::
 
-    {"format_version": 3, "problem": ..., "solver": ..., "n": ..., "m": ...,
+    {"format_version": 4, "problem": ..., "solver": ..., "n": ..., "m": ...,
      "x0": [hexfloats], "scalers": {"x": [...], "f": ..., "c": [...]},
      "options": {...}, "timestamp": "..."}
 
@@ -27,17 +27,26 @@ instead the index of that x among the distinct x of the file, counted from
 with the shape and float64 bits of an x already in the table is written as
 the ref ``{"ref": index}``; any other array is a block.  Iteration arrays
 only point into the table and never join it.  Evaluation events store the
-unscaled iterate and the raw callback result, so the iteration x of a
-scaled run, which is in scaled space, is a block.  The timestamp lives only
-in the header, so record bodies from identical runs compare byte-for-byte.
+unscaled iterate and the raw callback result.  Iteration events store the
+outputs ``x``, ``obj`` and ``lam`` in the same user units (the solver's
+scaled values through the view's ``unscale_x``, ``unscale_f`` and
+``unscale_lam``), so an iteration x has the bits of an evaluated x and is
+written as a ref, in a scaled run as in an unscaled one; every other output
+(``opt``, ``feas``, ...) is the solver's scaled-space measure.  The
+timestamp lives only in the header, so record bodies from identical runs
+compare byte-for-byte.
 
 :func:`read_record` returns the events at one distinct x sharing one
 read-only ``x`` array; a ref decodes to a writable copy of its x.  It reads
-versions 1, 2 and 3.  A version 2 body is a version 3 body without refs.
-In a version 1 body every float is a hexfloat and every event spells out
-its x.  All three give the same events, and only the header's
-``"format_version"`` tells them apart.  :func:`write_record` always writes
-version 3.
+versions 1 to 4.  A version 4 body has the grammar of a version 3 body;
+the two differ in units only: versions 1 to 3 stored the iteration ``x``,
+``obj`` and ``lam`` in the solver's scaled space, and :func:`read_record`
+takes them to user units with the header's scalers, x / x_scaler,
+obj / f_scaler and lam * c_scaler / f_scaler, the formulas of the view.  A
+version 2 body is a version 3 body without refs.  In a version 1 body every
+float is a hexfloat and every event spells out its x.  All four give events
+of the same meaning, and only the header's ``"format_version"`` tells them
+apart.  :func:`write_record` always writes version 4.
 
 One line encoder serves both :meth:`RunRecord.body_lines` and
 :func:`write_record`: it builds each event line as text by concatenation
@@ -66,7 +75,7 @@ from dataclasses import dataclass, field
 
 from .problem import EVAL_KINDS
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
 _fromhex = float.fromhex
@@ -463,7 +472,7 @@ def write_record(record, path):
 
 
 def _event_v3(payload, xs, refs=True):
-    """One event of a version 3 body; a version 2 body, which has no refs,
+    """One event of a version 3 or 4 body; a version 2 body, which has no refs,
     is read with ``refs`` false.  The event's values are decoded in place in
     ``payload``, which an iteration event keeps as its values."""
     tag = payload.get("t")
@@ -520,7 +529,32 @@ def _event_v1(payload, _xs):     # version 1 bodies spell out every x
     raise RecordError(f"unknown event tag {tag!r}")
 
 
-_EVENT_DECODERS = {1: _event_v1, 2: partial(_event_v3, refs=False), 3: _event_v3}
+# a version 4 body is a version 3 body whose iteration values are in user units
+_EVENT_DECODERS = {1: _event_v1, 2: partial(_event_v3, refs=False), 3: _event_v3, 4: _event_v3}
+
+
+def _iterates_to_user_units(record):
+    """Take the iteration ``x``, ``obj`` and ``lam`` of a version 1-3 record,
+    which hold the solver's scaled values, to user units: the formulas of
+    ``ScaledView.unscale_x``, ``unscale_f`` and ``unscale_lam`` with the
+    header's scalers.  A value of another type or shape is left as it is;
+    a scaler that is not strictly positive and finite is a RecordError."""
+    scalers = record.header["scalers"]
+    x_scaler, f_scaler, c_scaler = scalers["x"], scalers["f"], scalers["c"]
+    every = np.concatenate([x_scaler, [f_scaler], c_scaler])
+    if not np.all((every > 0.0) & np.isfinite(every)):
+        raise RecordError("header scalers are not all strictly positive and finite")
+    for event in record.events:
+        if type(event) is not IterEvent:
+            continue
+        values = event.values
+        x, obj, lam = values.get("x"), values.get("obj"), values.get("lam")
+        if type(x) is np.ndarray and x.shape == x_scaler.shape:
+            values["x"] = x / x_scaler
+        if type(obj) is float:
+            values["obj"] = obj / f_scaler
+        if type(lam) is np.ndarray and lam.shape == c_scaler.shape:
+            values["lam"] = lam * c_scaler / f_scaler
 
 
 def _decode_header(header):
@@ -547,7 +581,7 @@ def _decode_header(header):
 
 
 def read_record(path):
-    """Parse a version 3, 2 or 1 record file.
+    """Parse a record file of version 1 to 4, with its iteration values in user units.
 
     Malformed lines report their 1-based line number.
     """
@@ -585,6 +619,11 @@ def read_record(path):
                 raise RecordError(f"{path}:{lineno}: {exc}") from None
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}: malformed record line: {exc}") from exc
+    if record.header["format_version"] < 4:
+        try:
+            _iterates_to_user_units(record)
+        except RecordError as exc:
+            raise RecordError(f"{path}:1: {exc}") from None
     return record
 
 

@@ -125,13 +125,33 @@ class RunContext:
         self.t0 = time.perf_counter()
         if view.record is not None:
             view.record.set_solver(solver_name, options.as_dict())
+        # the declared iterate, objective and multipliers, each with the view
+        # method that takes it to user units; none when every scaler is 1,
+        # since dividing by 1 keeps the bits
+        spec = view.spec
+        unit = spec.f_scaler == 1.0 and np.all(spec.x_scaler == 1.0) and np.all(spec.c_scaler == 1.0)
+        self._unscale = () if unit else tuple((name, unscale) for name, unscale in (
+            ("x", view.unscale_x), ("obj", view.unscale_f), ("lam", view.unscale_lam))
+            if name in self.decl.decl)
 
     def emit(self, **values):
-        """Validate and record one iteration's outputs; without a record, validate only."""
+        """Validate and record one iteration's outputs; without a record, validate only.
+
+        A recorded iteration holds ``x``, ``obj`` and ``lam`` in the user's
+        units, as the evaluation events and the report's x* and f* are: the view's
+        ``unscale_x``, ``unscale_f`` and ``unscale_lam`` of the solver's
+        scaled values, so an iterate has the bits of its evaluated x.  Every
+        other output (``opt``, ``feas``, ``merit``, ``rho``, ``spread``,
+        ``T``) stays the solver's scaled-space measure.
+        """
         record = self.view.record
         if record is None:      # update_outputs would repack ``values`` to do the same
             return self.decl.validate(values, convert=False)
-        return update_outputs(self.decl, record, **values)
+        event = update_outputs(self.decl, record, **values)
+        out = event.values
+        for name, unscale in self._unscale:
+            out[name] = unscale(out[name])
+        return event
 
     def finish(self, xs, fs, optimality, feasibility, niter, converged, multipliers=None):
         view = self.view

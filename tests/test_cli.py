@@ -1,9 +1,11 @@
+import json
 import re
 
+import numpy as np
 import pytest
 
-from optkit import RunRecord, read_record, write_record
-from optkit.bench import quadratic_example
+from optkit import RunRecord, ScaledView, read_record, sqp, write_record
+from optkit.bench import make_problem, quadratic_example
 from optkit.cli import main
 
 
@@ -158,6 +160,26 @@ def test_inspect_tail_rows(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "inspect", str(rec), "--tail", "5")
     assert code == 0
     assert len([l for l in out.splitlines() if l.lstrip().startswith("itr=")]) == 5
+
+
+def test_inspect_scaled_record_shows_the_report(tmp_path, capsys):
+    spec = make_problem("cantilever", 6)
+    assert not np.all(spec.x_scaler == 1.0) and spec.f_scaler != 1.0
+    view = ScaledView(spec, record=True)
+    report = sqp(view)
+    last = view.record.iter_events()[-1].values
+    assert last["x"].tobytes() == report.x_star.tobytes()
+    assert last["obj"] == report.f_star
+    rec = tmp_path / "c6.rec"
+    write_record(view.record, rec)
+    iters = [json.loads(line) for line in rec.read_text().splitlines()[1:]
+             if line.startswith('{"t":"iter"')]
+    assert len(iters) == report.niter + 1
+    assert all(set(it["x"]) == {"ref"} for it in iters)
+    code, out, _ = run_cli(capsys, "inspect", str(rec), "--tail", "1")
+    assert code == 0
+    with np.printoptions(precision=6, threshold=8):
+        assert f" x={report.x_star} " in out
 
 
 def test_inspect_exports_outputs(tmp_path, capsys):

@@ -226,7 +226,7 @@ def _truncate(lines):
      "12 bytes is not a float64 vector"),
     (_edit(4, lambda p: p["r"].update(shape=[2, 3])), 4, "does not hold shape"),
     (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
-    (_edit(1, lambda p: p.update(format_version=4)), 1, "unsupported format_version 4"),
+    (_edit(1, lambda p: p.update(format_version=5)), 1, "unsupported format_version 5"),
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
     (_edit(2, lambda p: p.update(k="foo")), 2, "unknown evaluation kind 'foo'"),
     (_replace(3, "[1, 2]"), 3, r"event is not a JSON object: '\[1, 2\]'$"),
@@ -235,7 +235,7 @@ def _truncate(lines):
     (_rewrite(3, lambda line: line.split(",", 1)), 3, "malformed record line"),
     (_edit(5, lambda p: p.update(r="0x1p+99999")), 5, "bad hexfloat '0x1p\\+99999'"),
 ], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
-        "version_4", "header_x0", "unknown_kind", "not_an_object", "two_objects",
+        "unsupported_version", "header_x0", "unknown_kind", "not_an_object", "two_objects",
         "split_event", "hexfloat_overflow"])
 def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
@@ -396,10 +396,10 @@ def test_unknown_kind_rejected_in_old_bodies(tmp_path, text):
 
 def test_iteration_x_refers_to_eval_x(tmp_path):
     record = tiny_record()
-    path = tmp_path / "v3.rec"
+    path = tmp_path / "v4.rec"
     write_record(record, path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 3
+    assert json.loads(lines[0])["format_version"] == 4
     assert json.loads(lines[-1])["x"] == {"ref": 0}
     back = read_record(path)
     assert back == record
@@ -429,6 +429,51 @@ def test_iteration_x_refs_need_identical_bits(tmp_path):
     assert back == record
     assert [e.values["x"].tobytes() for e in back.iter_events()] == [
         e.values["x"].tobytes() for e in record.iter_events()]
+
+
+# Written by the version 3 writer from a run scaled by x 10 and 3, f 0.1 and
+# c 5: its evaluation events are in user units, its iteration obj, x and lam
+# in the solver's scaled space.
+V3_SCALED_RECORD = """\
+{"format_version":3,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.4000000000000p+3","0x1.8000000000000p+1"],"f":"0x1.999999999999ap-4","c":["0x1.4000000000000p+2"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
+{"t":"eval","k":"obj","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="},"r":"0x1.71c71c71c71c7p-2"}
+{"t":"eval","k":"lag_hess","x":0,"lam":{"f8":"AAAAAAAAKUA="},"r":{"f8":"AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEA=","shape":[2,2]}}
+{"t":"iter","itr":0,"obj":"0x1.27d27d27d27d3p-5","opt":"inf","x":{"f8":"AAAAAAAAFEAAAAAAAADwPw=="},"lam":{"f8":"AAAAAAAA0D8="}}
+"""
+
+
+def test_v3_scaled_record_reads_in_user_units(tmp_path):
+    path = tmp_path / "v3.rec"
+    path.write_text(V3_SCALED_RECORD)
+    back = read_record(path)
+    assert back.header["format_version"] == 3
+    x_scaler, c_scaler = np.array([10.0, 3.0]), np.array([5.0])
+    f_scaler = float.fromhex("0x1.999999999999ap-4")
+    values = back.iter_events()[0].values
+    assert values["x"].tobytes() == (np.array([5.0, 1.0]) / x_scaler).tobytes()
+    assert values["x"].tobytes() == back.eval_events()[0].x.tobytes()
+    assert values["obj"] == float.fromhex("0x1.27d27d27d27d3p-5") / f_scaler
+    assert values["lam"].tobytes() == (np.array([0.25]) * c_scaler / f_scaler).tobytes()
+    assert values["itr"] == 0 and values["opt"] == math.inf
+    # written back, it is an honest version 4 file: the iterate is a ref
+    write_record(back, tmp_path / "v4.rec")
+    lines = (tmp_path / "v4.rec").read_text().splitlines()
+    assert json.loads(lines[0])["format_version"] == 4
+    assert json.loads(lines[-1])["x"] == {"ref": 0}
+    assert read_record(tmp_path / "v4.rec") == back
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"f":"0x1.999999999999ap-4"', '"f":"0x0.0p+0"'),
+    ('"x":["0x1.4000000000000p+3"', '"x":["-0x1.4000000000000p+3"'),
+    ('"c":["0x1.4000000000000p+2"]', '"c":["inf"]'),
+], ids=["zero_f", "negative_x", "infinite_c"])
+def test_v3_record_with_bad_scalers_rejected(tmp_path, old, new):
+    assert V3_SCALED_RECORD.count(old) == 1
+    path = tmp_path / "bad.rec"
+    path.write_text(V3_SCALED_RECORD.replace(old, new))
+    with pytest.raises(RecordError, match=r"bad\.rec:1: header scalers are not all strictly positive"):
+        read_record(path)
 
 
 @pytest.mark.parametrize("ref, version, message", [
