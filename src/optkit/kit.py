@@ -9,7 +9,7 @@ import numpy as np
 from .problem import violation
 
 HESSIAN_VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
-MERIT_KINDS = ("l1", "linf", "quadratic_penalty", "augmented_lagrangian")
+MERIT_KINDS = ("l1", "linf", "quadratic_penalty")
 
 
 class QpError(RuntimeError):
@@ -196,8 +196,8 @@ def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
     to also satisfy the strong curvature condition |dphi(a)| <= c2*|slope0|.
 
     Raises ValueError for a non-descent direction (slope0 >= 0).  When the
-    trial budget runs out the best alpha seen is returned with
-    ``converged=False``.
+    trial budget runs out the best alpha seen (armijo: the last one tried if
+    every trial was inf or NaN) is returned with ``converged=False``.
     """
     if not (0.0 < c1 < 1.0 and c1 < c2 < 1.0 and 0.0 < tau < 1.0):
         raise ValueError(f"invalid line-search parameters c1={c1}, c2={c2}, tau={tau}")
@@ -218,6 +218,7 @@ def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
 def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
     alpha = float(alpha0)
     best = (None, np.inf)
+    last = (alpha, np.inf)
     n_f = 0
     for _ in range(max_iters):
         fa = phi(alpha)
@@ -226,8 +227,10 @@ def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
             best = (alpha, fa)
         if fa <= f0 + c1 * alpha * slope0:
             return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n_f, converged=True)
+        last = (alpha, fa)
         alpha *= tau
-    alpha, fa = best if best[0] is not None else (alpha, np.inf)
+    # every trial inf or NaN: the last alpha phi saw, not one it never did
+    alpha, fa = best if best[0] is not None else last
     return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n_f, converged=False)
 
 
@@ -289,11 +292,10 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
 
 @dataclass
 class MeritSpec:
-    """Merit function selector: penalty kind, parameter rho, multipliers."""
+    """Merit function selector: penalty kind and parameter rho."""
 
     kind: str = "l1"
     rho: float = 0.0
-    lam: np.ndarray = None
 
     def __post_init__(self):
         if self.kind not in MERIT_KINDS:
@@ -303,12 +305,8 @@ class MeritSpec:
 
 
 def merit_value(spec, f, c, con_lower, con_upper):
-    """Evaluate the merit function for objective f and constraint values c.
-
-    Violations are measured against the two-sided bounds; the augmented
-    Lagrangian uses c - clip(c, lower, upper), i.e. the residual to the
-    nearest bound of each violated or active constraint.
-    """
+    """Evaluate the merit function for objective f and constraint values c,
+    with violations measured against the two-sided bounds."""
     c = np.asarray(c, dtype=float)
     f = float(f)
     v = violation(c, con_lower, con_upper)
@@ -316,36 +314,48 @@ def merit_value(spec, f, c, con_lower, con_upper):
         return f + spec.rho * float(np.sum(v))
     if spec.kind == "linf":
         return f + spec.rho * (float(np.max(v)) if v.size else 0.0)
-    quadratic = f + 0.5 * spec.rho * float(v @ v)
-    if spec.kind == "quadratic_penalty":
-        return quadratic
-    # augmented_lagrangian
-    lam = np.zeros_like(c) if spec.lam is None else np.asarray(spec.lam, dtype=float)
-    return quadratic - float(lam @ (c - np.clip(c, con_lower, con_upper)))
+    return f + 0.5 * spec.rho * float(v @ v)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic programming
 # ---------------------------------------------------------------------------
 
-def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, *,
+def _side_name(s, j, m):
+    # the caller's name for side s of column j of qp_solve's S
+    what = f"row {j} of A" if j < m else f"bound on p[{j - m}]"
+    return f"{what}, {('lower', 'upper')[s]} side"
+
+
+def qp_solve(H, g, A=None, lo=None, hi=None, max_cycles=None, *,
              inverse=False, lower=None, upper=None):
-    """Minimize 0.5 p'Hp + g'p subject to A_eq p = b_eq, A_in p >= b_in and
-    lower <= p <= upper.
+    """Minimize 0.5 p'Hp + g'p subject to lo <= A p <= hi and lower <= p <= upper.
+
+    Row j of A is an equality where lo[j] == hi[j].  Otherwise each of its
+    sides is present unless it is infinite in its absent direction
+    (lo[j] = -inf, hi[j] = +inf), and the same holds for ``lower``/``upper``
+    (length n; a None side is absent).  A side no p can reach (lo or lower
+    at +inf, hi or upper at -inf) raises QpError, and a NaN side raises
+    ValueError.
 
     Goldfarb-Idnani dual active set (Math. Prog. 27, 1983) on H^-1.  It
     starts at the unconstrained minimizer -H^-1 g, adds the equality rows one
-    at a time, then repeatedly adds the most violated inequality.  Each step
-    toward a row keeps the working rows N tight and their multipliers dual
-    feasible: with r = (N H^-1 N')^-1 N H^-1 a and z = H^-1 a - H^-1 N' r the
-    step either reaches the row (full step) or stops where a working
+    at a time, then repeatedly adds the most violated inequality side.  Each
+    step toward a row keeps the working rows N tight and their multipliers
+    dual feasible: with r = (N H^-1 N')^-1 N H^-1 a and z = H^-1 a - H^-1 N' r
+    the step either reaches the row (full step) or stops where a working
     inequality's multiplier reaches zero, and that row leaves (partial step).
     A row that no step can reach proves the constraints infeasible, so no
-    feasible start or phase 1 is needed.  (N H^-1 N')^-1 is bordered when a
-    row joins and reduced when one leaves, so a step costs O(n^2 + n p + p^2)
-    with no factorization.  ``max_cycles`` (default 10 (n + q)) bounds the
+    feasible start or phase 1 is needed; the QpError names it as the caller
+    does ("row j of A, lower side", "bound on p[i], upper side").
+    (N H^-1 N')^-1 is bordered when a row joins and reduced when one leaves,
+    so a step costs O(n^2 + n p + p^2) with no factorization.  ``max_cycles``
+    (default 10 (n + q), q the number of inequality sides) bounds the
     inequality steps; equality rows never leave, and a dependent equality row
     with a consistent right-hand side is skipped with a zero multiplier.
+    The sides of ``lower``/``upper`` are index rows: the slack scan reads
+    them from p, and only a row the dual loop steps toward is formed as a
+    dense row.
 
     With ``inverse=False`` H is the Hessian, which must be positive definite:
     it is symmetrized and H^-1 is built from its Cholesky factor.  With
@@ -354,19 +364,10 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     :class:`HessianApprox`, which is read only through ``dot`` (p = -H^-1 g
     and H^-1 a per row stepped toward), so no call folds it or forms an
     n x n matrix from it.
-    ``lower``/``upper`` bound p (length n; an infinite entry or a None side
-    is absent, a NaN raises ValueError).  Finite lower[i] and upper[i] are
-    the index rows e_i'p >= lower[i] and -e_i'p >= -upper[i], which follow
-    the A_in rows (lower rows by ascending i, then upper rows).  The slack
-    scan reads them from p, and only a row the dual loop steps toward is
-    formed as a dense row.  They count among the q inequality rows, and
-    lam_in and error messages number them in that order, exactly as for the
-    explicit rows.  A row with b_in = -inf is absent (multiplier 0), one with
-    b_in = +inf cannot be reached (QpError), and a NaN b_in raises
-    ValueError.  Returns (p, lam_eq, lam_in).
-    Multipliers satisfy the stationarity convention H p + g = A_eq' lam_eq +
-    A_in' lam_in[:k] + mu (k = len(A_in); mu: lower-row minus upper-row
-    multipliers at their indices), lam_in >= 0, and lam_in = 0 on inactive rows.
+
+    Returns (p, lam, mu), with lam of length m and mu of length n.  Each is
+    signed as the lower side's multiplier minus the upper side's, so
+    H p + g = A' lam + mu; it is 0 on a side that is absent or inactive.
     """
     g = np.asarray(g, dtype=float).ravel()
     n = g.size
@@ -374,22 +375,33 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         H = np.asarray(H, dtype=float).reshape(n, n)
     elif not (inverse and H.inverse):
         raise ValueError("qp_solve takes a HessianApprox only in inverse mode, with inverse=True")
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    A_in = np.zeros((0, n)) if A_in is None else np.asarray(A_in, dtype=float).reshape(-1, n)
-    b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float).ravel()
-    if A_eq.shape[0] != b_eq.size or A_in.shape[0] != b_in.size:
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    m = A.shape[0]
+    lo = np.full(m, -np.inf) if lo is None else np.asarray(lo, dtype=float).ravel()
+    hi = np.full(m, np.inf) if hi is None else np.asarray(hi, dtype=float).ravel()
+    if lo.size != m or hi.size != m:
         raise ValueError("constraint matrix/vector sizes disagree")
-    # bound s in {0: lower, 1: upper} on entry i is the index row
-    # sgn e_i'p >= B[s, i] with sgn = 1 - 2s, present where B is finite
-    B = np.empty((2, n))
-    B[0] = -np.inf if lower is None else lower
-    B[1] = -np.inf if upper is None else np.negative(upper)
-    finite = np.isfinite(B)
-    side, idx = finite.nonzero()
-    if idx.size < 2 * n and np.count_nonzero(np.isnan(B)):
-        raise ValueError("a bound on p is NaN")
+    # side s in {0: lower, 1: upper} of row j is the row sgn a_j'p >= S[s, j]
+    # with sgn = 1 - 2s, and that of the bound on p[i] is the index row
+    # sgn p[i] >= S[s, m + i]; a side at -inf is absent, and a NaN or +inf
+    # side makes a tolerance below non-finite
+    S = np.empty((2, m + n))
+    S[0, :m] = lo
+    S[1, :m] = -hi
+    S[0, m:] = -np.inf if lower is None else lower
+    S[1, m:] = -np.inf if upper is None else np.negative(upper)
+    ne = lo != hi
+    present = S != -np.inf
+    present[:, :m] &= ne
+    side_r, row = present[:, :m].nonzero()
+    side_b, idx = present[:, m:].nonzero()
+    # the inequality sides in the order of the rows below: side and column of S
+    side, column = np.concatenate([side_r, side_b]), np.concatenate([row, m + idx])
     sgn = np.array([1.0, -1.0])[side]
+    sgn_b = sgn[row.size:]
+    eq = ~ne
+    A_eq, b_eq = A[eq], lo[eq]
+    A_in = A[row] * sgn[:row.size, None]
     if not inverse:
         H = H + H.T
         H *= 0.5
@@ -401,18 +413,19 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
     # from here H is H^-1, an array or an inverse-mode HessianApprox, and it
     # is read only through products H.dot(x): never folded, copied or symmetrized
 
-    # rows: the equalities in A_eq, the general inequalities in A_in, then index rows
-    n_eq, n_gen, q = A_eq.shape[0], A_eq.shape[0] + A_in.shape[0], A_in.shape[0] + idx.size
+    # rows: the equalities in A_eq, the rows' lower then upper sides in A_in,
+    # then the bounds' lower then upper sides as index rows
+    n_eq, n_gen, q = A_eq.shape[0], A_eq.shape[0] + row.size, column.size
     if max_cycles is None:
         max_cycles = 10 * (n + q)
-    b = np.concatenate([b_eq, b_in, B[finite]])
+    b = np.concatenate([b_eq, S[side, column]])
     eq_tol = 1e-7 * (1.0 + float(np.abs(b_eq).max())) if n_eq else 1e-7
     slack_tol = 1e-9 * (1.0 + float(np.abs(b[n_eq:]).max())) if q else 1e-9
-    if not math.isfinite(slack_tol):
-        # the scan skips a -inf row (slack +inf); a +inf row (slack -inf) is never reached
-        if np.isnan(b_in).any():
-            raise ValueError("an inequality right-hand side b_in is NaN")
-        slack_tol = 1e-9 * (1.0 + float(np.max(np.abs(b[n_eq:]), initial=0.0, where=np.isfinite(b[n_eq:]))))
+    if not math.isfinite(eq_tol + slack_tol):
+        if np.isnan(S).any():
+            raise ValueError("a side lo, hi, lower or upper is NaN")
+        s, j = np.argwhere(S == np.inf)[0]
+        raise QpError(f"linearized constraints are infeasible ({_side_name(s, j, m)} cannot be reached)")
     p = -H.dot(g)
     # working rows: their row numbers (equalities, then inequalities), H^-1 a,
     # (N H^-1 N')^-1, multipliers
@@ -428,7 +441,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         # the equality rows in order, then the most violated inequality
         yield from range(n_eq)
         while q:
-            slack = np.concatenate([A_in @ p, sgn * p[idx]]) - b[n_eq:]
+            slack = np.concatenate([A_in @ p, sgn_b * p[idx]]) - b[n_eq:]
             slack[working[n_eq:]] = np.inf
             j = int(slack.argmin())
             if slack[j] >= -slack_tol:
@@ -443,7 +456,7 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
         else:
             # the loop steps toward an index row: form its dense row once
             a = np.zeros(n)
-            a[idx[new - n_gen]] = sgn[new - n_gen]
+            a[idx[new - n_gen]] = sgn_b[new - n_gen]
         v = H.dot(a)
         u_new = 0.0
         while True:
@@ -475,8 +488,9 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
                 if full and -s / az <= t:
                     t, leave = -s / az, None
                 elif leave is None:
-                    raise QpError(f"linearized constraints are infeasible (inequality row "
-                                  f"{new - n_eq} cannot be reached, slack {s:.3e})")
+                    k = new - n_eq
+                    raise QpError(f"linearized constraints are infeasible ({_side_name(side[k], column[k], m)} "
+                                  f"cannot be reached, slack {s:.3e})")
             if full:
                 p = p + t * z
             u[:nw] -= t * r
@@ -504,8 +518,11 @@ def qp_solve(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, max_cycles=None, 
 
     lam = np.zeros(n_eq + q)
     lam[rows[:nw]] = u[:nw]
-    lam_eq, lam_in = lam[:n_eq], np.maximum(lam[n_eq:], 0.0)
     if (not (np.isfinite(p).all() and np.isfinite(lam).all())
             or n_eq and np.abs(A_eq @ p - b_eq).max() > eq_tol):
         raise QpError("KKT system is numerically singular or inconsistent; regularize the Hessian")
-    return p, lam_eq, lam_in
+    # each side's multiplier, signed lower minus upper, back on its column of S
+    lam_S = np.zeros(m + n)
+    lam_S[:m][eq] = lam[:n_eq]
+    np.add.at(lam_S, column, sgn * np.maximum(lam[n_eq:], 0.0))
+    return p, lam_S[:m], lam_S[m:]

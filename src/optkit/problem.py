@@ -72,6 +72,10 @@ class Bounds:
         if np.any(lo > up):
             bad = int(np.argmax(lo > up))
             raise ProblemError(f"lower bound exceeds upper bound at index {bad}: {lo[bad]} > {up[bad]}")
+        unmet = np.isnan(lo) | np.isnan(up) | (lo == np.inf) | (up == -np.inf)
+        if unmet.any():
+            bad = int(np.argmax(unmet))
+            raise ProblemError(f"no value meets the bounds at index {bad}: [{lo[bad]}, {up[bad]}]")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         # clip and project skip a side whose bounds are all infinite: clipping

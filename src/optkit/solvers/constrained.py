@@ -235,9 +235,9 @@ def sqp(problem, **options):
     (N H^-1 N')^-1 as rows join or leave, so no iteration factorizes a
     matrix and none needs a phase-1 feasible point.
 
-    Each iteration solves the QP linearization of the constraints (variable
-    bounds passed as index rows) for a step p and multiplier
-    estimates, line-searches the l1 merit with rho >= ||lam||_inf + 1, and
+    Each iteration solves the QP linearization cl - c <= J p <= cu - c,
+    xl - x <= p <= xu - x for a step p and signed multiplier estimates,
+    line-searches the l1 merit with rho >= ||lam||_inf + 1, and
     moves the multipliers along lam + alpha*(lam_hat - lam).  Infeasible QPs
     trigger a feasibility-restoration descent step on ||violation||^2.
     """
@@ -249,8 +249,6 @@ def sqp(problem, **options):
     n, m = view.n, view.m
     cl, cu = view.con_lower, view.con_upper
     xl, xu = view.var_lower, view.var_upper
-    eq = np.flatnonzero(cl == cu) if m else np.zeros(0, dtype=int)
-    ineq = np.flatnonzero(cl != cu) if m else np.zeros(0, dtype=int)
 
     bounds = Bounds(xl, xu)
     x = bounds.clip(view.x0)
@@ -272,17 +270,6 @@ def sqp(problem, **options):
             r = r - J.T @ lam
         return float(np.max(np.abs(r)))
 
-    # QP inequality rows: finite cl, finite cu, then the index rows where the
-    # step bounds xl - x and xu - x (which can overflow) are finite
-    con_lo = ineq[np.isfinite(cl[ineq])]
-    con_up = ineq[np.isfinite(cu[ineq])]
-    n_con = con_lo.size + con_up.size
-
-    def build_qp(c, J):
-        a_in = np.vstack([J[con_lo], -J[con_up]])
-        b_in = np.concatenate([cl[con_lo] - c[con_lo], c[con_up] - cu[con_up]])
-        return J[eq], cl[eq] - c[eq], a_in, b_in
-
     while True:
         feas = float(np.max(_scaled_violation(view, c))) if m else 0.0
         opt = kkt_residual(g, J, lam, bound_mult)
@@ -295,11 +282,10 @@ def sqp(problem, **options):
             break
         itr += 1
 
-        a_eq, b_eq, a_in, b_in = build_qp(c, J)
-        lower, upper = xl - x, xu - x
         try:
-            p, lam_eq, lam_in = kit.qp_solve(approx, g, a_eq, b_eq, a_in, b_in, inverse=True,
-                                             lower=lower, upper=upper)
+            # the step bounds xl - x and xu - x can overflow to an absent -inf/+inf
+            p, lam_hat, mu_hat = kit.qp_solve(approx, g, J, cl - c, cu - c, inverse=True,
+                                              lower=xl - x, upper=xu - x)
         except kit.QpError as exc:
             restorations += 1
             if restorations > 5:
@@ -307,18 +293,6 @@ def sqp(problem, **options):
             x, f, c, g, J = _restore_feasibility(view, bounds, x, c, J)
             continue
         restorations = 0
-
-        var_lo, var_up = np.isfinite(lower).nonzero()[0], np.isfinite(upper).nonzero()[0]
-        k = n_con + var_lo.size
-        lam_lo, lam_up = lam_in[:con_lo.size], lam_in[con_lo.size:n_con]
-        mu_lo, mu_up = lam_in[n_con:k], lam_in[k:]
-        lam_hat = np.zeros(m)
-        lam_hat[eq] = lam_eq
-        lam_hat[con_lo] += lam_lo
-        lam_hat[con_up] -= lam_up
-        mu_hat = np.zeros(n)
-        mu_hat[var_lo] += mu_lo
-        mu_hat[var_up] -= mu_up
 
         # x is already optimal once the fresh multipliers certify it
         if kkt_residual(g, J, lam_hat, mu_hat) <= opts.opt_tol and feas <= opts.feas_tol:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,20 @@ def test_armijo_exhaustion_returns_best():
     assert res.alpha > 0.0
 
 
+def test_armijo_all_trials_nonfinite_returns_an_evaluated_alpha():
+    # every trial is inf or NaN: the alpha returned is the last one phi saw,
+    # not the next one, which phi never saw
+    seen = []
+
+    def phi(a):
+        seen.append(a)
+        return np.inf if len(seen) % 2 else np.nan
+
+    res = line_search("armijo", phi, f0=0.0, slope0=-1.0)
+    assert not res.converged and len(seen) == 30
+    assert res.alpha == seen[-1]
+
+
 def test_wolfe_satisfies_strong_curvature():
     # phi(a) = (a-1)^2 from a=0: slope0=-2; strong Wolfe at the minimizer
     phi = lambda a: (a - 1.0) ** 2
@@ -321,8 +336,8 @@ def test_wolfe_zooms_past_too_long_step():
 def test_merit_feasible_returns_objective():
     c = np.array([0.5])
     lo, up = np.array([0.0]), np.array([1.0])
-    for kind in ("l1", "linf", "quadratic_penalty", "augmented_lagrangian"):
-        spec = MeritSpec(kind=kind, rho=10.0, lam=np.zeros(1))
+    for kind in ("l1", "linf", "quadratic_penalty"):
+        spec = MeritSpec(kind=kind, rho=10.0)
         assert merit_value(spec, 3.25, c, lo, up) == 3.25
 
 
@@ -334,16 +349,6 @@ def test_merit_l1_and_quadratic_values():
     assert merit_value(MeritSpec("quadratic_penalty", rho=10.0), 1.0, c, lo, up) == 6.0
 
 
-def test_merit_lagrangian_uses_nearest_bound():
-    c = np.array([2.0])
-    lo, up = np.array([0.0]), np.array([1.0])
-    # residual to the nearest bound is c - 1 = 1
-    aug = MeritSpec("augmented_lagrangian", rho=4.0, lam=np.array([3.0]))
-    assert merit_value(aug, 5.0, c, lo, up) == 5.0 - 3.0 + 2.0
-    assert merit_value(MeritSpec("augmented_lagrangian", rho=0.0, lam=np.array([3.0])),
-                       5.0, c, lo, up) == 5.0 - 3.0
-
-
 def test_merit_rejects_bad_rho():
     with pytest.raises(ValueError):
         MeritSpec("l1", rho=-1.0)
@@ -353,28 +358,42 @@ def test_merit_rejects_bad_rho():
 # QP solver
 # ---------------------------------------------------------------------------
 
+def _qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None, **kwargs):
+    # A_eq p = b_eq and A_in p >= b_in as two-sided rows: the equalities
+    # first with lo = hi = b_eq, then the inequalities with hi = +inf; the
+    # signed lam is split back by those row counts into (lam_eq, lam_in)
+    n = np.size(g)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    A_in = np.zeros((0, n)) if A_in is None else np.asarray(A_in, dtype=float).reshape(-1, n)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    b_in = np.zeros(0) if b_in is None else np.asarray(b_in, dtype=float).ravel()
+    p, lam, _ = qp_solve(H, g, np.vstack([A_eq, A_in]), np.concatenate([b_eq, b_in]),
+                         np.concatenate([b_eq, np.full(b_in.size, np.inf)]), **kwargs)
+    return p, lam[:b_eq.size], lam[b_eq.size:]
+
+
 def test_qp_unconstrained_newton_step():
-    p, lam_eq, lam_in = qp_solve(np.eye(2), np.array([-1.0, 0.0]))
+    p, lam, mu = qp_solve(np.eye(2), np.array([-1.0, 0.0]))
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
-    assert lam_eq.size == 0 and lam_in.size == 0
+    assert lam.size == 0 and np.array_equal(mu, [0.0, 0.0])
 
 
 def test_qp_single_equality():
-    p, lam_eq, _ = qp_solve(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
+    p, lam_eq, _ = _qp(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
     assert_allclose(p, [0.5, 0.5], atol=1e-12)
     # stationarity H p + g = A_eq' lam gives lam = 1/2
     assert_allclose(lam_eq, [0.5], atol=1e-12)
 
 
 def test_qp_active_inequality_multiplier():
-    p, _, lam_in = qp_solve(np.eye(2), np.array([-2.0, 0.0]),
+    p, _, lam_in = _qp(np.eye(2), np.array([-2.0, 0.0]),
                             A_in=[[-1.0, 0.0]], b_in=[0.0])
     assert_allclose(p, [0.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [2.0], atol=1e-9)
 
 
 def test_qp_inactive_inequality_ignored():
-    p, _, lam_in = qp_solve(np.eye(2), np.array([-1.0, 0.0]),
+    p, _, lam_in = _qp(np.eye(2), np.array([-1.0, 0.0]),
                             A_in=[[1.0, 0.0]], b_in=[-5.0])
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [0.0])
@@ -387,7 +406,7 @@ def test_qp_not_positive_definite_raises():
 
 def test_qp_inconsistent_equalities_raise():
     with pytest.raises(QpError):
-        qp_solve(np.eye(2), np.zeros(2),
+        _qp(np.eye(2), np.zeros(2),
                  A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])
 
 
@@ -403,7 +422,7 @@ def test_qp_matches_grid_enumeration():
             hi = np.ones(n)
             A_in = np.vstack([np.eye(n), -np.eye(n)])
             b_in = np.concatenate([lo, -hi])
-            p, _, _ = qp_solve(H, g, A_in=A_in, b_in=b_in)
+            p, _, _ = _qp(H, g, A_in=A_in, b_in=b_in)
 
             axes = [np.linspace(lo[i], hi[i], 41) for i in range(n)]
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
@@ -430,7 +449,7 @@ def test_qp_kkt_conditions_random_fuzz():
         A_in = rng.normal(size=(q, n)) if q else None
         z = rng.normal(size=n)
         b_in = (A_in @ z - rng.uniform(0.0, 2.0, q)) if q else None
-        p, _, li = qp_solve(H, g, A_in=A_in, b_in=b_in)
+        p, _, li = _qp(H, g, A_in=A_in, b_in=b_in)
         r = H @ p + g - (A_in.T @ li if q else 0.0)
         worst = max(worst, float(np.max(np.abs(r))))
         if q:
@@ -461,7 +480,7 @@ def test_qp_mixed_rows_kkt_conditions_random_fuzz():
         b_in = np.concatenate([A_gen @ z - rng.uniform(0.0, 2.0, q),
                                z - rng.uniform(0.0, 1.0, n),
                                -z - rng.uniform(0.0, 1.0, n)])
-        p, le, li = qp_solve(H, g, A_eq, b_eq, A_in, b_in)
+        p, le, li = _qp(H, g, A_eq, b_eq, A_in, b_in)
         r = H @ p + g - A_eq.T @ le - A_in.T @ li
         slack = A_in @ p - b_in
         worst = max(worst, float(np.max(np.abs(r))),
@@ -512,7 +531,7 @@ def test_qp_inverse_form_agrees_with_dense():
         outcome = []
         for M, inverse in ((H, False), (np.linalg.inv(H), True)):
             try:
-                outcome.append(qp_solve(M, g, A_eq, b_eq, A_in, b_in, inverse=inverse))
+                outcome.append(_qp(M, g, A_eq, b_eq, A_in, b_in, inverse=inverse))
             except QpError as exc:
                 outcome.append(str(exc))
         dense, inv = outcome
@@ -549,9 +568,9 @@ def test_qp_reads_hessian_approx_without_folding():
             assert not approx.update(d, A @ d)
         pending = approx._k
         assert pending > 0
-        got = _outcome(approx, g, A_eq, b_eq, A_in, b_in, inverse=True)
+        got = _outcome(_qp, approx, g, A_eq, b_eq, A_in, b_in, inverse=True)
         assert approx._k == pending
-        want = _outcome(approx.H.copy(), g, A_eq, b_eq, A_in, b_in, inverse=True)
+        want = _outcome(_qp, approx.H.copy(), g, A_eq, b_eq, A_in, b_in, inverse=True)
         if isinstance(want, str):
             assert got == want
             failed += 1
@@ -581,14 +600,14 @@ def test_qp_nearly_dependent_rows_fail_the_residual_guard(eps, inverse):
     # row looks dependent to rounding (a'z below 1e-12 a'H^-1 a) or the
     # computed p misses A p = b by far more than 1e-7; both forms refuse it
     with pytest.raises(QpError, match="numerically singular or inconsistent"):
-        qp_solve(np.eye(2), np.zeros(2), A_eq=[[1.0, eps], [1.0, 0.0]], b_eq=[0.0, 1.0],
+        _qp(np.eye(2), np.zeros(2), A_eq=[[1.0, eps], [1.0, 0.0]], b_eq=[0.0, 1.0],
                  inverse=inverse)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_qp_feasible_unconstrained_minimizer_takes_no_cycles(inverse):
     # the unconstrained minimizer (1, 0) satisfies p0 >= -5: no step at all
-    p, _, lam_in = qp_solve(np.eye(2), [-1.0, 0.0], A_in=[[1.0, 0.0]], b_in=[-5.0],
+    p, _, lam_in = _qp(np.eye(2), [-1.0, 0.0], A_in=[[1.0, 0.0]], b_in=[-5.0],
                             max_cycles=0, inverse=inverse)
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [0.0])
@@ -599,11 +618,11 @@ def test_qp_one_blocking_row_takes_one_cycle(inverse):
     # p0 <= 1 cuts the unconstrained minimizer (2, 0): one step adds it
     args = (np.eye(2), [-2.0, 0.0])
     rows = dict(A_in=[[-1.0, 0.0]], b_in=[-1.0], inverse=inverse)
-    p, _, lam_in = qp_solve(*args, max_cycles=1, **rows)
+    p, _, lam_in = _qp(*args, max_cycles=1, **rows)
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [1.0], atol=1e-12)
     with pytest.raises(QpError, match="cycle limit"):
-        qp_solve(*args, max_cycles=0, **rows)
+        _qp(*args, max_cycles=0, **rows)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -623,13 +642,13 @@ def test_qp_duplicated_equality_row(inverse):
         b_eq = A_eq @ z
         A_in = rng.normal(size=(n, n))
         b_in = A_in @ z - rng.uniform(0.0, 2.0, n)
-        p, le, li = qp_solve(H_arg, g, A_eq, b_eq, A_in, b_in, inverse=inverse)
+        p, le, li = _qp(H_arg, g, A_eq, b_eq, A_in, b_in, inverse=inverse)
         A_dup = np.vstack([A_eq, A_eq[:1]])
-        p_exact, le_exact, _ = qp_solve(H_arg, g, A_dup, np.append(b_eq, b_eq[0]), A_in, b_in,
+        p_exact, le_exact, _ = _qp(H_arg, g, A_dup, np.append(b_eq, b_eq[0]), A_in, b_in,
                                         inverse=inverse)
         assert np.array_equal(p_exact, p) and np.array_equal(le_exact, np.append(le, 0.0))
         b_ulp = np.append(b_eq, np.nextafter(b_eq[0], np.inf))
-        p_ulp, le_ulp, li_ulp = qp_solve(H_arg, g, A_dup, b_ulp, A_in, b_in, inverse=inverse)
+        p_ulp, le_ulp, li_ulp = _qp(H_arg, g, A_dup, b_ulp, A_in, b_in, inverse=inverse)
         assert np.max(np.abs(p_ulp - p)) <= 1e-9 * (1.0 + np.max(np.abs(p)))
         resid = H @ p_ulp + g - A_dup.T @ le_ulp - A_in.T @ li_ulp
         assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
@@ -643,7 +662,7 @@ def test_qp_vertex_swap_under_bad_scaling():
     b_eq = np.array([-504.0])
     A_in = np.array([[0.1, -10.0], [1.0, 0.0]])
     b_in = np.array([-494.0, -5000.0])
-    p, lam_eq, lam_in = qp_solve(H, g, A_eq, b_eq, A_in, b_in)
+    p, lam_eq, lam_in = _qp(H, g, A_eq, b_eq, A_in, b_in)
     resid = H @ p + g - A_eq.T @ lam_eq - A_in.T @ lam_in
     assert np.max(np.abs(resid)) <= 1e-7
     assert np.all(A_in @ p - b_in >= -1e-7)
@@ -672,29 +691,20 @@ def _bounded_qp(rng):
     return H, g, A_eq, A_eq @ z, A_in, b_in, lower, upper
 
 
-def _explicit_bound_rows(A_in, b_in, lower, upper):
-    # the same bounds as dense +-I rows appended to A_in in the documented order
-    n = A_in.shape[1]
-    I = np.eye(n)
-    lo = np.zeros(0, dtype=int) if lower is None else np.flatnonzero(np.isfinite(lower))
-    up = np.zeros(0, dtype=int) if upper is None else np.flatnonzero(np.isfinite(upper))
-    return (np.vstack([A_in, I[lo], -I[up]]),
-            np.concatenate([b_in, np.zeros(0) if lower is None else lower[lo],
-                            np.zeros(0) if upper is None else -upper[up]]))
-
-
-def _outcome(*args, **kwargs):
+def _outcome(solve, *args, **kwargs):
     try:
-        return qp_solve(*args, **kwargs)
+        return solve(*args, **kwargs)
     except QpError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_qp_bounds_as_index_rows_equal_explicit_rows(inverse):
-    # lower/upper give bit for bit the result of the explicit identity rows:
-    # the same p and multipliers, or the same QpError message; the caller's
-    # matrix is never written
+    # lower/upper give bit for bit the result of explicit two-sided identity
+    # rows with lo = lower and hi = upper: the same p, the same lam on the
+    # rows of A, mu equal to the identity rows' lam, or the same QpError
+    # message with identity row m + i named as the bound on p[i]; the
+    # caller's matrix is never written
     rng = np.random.default_rng(13 + inverse)
     solved = failed = 0
     for _ in range(300):
@@ -704,18 +714,28 @@ def test_qp_bounds_as_index_rows_equal_explicit_rows(inverse):
         if rng.random() < 0.15:
             upper = None
         H_arg = np.linalg.inv(H) if inverse else H
-        A_full, b_full = _explicit_bound_rows(A_in, b_in, lower, upper)
+        n, m = g.size, b_eq.size + b_in.size
+        A = np.vstack([A_eq, A_in])
+        lo = np.concatenate([b_eq, b_in])
+        hi = np.concatenate([b_eq, np.full(b_in.size, np.inf)])
         H_before = H_arg.copy()
-        got = _outcome(H_arg, g, A_eq, b_eq, A_in, b_in, inverse=inverse,
-                       lower=lower, upper=upper)
+        got = _outcome(qp_solve, H_arg, g, A, lo, hi, inverse=inverse, lower=lower, upper=upper)
         assert np.array_equal(H_arg, H_before)
-        want = _outcome(H_arg, g, A_eq, b_eq, A_full, b_full, inverse=inverse)
+        want = _outcome(qp_solve, H_arg, g, np.vstack([A, np.eye(n)]),
+                        np.concatenate([lo, np.full(n, -np.inf) if lower is None else lower]),
+                        np.concatenate([hi, np.full(n, np.inf) if upper is None else upper]),
+                        inverse=inverse)
         if isinstance(want, str):
-            assert got == want
+            def as_bound(row):
+                i = int(row[1]) - m
+                return row[0] if i < 0 else f"bound on p[{i}]"
+            assert got == re.sub(r"row (\d+) of A", as_bound, want)
             failed += 1
             continue
         assert not isinstance(got, str), got
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        p, lam, mu = got
+        assert np.array_equal(p, want[0])
+        assert np.array_equal(lam, want[1][:m]) and np.array_equal(mu, want[1][m:])
         solved += 1
     assert solved >= 200 and failed >= 10
 
@@ -723,15 +743,17 @@ def test_qp_bounds_as_index_rows_equal_explicit_rows(inverse):
 def test_qp_absent_bound_sides():
     # None and an all-infinite side both mean no rows on that side
     H, g = np.eye(2), np.array([-2.0, 2.0])
-    p, _, lam_in = qp_solve(H, g, lower=None, upper=[1.0, np.inf])
+    p, lam, mu = qp_solve(H, g, lower=None, upper=[1.0, np.inf])
     assert_allclose(p, [1.0, -2.0], atol=1e-12)
-    assert_allclose(lam_in, [1.0], atol=1e-12)
-    p_inf, _, lam_inf = qp_solve(H, g, lower=[-np.inf, -np.inf], upper=[1.0, np.inf])
-    assert np.array_equal(p_inf, p) and np.array_equal(lam_inf, lam_in)
-    # the lower rows come before the upper rows in lam_in
-    p, _, lam_in = qp_solve(H, g, lower=[-np.inf, -1.0], upper=[1.0, np.inf])
+    assert lam.size == 0
+    # the upper side of p[0] is active: its multiplier enters mu negated
+    assert_allclose(mu, [-1.0, 0.0], atol=1e-12)
+    p_inf, _, mu_inf = qp_solve(H, g, lower=[-np.inf, -np.inf], upper=[1.0, np.inf])
+    assert np.array_equal(p_inf, p) and np.array_equal(mu_inf, mu)
+    # the lower side of p[1] is active too, and enters mu as it is
+    p, _, mu = qp_solve(H, g, lower=[-np.inf, -1.0], upper=[1.0, np.inf])
     assert_allclose(p, [1.0, -1.0], atol=1e-12)
-    assert_allclose(lam_in, [1.0, 1.0], atol=1e-12)
+    assert_allclose(mu, [-1.0, 1.0], atol=1e-12)
 
 
 def test_qp_nan_bound_raises():
@@ -744,16 +766,19 @@ def test_qp_nan_bound_raises():
 def test_qp_neg_inf_inequality_never_binds():
     # the -inf row is left out of the slack tolerance, which would otherwise
     # be infinite and switch off the finite row as well
-    p, _, lam_in = qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, -np.inf])
+    p, _, lam_in = _qp(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, -np.inf])
     assert_allclose(p, [1.0, 0.0], atol=1e-12)
     assert_allclose(lam_in, [1.0, 0.0], atol=1e-12)
 
 
 def test_qp_pos_inf_inequality_cannot_be_reached():
-    with pytest.raises(QpError, match="inequality row 1 cannot be reached"):
-        qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.inf])
+    # the message names the caller's row or bound and its side
+    with pytest.raises(QpError, match=r"row 1 of A, lower side cannot be reached"):
+        _qp(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.inf])
+    with pytest.raises(QpError, match=r"bound on p\[1\], upper side cannot be reached"):
+        qp_solve(np.eye(2), np.zeros(2), upper=[1.0, -np.inf])
 
 
 def test_qp_nan_inequality_raises():
     with pytest.raises(ValueError, match="NaN"):
-        qp_solve(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.nan])
+        _qp(np.eye(2), np.zeros(2), A_in=np.eye(2), b_in=[1.0, np.nan])

@@ -47,8 +47,11 @@ def test_dimension_mismatch_rejected():
 
 
 def test_crossed_bounds_rejected():
-    with pytest.raises(ProblemError):
-        Bounds(np.array([1.0]), np.array([0.0]))
+    # crossed, NaN, or a side no value can meet: lower = +inf or upper = -inf
+    for lower, upper in [(1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
+                         (np.inf, np.inf), (-np.inf, -np.inf)]:
+        with pytest.raises(ProblemError):
+            Bounds(np.array([lower]), np.array([upper]))
 
 
 def test_missing_constraint_callback_rejected():

@@ -555,13 +555,14 @@ def _record_qp_calls(monkeypatch):
 
 def test_sqp_passes_variable_bounds_as_index_rows(monkeypatch):
     # the cantilever's only general constraint is its volume equality, so
-    # every inequality of its QP is a variable bound: none may be a dense row
+    # the QP's one row is that (1, 60) Jacobian, and every variable bound is
+    # passed as lower/upper: none may be a dense row
     calls = _record_qp_calls(monkeypatch)
     report = ok.sqp(parse_problem_token("cantilever:60"))
     assert report.converged and calls
     for args, kwargs, _ in calls:
-        A_in = args[4]
-        assert A_in.shape == (0, 60)
+        A = args[2]
+        assert A.shape == (1, 60)
         assert kwargs["lower"].size == 60 and kwargs["upper"].size == 60
 
 
@@ -583,11 +584,11 @@ def test_sqp_two_sided_bound_active_at_upper(monkeypatch):
     assert report.converged
     assert_allclose(report.x_star, [0.8, 0.2, 0.5], atol=1e-8)
     assert_allclose(report.multipliers, [0.8], atol=1e-6)
-    # the last QP's rows are lower x1, lower x2, upper x1: only the upper
-    # row is active, so sqp's bound_mult on x1 is -lam_in[2] < 0
-    lam_in = calls[-1][2][2]
-    assert lam_in.size == 3 and lam_in[0] == lam_in[1] == 0.0
-    assert lam_in[2] == pytest.approx(2.6, abs=1e-6)
+    # in the last QP only the upper bound on x1 is active, so the signed
+    # bound multiplier is negative on x1 and zero on x0 and x2
+    mu = calls[-1][2][2]
+    assert mu.size == 3 and mu[0] == mu[2] == 0.0
+    assert mu[1] == pytest.approx(-2.6, abs=1e-6)
     # certificate from the callbacks
     x = report.x_star
     r = spec.callbacks.gradient(x) - spec.callbacks.jacobian(x).T @ report.multipliers
@@ -598,8 +599,8 @@ def test_sqp_two_sided_bound_active_at_upper(monkeypatch):
 
 def test_sqp_bound_that_overflows_the_step_bound(monkeypatch):
     # x1 = 1e308 sits at its finite upper bound, but its finite lower bound
-    # -1e308 gives the step bound xl - x = -inf, so the QP drops that row;
-    # sqp must split lam_in by the rows the QP actually had
+    # -1e308 gives the step bound xl - x = -inf, so the QP drops that side
+    # and still returns one signed bound multiplier per variable
     spec = build_problem("overflow", [0.0, 1e308],
                          obj=lambda x: float((x[0] - 1.0) ** 2),
                          grad=lambda x: np.array([2.0 * (x[0] - 1.0), 0.0]),
@@ -609,7 +610,7 @@ def test_sqp_bound_that_overflows_the_step_bound(monkeypatch):
         report = ok.sqp(spec)
     assert report.converged
     assert_allclose(report.x_star, [1.0, 1e308], atol=1e-8)
-    assert calls and all(out[2].size == 1 for _, _, out in calls)
+    assert calls and all(out[2].size == 2 for _, _, out in calls)
 
 
 @pytest.mark.parametrize("n_t", [10, 20])
