@@ -64,15 +64,9 @@ def _build_problem(args):
         raise CliError("--problem is required")
     if name not in REGISTRY:
         raise CliError(f"unknown problem {name!r}; valid names: {problem_names()}")
-    entry = REGISTRY[name]
-    size = None
-    if entry.size_param == "n":
-        size = args.n
-    elif entry.size_param == "n_el":
-        size = args.n_el
-    elif entry.size_param == "n_t":
-        size = args.n_t
-    spec = make_problem(name, size)
+    # a registry size_param is also the dest of its --n, --n-el or --n-t option
+    size_param = REGISTRY[name].size_param
+    spec = make_problem(name, getattr(args, size_param) if size_param else None)
     # optional scaler overrides, checked like build_problem's scalers
     x_scaler = spec.x_scaler if args.x_scaler is None else _scaler_arg(args.x_scaler, "x_scaler")
     f_scaler = spec.f_scaler if args.f_scaler is None else args.f_scaler

@@ -182,8 +182,6 @@ class LineSearchResult:
     n_f_evals: int = 0
     n_g_evals: int = 0
     converged: bool = True
-    slope_new: float = None
-    g_new: np.ndarray = None   # filled by callers that capture gradients
 
 
 def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
@@ -195,12 +193,15 @@ def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
     ``tau`` until phi(a) <= f0 + c1*a*slope0.  ``wolfe`` brackets and zooms
     to also satisfy the strong curvature condition |dphi(a)| <= c2*|slope0|.
 
-    Raises ValueError for a non-descent direction (slope0 >= 0).  When the
-    trial budget runs out the best alpha seen (armijo: the last one tried if
-    every trial was inf or NaN) is returned with ``converged=False``.
+    Raises ValueError for a non-descent direction (slope0 >= 0) or a trial
+    budget ``max_iters`` below 1.  When the budget runs out the best alpha
+    seen (armijo: the last one tried if every trial was inf or NaN) is
+    returned with ``converged=False``.
     """
     if not (0.0 < c1 < 1.0 and c1 < c2 < 1.0 and 0.0 < tau < 1.0):
         raise ValueError(f"invalid line-search parameters c1={c1}, c2={c2}, tau={tau}")
+    if max_iters < 1:
+        raise ValueError(f"line search needs max_iters >= 1, got {max_iters}")
     if f0 is None:
         raise ValueError("f0 (objective at alpha=0) is required")
     if slope0 is None or slope0 >= 0.0:
@@ -218,7 +219,6 @@ def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
 def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
     alpha = float(alpha0)
     best = (None, np.inf)
-    last = (alpha, np.inf)
     n_f = 0
     for _ in range(max_iters):
         fa = phi(alpha)
@@ -246,12 +246,12 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
         n["g"] += 1
         return dphi(a)
 
-    def result(alpha, fa, slope, ok):
+    def result(alpha, fa, ok):
         return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n["f"],
-                                n_g_evals=n["g"], converged=ok, slope_new=slope)
+                                n_g_evals=n["g"], converged=ok)
 
     def zoom(lo, f_lo, hi, f_hi, budget):
-        best = (lo, f_lo, None)
+        best = (lo, f_lo)
         for _ in range(budget):
             a = 0.5 * (lo + hi)
             fa = eval_phi(a)
@@ -260,15 +260,14 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
             else:
                 sa = eval_slope(a)
                 if abs(sa) <= c2 * abs(slope0):
-                    return result(a, fa, sa, True)
+                    return result(a, fa, True)
                 if sa * (hi - lo) >= 0.0:
                     hi, f_hi = lo, f_lo
                 lo, f_lo = a, fa
-                best = (a, fa, sa)
+                best = (a, fa)
             if abs(hi - lo) < 1e-16:
                 break
-        a, fa, sa = best
-        return result(a, fa, sa, False)
+        return result(*best, False)
 
     alpha_prev, f_prev = 0.0, f0
     alpha = float(alpha0)
@@ -278,12 +277,12 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
             return zoom(alpha_prev, f_prev, alpha, fa, max_iters - i)
         sa = eval_slope(alpha)
         if abs(sa) <= c2 * abs(slope0):
-            return result(alpha, fa, sa, True)
+            return result(alpha, fa, True)
         if sa >= 0.0:
             return zoom(alpha, fa, alpha_prev, f_prev, max_iters - i)
         alpha_prev, f_prev = alpha, fa
         alpha = min(2.0 * alpha, 1e6)
-    return result(alpha_prev, f_prev, None, False)
+    return result(alpha_prev, f_prev, False)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def merit_value(spec, f, c, con_lower, con_upper):
     if spec.kind == "l1":
         return f + spec.rho * float(np.sum(v))
     if spec.kind == "linf":
-        return f + spec.rho * (float(np.max(v)) if v.size else 0.0)
+        return f + spec.rho * float(np.max(v, initial=0.0))
     return f + 0.5 * spec.rho * float(v @ v)
 
 

@@ -351,6 +351,8 @@ def fd_derivative(spec, kind, x, lam=None):
     if kind not in ("grad", "jac", "obj_hess", "lag_hess"):
         raise ProblemError(f"fd_derivative does not support kind={kind!r}")
     x = _vector(x, spec.n, "x")
+    if kind == "jac" and not spec.m:
+        return np.zeros((0, spec.n))  # the empty block, as ScaledView.jac gives it
     if kind in ("obj_hess", "lag_hess"):
         lam = _vector(lam, spec.m, "lam") if spec.m and lam is not None else None
     return ScaledView(spec)._fd(kind, x, lam)
@@ -371,6 +373,10 @@ class ScaledView:
 
     Multipliers passed to :meth:`lag_hess` are scaled-space multipliers; the
     raw multiplier is ``lam = (c_scaler / f_scaler) * lam_scaled``.
+
+    A problem with m = 0 has an empty constraint block: :meth:`con` and
+    :meth:`jac` return float arrays of shape (0,) and (0, n) and call,
+    count and record nothing, so a constrained solver needs no m = 0 path.
 
     When ``record`` is given (a RunRecord, or True to create one), every raw
     callback invocation is appended as an evaluation event.  When ``hot_start``
@@ -550,10 +556,7 @@ class ScaledView:
             return cols.ravel() if kind == "grad" else cols
 
         # Hessians: difference the (FD or analytic) gradient of the Lagrangian.
-        if lam is None or self.spec.m == 0:
-            lam_use = None
-        else:
-            lam_use = lam if np.any(lam != 0.0) else None
+        lam_use = lam if lam is not None and np.any(lam != 0.0) else None
 
         def grad_lag(y):
             g = self._raw("grad", y)
@@ -573,9 +576,13 @@ class ScaledView:
         return self._grad_scale * self._raw("grad", xs / self.spec.x_scaler)
 
     def con(self, xs):
+        if not self.spec.m:
+            return np.zeros(0)
         return self.spec.c_scaler * self._raw("con", self.unscale_x(xs))
 
     def jac(self, xs):
+        if not self.spec.m:
+            return np.zeros((0, self.spec.n))
         return self._jac_scale * self._raw("jac", self.unscale_x(xs))
 
     def obj_hess(self, xs):
@@ -583,9 +590,7 @@ class ScaledView:
         return self.spec.f_scaler * H / self._hess_den
 
     def lag_hess(self, xs, lam_s):
-        lam_s = np.asarray(lam_s, dtype=float)
-        lam = self.unscale_lam(lam_s) if self.spec.m else np.zeros(0)
-        H = self._raw("lag_hess", self.unscale_x(xs), lam)
+        H = self._raw("lag_hess", self.unscale_x(xs), self.unscale_lam(lam_s))
         return self.spec.f_scaler * H / self._hess_den
 
     def evaluate(self, kind, xs, lam=None):
@@ -601,11 +606,10 @@ class ScaledView:
         return getattr(self, kind)(xs)
 
     def feasibility(self, xs):
-        """Max scaled constraint violation at a scaled iterate (0 when m=0)."""
-        if self.spec.m == 0:
-            return 0.0
+        """Largest scaled constraint violation at a scaled iterate; 0.0 when
+        every constraint holds, and so when there are none."""
         v = violation(self.con(xs), self.con_lower, self.con_upper)
-        return float(np.max(v)) if v.size else 0.0
+        return float(np.max(v, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,6 @@ from .gradient import _descent_loop, _quasi_newton_rule
 RHO_CAP = 1e12
 
 
-def _scaled_violation(view, c):
-    if view.m == 0:
-        return np.zeros(0)
-    return violation(c, view.con_lower, view.con_upper)
-
-
 def newton_lagrange(problem, **options):
     """Newton iteration on the KKT conditions of an equality-constrained problem.
 
@@ -27,7 +21,7 @@ def newton_lagrange(problem, **options):
     """
     view = ensure_view(problem)
     opts = make_options({"use_line_search": (bool, False)}, options)
-    if view.m and not np.all(view.con_lower == view.con_upper):
+    if not np.all(view.con_lower == view.con_upper):
         raise SolverError("newton_lagrange requires equality constraints only (lower == upper)")
     ctx = RunContext(view, "newton_lagrange",
                      {"itr": int, "obj": float, "opt": float, "feas": float,
@@ -41,22 +35,15 @@ def newton_lagrange(problem, **options):
     def kkt_state(x, lam):
         f = view.obj(x)
         g = view.grad(x)
-        if m:
-            J = view.jac(x)
-            c = view.con(x)
-            resid = c - target
-            grad_l = g - J.T @ lam
-        else:
-            J = np.zeros((0, n))
-            resid = np.zeros(0)
-            grad_l = g
-        return f, grad_l, J, resid
+        J = view.jac(x)
+        resid = view.con(x) - target
+        return f, g - J.T @ lam, J, resid
 
     f, grad_l, J, resid = kkt_state(x, lam)
     itr = 0
     while True:
         opt = float(np.linalg.norm(grad_l))
-        feas = float(np.max(np.abs(resid))) if m else 0.0
+        feas = float(np.max(np.abs(resid), initial=0.0))
         ctx.emit(itr=itr, obj=f, opt=opt, feas=feas, x=x, lam=lam)
         if opt <= opts.opt_tol and feas <= opts.feas_tol:
             converged = True
@@ -69,9 +56,8 @@ def newton_lagrange(problem, **options):
         H = view.lag_hess(x, lam)
         K = np.zeros((n + m, n + m))
         K[:n, :n] = H
-        if m:
-            K[:n, n:] = -J.T
-            K[n:, :n] = -J
+        K[:n, n:] = -J.T
+        K[n:, :n] = -J
         rhs = -np.concatenate([grad_l, -resid])
         try:
             delta = np.linalg.solve(K, rhs)
@@ -120,17 +106,11 @@ def quadratic_penalty(problem, **options):
         merit = kit.MeritSpec("quadratic_penalty", rho)
 
         def pobj(x):
-            f = view.obj(x)
-            if m == 0:
-                return f
-            return kit.merit_value(merit, f, view.con(x), view.con_lower, view.con_upper)
+            return kit.merit_value(merit, view.obj(x), view.con(x), view.con_lower, view.con_upper)
 
         def pgrad(x):
             g = view.grad(x)
-            if m == 0:
-                return g
-            c = view.con(x)
-            r = signed_violation(c, view.con_lower, view.con_upper)
+            r = signed_violation(view.con(x), view.con_lower, view.con_upper)
             return g + rho * (view.jac(x).T @ r)
 
         return pobj, pgrad
@@ -206,7 +186,7 @@ def exact_penalty(problem, **options):
 
     def penalized(x):
         f = view.obj(x)
-        c = np.concatenate([view.con(x), x]) if view.m else x
+        c = np.concatenate([view.con(x), x])
         return kit.merit_value(merit, f, c, lower, upper)
 
     def on_iter(itr, x, fbest, spread):
@@ -218,7 +198,7 @@ def exact_penalty(problem, **options):
     x = state["x"]
     f = view.obj(x)
     bound_v = violation(x, view.var_lower, view.var_upper)
-    feas = max(view.feasibility(x), float(np.max(bound_v)) if bound_v.size else 0.0)
+    feas = max(view.feasibility(x), float(np.max(bound_v)))
     converged = state["converged"] and feas <= opts.feas_tol
     return ctx.finish(x, f, state["spread"], feas, state["niter"], converged)
 
@@ -256,8 +236,8 @@ def sqp(problem, **options):
     bound_mult = np.zeros(n)
     f = view.obj(x)
     g = view.grad(x)
-    c = view.con(x) if m else np.zeros(0)
-    J = view.jac(x) if m else np.zeros((0, n))
+    c = view.con(x)
+    J = view.jac(x)
 
     approx = kit.HessianApprox(n=n, variant="bfgs", inverse=True)
     rho = 1.0
@@ -265,13 +245,11 @@ def sqp(problem, **options):
     itr = 0
 
     def kkt_residual(g, J, lam, mu):
-        r = g - mu
-        if m:
-            r = r - J.T @ lam
-        return float(np.max(np.abs(r)))
+        return float(np.max(np.abs(g - mu - J.T @ lam)))
 
     while True:
-        feas = float(np.max(_scaled_violation(view, c))) if m else 0.0
+        v = violation(c, cl, cu)
+        feas = float(np.max(v, initial=0.0))
         opt = kkt_residual(g, J, lam, bound_mult)
         ctx.emit(itr=itr, obj=f, opt=opt, feas=feas, x=x, lam=lam)
         if opt <= opts.opt_tol and feas <= opts.feas_tol:
@@ -299,18 +277,17 @@ def sqp(problem, **options):
             lam, bound_mult = lam_hat, mu_hat
             continue
 
-        if m:
-            rho = max(rho, float(np.max(np.abs(lam_hat))) + 1.0)
+        rho = max(rho, float(np.max(np.abs(lam_hat), initial=0.0)) + 1.0)
         merit = kit.MeritSpec("l1", rho)
         merit0 = kit.merit_value(merit, f, c, cl, cu)
-        slope0 = float(g @ p) - rho * float(np.sum(_scaled_violation(view, c)))
+        slope0 = float(g @ p) - rho * float(np.sum(v))
 
         trials = {}
 
         def phi(a):
             xa = bounds.clip(x + a * p)
             fa = view.obj(xa)
-            ca = view.con(xa) if m else np.zeros(0)
+            ca = view.con(xa)
             trials[a] = (xa, fa, ca)
             return kit.merit_value(merit, fa, ca, cl, cu)
 
@@ -324,14 +301,10 @@ def sqp(problem, **options):
 
         lam_new = lam + alpha * (lam_hat - lam)
         g_new = view.grad(x)
-        J_new = view.jac(x) if m else np.zeros((0, n))
+        J_new = view.jac(x)
         # secant pair for the Lagrangian Hessian at fixed new multipliers
-        d = alpha * p
-        if m:
-            w = (g_new - J_new.T @ lam_new) - (g - J.T @ lam_new)
-        else:
-            w = g_new - g
-        approx.update(d, w)
+        w = (g_new - J_new.T @ lam_new) - (g - J.T @ lam_new)
+        approx.update(alpha * p, w)
         lam, bound_mult = lam_new, mu_hat
         g, J = g_new, J_new
 
@@ -348,10 +321,10 @@ def _restore_feasibility(view, bounds, x, c, J):
 
     def psi(a):
         xa = bounds.clip(x - a * grad_v)
-        va = _scaled_violation(view, view.con(xa))
+        va = violation(view.con(xa), view.con_lower, view.con_upper)
         return 0.5 * float(va @ va)
 
-    v0 = _scaled_violation(view, c)
+    v0 = violation(c, view.con_lower, view.con_upper)
     res = kit.line_search("armijo", psi, f0=0.5 * float(v0 @ v0),
                           slope0=-norm ** 2, alpha0=1.0 / max(1.0, norm))
     x_new = bounds.clip(x - res.alpha * grad_v)

@@ -110,6 +110,12 @@ def test_check_cantilever_adjoint(capsys):
     assert code == 0
 
 
+def test_check_spacecraft_takes_its_size_from_n_t(capsys):
+    code, out, _ = run_cli(capsys, "check", "--problem", "spacecraft", "--n-t", "3")
+    assert code == 0
+    assert "problem: spacecraft_3" in out
+
+
 def test_bench_writes_summary_and_profiles(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench",
                            "--problems", "quartic,rosenbrock2,bean",

@@ -289,6 +289,17 @@ def test_ascent_direction_rejected():
         line_search("armijo", lambda a: a, f0=0.0, slope0=1.0)
 
 
+@pytest.mark.parametrize("kind", ["armijo", "wolfe"])
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_trial_budget_below_one_rejected(kind, max_iters):
+    # with no trial there is no evaluated alpha to return
+    def phi(a):
+        raise AssertionError("phi called")
+
+    with pytest.raises(ValueError, match="max_iters"):
+        line_search(kind, phi, dphi=phi, f0=0.0, slope0=-1.0, max_iters=max_iters)
+
+
 def test_armijo_exhaustion_returns_best():
     phi = lambda a: 1.0 + a  # never decreases
     res = line_search("armijo", phi, f0=1.0, slope0=-1.0, max_iters=5)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from optkit import (Bounds, EvaluationError, ProblemError, ScaledView,
                     build_problem, check_first_derivatives, fd_derivative)
-from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
+from optkit.bench import bean, parse_problem_token, quadratic_example, rosenbrock2
+from optkit.solvers import SOLVERS
 
 
 def quad_spec(**kwargs):
@@ -299,8 +300,6 @@ def test_fd_derivative_is_the_view_fd_fallback(token):
     x = spec.x0 + 0.01
     lam = np.linspace(0.5, 1.5, spec.m)
     for kind in ("grad", "jac", "obj_hess", "lag_hess"):
-        if kind == "jac" and spec.m == 0:
-            continue
         withheld = replace(spec.callbacks, **{spec.callbacks.FIELDS[kind]: None})
         view = ScaledView(replace(spec, callbacks=withheld))
         if kind == "lag_hess":
@@ -368,6 +367,39 @@ def test_central_fd_gradient_switch_is_one_way():
     assert np.max(np.abs(central - exact)) < 1e-2 * np.max(np.abs(forward - exact))
     # an analytic gradient has nothing to switch
     assert not ScaledView(quad_spec()).central_fd_grad()
+
+
+# ---------------------------------------------------------------------------
+# the empty constraint block of an unconstrained problem
+# ---------------------------------------------------------------------------
+
+def test_unconstrained_view_has_an_empty_constraint_block():
+    # con and jac callbacks given with m=0 must never be called
+    def boom(x):
+        raise AssertionError("constraint callback called")
+
+    spec = build_problem("free", [1.0, 0.0], obj=lambda x: float(x @ x),
+                         grad=lambda x: 2.0 * x, con=boom, jac=boom, m=0)
+    view = ScaledView(spec, record=True)
+    x = np.array([0.5, -0.5])
+    for c in (view.con(x), view.evaluate("con", x)):
+        assert c.shape == (0,) and c.dtype == float
+    for J in (view.jac(x), view.evaluate("jac", x)):
+        assert J.shape == (0, 2) and J.dtype == float
+    assert view.feasibility(x) == 0.0
+    assert not any(view.counters.as_dict().values())
+    assert view.record.eval_events() == []
+    # the verification path gives the same block and calls nothing either
+    assert fd_derivative(spec, "jac", x).shape == (0, 2)
+
+
+@pytest.mark.parametrize("solver", ["sqp", "quadratic_penalty", "exact_penalty", "newton_lagrange"])
+def test_constrained_solvers_read_no_constraint_of_an_unconstrained_problem(solver):
+    view = ScaledView(bean(), record=True)
+    report = SOLVERS[solver](view)
+    assert report.converged
+    assert report.counters.n_con == report.counters.n_jac == 0
+    assert not {e.kind for e in view.record.eval_events()} & {"con", "jac"}
 
 
 # ---------------------------------------------------------------------------
