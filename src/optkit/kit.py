@@ -75,9 +75,12 @@ class HessianApprox:
     gradient change w, maintaining the secant condition B_new @ d = w.  With
     ``inverse=True`` the matrix ``H`` approximates the inverse Hessian and the
     update maintains H_new @ w = d, so a direction is a matrix-vector product
-    instead of a linear solve.  The inverse updates use duality: inverse BFGS
-    is the DFP formula with (d, w) swapped, inverse DFP is the BFGS formula
-    swapped, SR1 is self-dual, and Broyden uses the Sherman-Morrison form.
+    instead of a linear solve; a quasi-Newton iteration costs two of them,
+    the direction p = -H g and the update's H w, plus one fold (below) per
+    eight rank-2 or sixteen rank-1 updates.  The inverse updates use
+    duality: inverse BFGS is the DFP formula with (d, w) swapped, inverse DFP
+    is the BFGS formula swapped, SR1 is self-dual, and Broyden uses the
+    Sherman-Morrison form.
     In exact arithmetic H_new = inv(B_new).  The SR1, BFGS and DFP updates
     add symmetric terms, so a symmetric matrix stays symmetric up to rounding.
     The approximation is held as M + L'R, a dense M and up to 16 pending

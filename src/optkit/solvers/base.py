@@ -80,8 +80,10 @@ class SolverReport:
     """Terminal state of one solve, in the user's (unscaled) units.
 
     ``optimality`` and ``feasibility`` are the solver's scaled-space
-    convergence measures; ``multipliers`` (when present) are scaled-space
-    constraint multipliers under the convention L = f - lam @ (c - target).
+    convergence measures; ``multipliers`` (when present) are the constraint
+    multipliers in user units, the view's ``unscale_lam`` of the solver's,
+    under the convention L = f - lam @ (c - target), as a recorded
+    iteration's ``lam`` is.
     """
 
     solver: str
@@ -168,5 +170,5 @@ class RunContext:
             wall_time=time.perf_counter() - self.t0,
             converged=bool(converged),
             m=view.m,
-            multipliers=None if multipliers is None else np.asarray(multipliers, dtype=float).copy(),
+            multipliers=None if multipliers is None else view.unscale_lam(multipliers),
         )

@@ -100,27 +100,44 @@ def quadratic_penalty(problem, **options):
                      {"itr": int, "obj": float, "opt": float, "feas": float,
                       "rho": float, "x": (float, (view.n,))}, opts)
     m = view.m
+    cl, cu = view.con_lower, view.con_upper
     bounds = Bounds(view.var_lower, view.var_upper)
+
+    def once(method):
+        # the view's ``method``, asked once per point: a request at the bits
+        # of the previous x of its kind returns the previous value
+        last = [None, None]
+
+        def ask(x):
+            key = x.tobytes()
+            if last[0] != key:
+                last[:] = key, method(x)
+            return last[1]
+        return ask
+
+    obj, grad, con, jac = once(view.obj), once(view.grad), once(view.con), once(view.jac)
 
     def make_penalized(rho):
         merit = kit.MeritSpec("quadratic_penalty", rho)
 
         def pobj(x):
-            return kit.merit_value(merit, view.obj(x), view.con(x), view.con_lower, view.con_upper)
+            return kit.merit_value(merit, obj(x), con(x), cl, cu)
 
         def pgrad(x):
-            g = view.grad(x)
-            r = signed_violation(view.con(x), view.con_lower, view.con_upper)
-            return g + rho * (view.jac(x).T @ r)
+            r = signed_violation(con(x), cl, cu)
+            return grad(x) + rho * (jac(x).T @ r)
 
         return pobj, pgrad
+
+    def feasibility(x):     # view.feasibility, through ``con``
+        return float(np.max(violation(con(x), cl, cu), initial=0.0))
 
     x = bounds.clip(view.x0)
     rho = opts.rho0
     schedule = list(opts.subsolver_tol_schedule)
     converged = False
     outer = 0
-    feas = view.feasibility(x)
+    feas = feasibility(x)
     sub_opt = np.inf
 
     while outer < opts.maxiter:
@@ -143,8 +160,8 @@ def quadratic_penalty(problem, **options):
         outer += 1
         x = state["x"]
         sub_opt = state["opt"]
-        feas = view.feasibility(x)
-        f = view.obj(x)
+        feas = feasibility(x)
+        f = obj(x)
         ctx.emit(itr=outer, obj=f, opt=sub_opt, feas=feas, rho=rho, x=x)
         if feas <= opts.feas_tol and sub_opt <= opts.opt_tol:
             converged = True
@@ -154,7 +171,7 @@ def quadratic_penalty(problem, **options):
             raise SolverError(f"penalty parameter exceeded {RHO_CAP:g} at outer "
                               f"iteration {outer} (feasibility {feas:.3e})")
 
-    f = view.obj(x)
+    f = obj(x)
     return ctx.finish(x, f, sub_opt, feas, outer, converged)
 
 

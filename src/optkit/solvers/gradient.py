@@ -232,8 +232,10 @@ def quasi_newton(problem, **options):
 
     ``variant`` selects the update formula (bfgs, dfp, sr1, broyden), applied
     in inverse form to H, the inverse-Hessian approximation; an iteration
-    costs one matrix-vector product and no linear solve, and updates are
-    folded into H once per eight.  H starts from the identity.  For bfgs the
+    costs two matrix-vector products with H and no linear solve, the
+    direction p = -H g and the update's H w (broyden also takes H'd), plus
+    one fold of the pending updates into H per eight updates (sixteen for
+    the rank-1 sr1 and broyden).  H starts from the identity.  For bfgs the
     first update, and the first after a restart, is applied to gamma I with
     gamma = w'd / w'w from that step d and gradient change w, so H takes the
     problem's scale from the first step; the other variants update I itself.

@@ -10,7 +10,7 @@ from optkit import (EvalEvent, HotStartError, IterEvent, OutputsDecl, RecordErro
                     ScaledView, build_problem, nelder_mead, print_results, quasi_newton,
                     read_record, recording, simulated_annealing, sqp, steepest_descent,
                     update_outputs, write_readable_outputs, write_record)
-from optkit.bench import quadratic_example, rosenbrock2
+from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
 from optkit.cli import main as cli_main
 from optkit.solvers.base import RunContext, make_options
 
@@ -226,7 +226,7 @@ def _truncate(lines):
      "12 bytes is not a float64 vector"),
     (_edit(4, lambda p: p["r"].update(shape=[2, 3])), 4, "does not hold shape"),
     (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
-    (_edit(1, lambda p: p.update(format_version=5)), 1, "unsupported format_version 5"),
+    (_edit(1, lambda p: p.update(format_version=6)), 1, "unsupported format_version 6"),
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
     (_edit(2, lambda p: p.update(k="foo")), 2, "unknown evaluation kind 'foo'"),
     (_replace(3, "[1, 2]"), 3, r"event is not a JSON object: '\[1, 2\]'$"),
@@ -396,10 +396,10 @@ def test_unknown_kind_rejected_in_old_bodies(tmp_path, text):
 
 def test_iteration_x_refers_to_eval_x(tmp_path):
     record = tiny_record()
-    path = tmp_path / "v4.rec"
+    path = tmp_path / "v5.rec"
     write_record(record, path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 4
+    assert json.loads(lines[0])["format_version"] == 5
     assert json.loads(lines[-1])["x"] == {"ref": 0}
     back = read_record(path)
     assert back == record
@@ -455,12 +455,12 @@ def test_v3_scaled_record_reads_in_user_units(tmp_path):
     assert values["obj"] == float.fromhex("0x1.27d27d27d27d3p-5") / f_scaler
     assert values["lam"].tobytes() == (np.array([0.25]) * c_scaler / f_scaler).tobytes()
     assert values["itr"] == 0 and values["opt"] == math.inf
-    # written back, it is an honest version 4 file: the iterate is a ref
-    write_record(back, tmp_path / "v4.rec")
-    lines = (tmp_path / "v4.rec").read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 4
+    # written back, it is an honest version 5 file: the iterate is a ref
+    write_record(back, tmp_path / "v5.rec")
+    lines = (tmp_path / "v5.rec").read_text().splitlines()
+    assert json.loads(lines[0])["format_version"] == 5
     assert json.loads(lines[-1])["x"] == {"ref": 0}
-    assert read_record(tmp_path / "v4.rec") == back
+    assert read_record(tmp_path / "v5.rec") == back
 
 
 @pytest.mark.parametrize("old, new", [
@@ -492,6 +492,107 @@ def test_bad_x_ref_reports_line(tmp_path, ref, version, message):
     path = tmp_path / "bad.rec"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordError, match=rf"bad\.rec:6: .*{message}"):
+        read_record(path)
+
+
+def _marker_record():
+    """Array results that repeat the previous one of their kind, and some that do not."""
+    record = RunRecord.for_problem(quad_spec())
+    J, K = np.array([[1.0, -0.0]]), np.array([[1.0, 0.0]])   # equal, not bit-identical
+    x = [np.array([float(i), 1.0]) for i in range(6)]
+    record.append_eval("jac", x[0], None, J)
+    record.append_eval("obj", x[0], None, 2.0)
+    record.append_eval("jac", x[1], None, J.copy())           # a marker
+    record.append_eval("grad", x[1], None, J.ravel())         # another kind: a block
+    record.append_eval("jac", x[2], None, K)                  # other bits: a block
+    record.append_eval("jac", x[3], None, J)                  # not the previous jac: a block
+    record.append_eval("jac", x[4], None, J)                  # a marker
+    record.append_eval("jac", x[4], None, J.reshape(2, 1))    # another shape: a block
+    record.append_eval("obj", x[5], None, 2.0)                # scalars are written out
+    record.append_eval("lag_hess", x[5], np.array([1.0]), np.eye(2))
+    record.append_eval("lag_hess", x[5], np.array([2.0]), np.eye(2))   # a marker
+    return record
+
+
+def test_repeated_result_written_as_marker(tmp_path):
+    record = _marker_record()
+    lines = record.body_lines()
+    assert lines == _reference_body_lines(record)
+    results = [json.loads(line)["r"] for line in lines]
+    markers = [i for i, r in enumerate(results) if r == {"same": 1}]
+    assert markers == [2, 6, 10]
+    assert results[8] == "0x1.0000000000000p+1"
+    assert lines[10].endswith(',"lam":{"f8":"AAAAAAAAAEA="},"r":{"same":1}}')
+    path = tmp_path / "same.rec"
+    write_record(record, path)
+    assert json.loads(path.read_text().splitlines()[0])["format_version"] == 5
+    back = read_record(path)
+    assert back == record
+    events = back.eval_events()
+    assert [e.result.tobytes() for e in events[2:7:4]] == [events[0].result.tobytes()] * 2
+    # a marker decodes to a writable copy of the result it repeats
+    events[2].result[0, 0] = 5.0
+    assert events[0].result[0, 0] == 1.0 and events[6].result[0, 0] == 1.0
+    assert events[10].result.flags.writeable and events[10].result is not events[9].result
+
+
+def test_v5_record_round_trips_and_hot_starts(tmp_path):
+    spec = parse_problem_token("cantilever:40")
+    first = ScaledView(spec, record=True)
+    report = sqp(first)
+    path, again = tmp_path / "c.rec", tmp_path / "c2.rec"
+    write_record(first.record, path)
+    back = read_record(path)
+    write_record(back, again)
+    assert again.read_bytes() == path.read_bytes()
+    # the cantilever's one constraint is linear: its Jacobian is written once
+    jac_lines = [line for line in path.read_text().splitlines() if '"k":"jac"' in line]
+    assert len(jac_lines) > 1
+    assert sum('"f8"' in line for line in jac_lines) == 1
+    assert all(line.endswith('"r":{"same":1}}') for line in jac_lines[1:])
+    # and the record replays the whole run with no live call
+    view = ScaledView(spec, hot_start=back)
+    replayed = sqp(view)
+    assert view.counters.as_dict() == {"n_obj": 0, "n_grad": 0, "n_con": 0,
+                                       "n_jac": 0, "n_hess": 0}
+    assert view.replayed == first.counters
+    assert replayed.x_star.tobytes() == report.x_star.tobytes()
+    assert replayed.f_star.hex() == report.f_star.hex()
+
+
+@pytest.mark.parametrize("lineno, r, version, message", [
+    (5, {"same": 1}, 5, "result marker with no earlier grad array result"),
+    (2, {"same": 1}, 5, "result marker with no earlier jac array result"),
+    (3, {"same": 1}, 5, "result marker with no earlier obj array result"),
+    (4, {"same": 1}, 4, r"result marker \{'same': 1\} in a version 4 body"),
+    (4, {"same": 1}, 2, "in a version 2 body"),
+    (4, {"same": True}, 5, "bad result marker"),
+    (4, {"same": 2}, 5, "bad result marker"),
+    (4, {"same": 1, "f8": ""}, 5, "bad result marker"),
+], ids=["first_of_kind", "first_event", "after_a_scalar", "in_version_4", "in_version_2", "bool",
+        "not_one", "extra_key"])
+def test_bad_result_marker_reports_line(tmp_path, lineno, r, version, message):
+    path = tmp_path / "good.rec"
+    write_record(_marker_record(), path)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace('"format_version":5', f'"format_version":{version}')
+    payload = json.loads(lines[lineno - 1])
+    payload["r"] = r
+    lines[lineno - 1] = json.dumps(payload)
+    path = tmp_path / "bad.rec"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordError, match=rf"bad\.rec:{lineno}: .*{message}"):
+        read_record(path)
+
+
+def test_result_marker_in_a_version_1_body_rejected(tmp_path):
+    lines = V1_RECORD.splitlines()
+    payload = json.loads(lines[3])      # the jac event
+    payload["r"] = {"same": 1}
+    lines[3] = json.dumps(payload)
+    path = tmp_path / "bad.rec"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordError, match=r"bad\.rec:4: malformed record line"):
         read_record(path)
 
 
@@ -537,6 +638,7 @@ def _reference_scalar(v):
 
 def _reference_body_lines(record):
     xs = {}
+    last = {}       # kind -> (shape, bytes) of its latest array result
     lines = []
     for event in record.events:
         if isinstance(event, EvalEvent):
@@ -549,7 +651,13 @@ def _reference_body_lines(record):
             if event.lam is not None:
                 payload["lam"] = _reference_block(event.lam)
             r = event.result
-            payload["r"] = _reference_block(r) if np.ndim(r) else _reference_scalar(r)
+            if np.ndim(r):
+                arr = np.asarray(r, dtype="<f8")
+                key = (arr.shape, arr.tobytes())
+                payload["r"] = {"same": 1} if last.get(event.kind) == key else _reference_block(arr)
+                last[event.kind] = key
+            else:
+                payload["r"] = _reference_scalar(r)
         else:
             payload = {"t": "iter"}
             for name, v in event.values.items():

@@ -388,6 +388,33 @@ def test_quadratic_penalty_paper_quadratic():
     assert abs(report.f_star - 1.0) <= 3e-3
 
 
+def _eval_xs(record):
+    # kind -> the bits of the x of each of its evaluation events, in order
+    xs = {}
+    for event in record.eval_events():
+        xs.setdefault(event.kind, []).append(event.x.tobytes())
+    return xs
+
+
+def test_quadratic_penalty_asks_for_each_kind_and_point_once():
+    view = ScaledView(parse_problem_token("cantilever:20"), record=True)
+    assert ok.quadratic_penalty(view).converged
+    xs = _eval_xs(view.record)
+    assert sorted(xs) == ["con", "grad", "jac", "obj"]
+    for kind, bits in xs.items():
+        assert len(bits) == len(set(bits)), kind
+
+
+@pytest.mark.parametrize("token", ["cantilever:6", "quadratic_example", "bean"])
+def test_quadratic_penalty_never_repeats_the_previous_request(token):
+    # a point a later subsolve visits again is asked for again (on
+    # cantilever:6 a trial clipped to the lower bounds), but never twice in a row
+    view = ScaledView(parse_problem_token(token), record=True)
+    ok.quadratic_penalty(view)
+    for kind, bits in _eval_xs(view.record).items():
+        assert all(a != b for a, b in zip(bits, bits[1:])), kind
+
+
 def test_exact_penalty_kink_minimum():
     spec = build_problem("kink", [3.0], obj=lambda x: float(x[0] ** 2),
                          con=lambda x: x.copy(), jac=lambda x: np.array([[1.0]]),
@@ -595,6 +622,24 @@ def test_sqp_two_sided_bound_active_at_upper(monkeypatch):
     assert np.max(np.abs(r[[0, 2]])) <= 10 * opt_tol
     assert r[1] == pytest.approx(-2.6, abs=1e-6)
     assert_allclose(spec.callbacks.constraints(x), [1.0], atol=1e-8)
+
+
+def test_sqp_multipliers_in_user_units():
+    # the cantilever is scaled (x by 10, f by 2.5e-5, c by 100): the report's
+    # multipliers are the last recorded iteration's lam, in user units
+    view = ScaledView(parse_problem_token("cantilever:6"), record=True)
+    report = ok.sqp(view)
+    spec = view.spec
+    assert report.converged and spec.f_scaler != 1.0 and np.all(spec.c_scaler != 1.0)
+    lam = view.record.iter_events()[-1].values["lam"]
+    assert report.multipliers.tobytes() == lam.tobytes()
+    # the KKT certificate from the raw callbacks: off the bounds g - J' lam
+    # vanishes to opt_tol in scaled units, (f_scaler / x_scaler) (g - J' lam)
+    x = report.x_star
+    r = spec.callbacks.gradient(x) - spec.callbacks.jacobian(x).T @ report.multipliers
+    free = (x > spec.var_bounds.lower * (1.0 + 1e-8)) & (x < spec.var_bounds.upper * (1.0 - 1e-8))
+    assert free.any()
+    assert np.max(np.abs(r * spec.f_scaler / spec.x_scaler)[free]) <= 10 * 1e-6
 
 
 def test_sqp_bound_that_overflows_the_step_bound(monkeypatch):
