@@ -45,7 +45,10 @@ def _parse_override(token):
     except ValueError:
         pass
     if "," in raw:
-        return key, [float(v) for v in raw.split(",") if v.strip()]
+        try:
+            return key, [float(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            raise CliError(f"comma-separated option value must be floats, got {token!r}") from None
     return key, raw
 
 
@@ -186,6 +189,8 @@ def cmd_bench(args):
 
 
 def cmd_inspect(args):
+    if args.tail < 0:
+        raise CliError(f"--tail must be at least 0, got {args.tail}")
     try:
         record = read_record(args.record_path)
     except OSError as exc:

@@ -389,7 +389,7 @@ class ScaledView:
         self.allow_fd = bool(allow_fd)
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
-        self._memo = {}  # kind -> (x, lam, result): most recent raw evaluation
+        self._memo = {}  # kind -> (x, result): most recent raw evaluation
         self._central_grad = False  # FD gradient by central differences
         # the spec is frozen, so derivative scale factors and the table of
         # kind -> (callback or None, counter name, result shape) are fixed per view
@@ -464,32 +464,19 @@ class ScaledView:
         return np.asarray(lam_s, dtype=float) * self.spec.c_scaler / self.spec.f_scaler
 
     # -- raw counted layer ----------------------------------------------------
-    def _memo_get(self, kind, x, lam=None):
-        hit = self._memo.get(kind)
-        if hit is None:
-            return None
-        mx, mlam, res = hit
-        if mx.shape != x.shape or np.count_nonzero(mx != x):
-            return None
-        if (mlam is None) != (lam is None):
-            return None
-        if mlam is not None and not np.array_equal(mlam, lam):
-            return None
-        return res
-
     def _invoke(self, kind, x, lam=None):
         """One raw invocation of the ``kind`` callback: replay if possible, else call and count.
 
-        ``x`` and ``lam`` are arrays the view made for this request (unscaled
-        copies or FD stencil points) and nobody changes afterwards, so the
-        memo keeps them without copying.
+        ``x`` is an array the view made for this request (an unscaled copy or
+        an FD stencil point) and nobody changes afterwards, so the memo keeps
+        it without copying.
         """
         fn, counter, shape = self._table[kind]
         if self._cache is not None:
             hit, result = self._cache.try_replay(kind, x, lam)
             if hit:
                 self.replayed.__dict__[counter] += 1
-                self._memo[kind] = (x, lam, result)
+                self._memo[kind] = (x, result)
                 if self.record is not None:
                     self.record.append_eval(kind, x, lam, result)
                 return result
@@ -504,16 +491,18 @@ class ScaledView:
         result = _coerce_result(kind, raw, shape)
         if not _is_finite(result):
             raise EvaluationError(f"{kind} callback returned non-finite values at x={x}", kind=kind, x=x)
-        self._memo[kind] = (x, lam, result)
+        self._memo[kind] = (x, result)
         if self.record is not None:
             self.record.append_eval(kind, x, lam, result)
         return result
 
     def _base_value(self, kind, x):
         """Base value for an FD stencil, reusing the last evaluation at this x."""
-        hit = self._memo_get(kind, x)
+        hit = self._memo.get(kind)
         if hit is not None:
-            return hit
+            mx, result = hit
+            if mx.shape == x.shape and not np.count_nonzero(mx != x):
+                return result
         return self._invoke(kind, x)
 
     def _raw(self, kind, x, lam=None):

@@ -38,29 +38,16 @@ array result of the same kind is written as the marker ``{"same": 1}``
 instead of a block, so the Jacobian of linear constraints and the Hessian
 of a quadratic objective, which never change, are written once.  Scalar
 results are always written out and never count as the previous array
-result.  A marker is told apart from a block by its keys.  For the same
-events this cuts the ``sqp`` cantilever:40 record from 48,321 to 36,134
-bytes, ``sqp`` cantilever:200 from 375,395 to 260,897 and
-``quadratic_penalty`` cantilever:80 from 463,427 to 330,391; a run with no
-repeated array result (``quasi_newton`` rosen_coupled:128) writes the same
-bytes as version 4.  The timestamp lives only in the header, so record
-bodies from identical runs compare byte-for-byte.
+result.  A marker is told apart from a block by its keys.  The timestamp
+lives only in the header, so record bodies from identical runs compare
+byte-for-byte.
 
-:func:`read_record` returns the events at one distinct x sharing one
-read-only ``x`` array; a ref decodes to a writable copy of its x, and a
-result marker to a writable copy of the result it repeats.  A marker with
-no earlier array result of its kind, or in a body of version 1 to 4, is a
-RecordError with its line number.  It reads versions 1 to 5.  A version 5
-body is a version 4 body that may hold result markers.  A version 4 body
-has the grammar of a version 3 body; the two differ in units only:
-versions 1 to 3 stored the iteration ``x``, ``obj`` and ``lam`` in the
-solver's scaled space, and :func:`read_record` takes them to user units
-with the header's scalers, x / x_scaler, obj / f_scaler and
-lam * c_scaler / f_scaler, the formulas of the view.  A version 2 body is
-a version 3 body without refs.  In a version 1 body every
-float is a hexfloat and every event spells out its x.  All five give events
-of the same meaning, and only the header's ``"format_version"`` tells them
-apart.  :func:`write_record` always writes version 5.
+:func:`read_record` reads this one version, the one :func:`write_record`
+writes; a header of any other ``"format_version"`` is a RecordError at
+line 1.  It returns the events at one distinct x sharing one read-only
+``x`` array; a ref decodes to a writable copy of its x, and a result marker
+to a writable copy of the result it repeats.  A marker with no earlier
+array result of its kind is a RecordError with its line number.
 
 One line encoder serves both :meth:`RunRecord.body_lines` and
 :func:`write_record`: it builds each event line as text by concatenation
@@ -82,7 +69,6 @@ import os
 import struct
 import time
 from binascii import b2a_base64
-from functools import partial
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -168,11 +154,8 @@ def _owned(block):
 
 def _iter_array(v, xs):
     """An iter-output value that is neither a hexfloat nor an int: a ref into
-    ``xs``, the x table read so far (None in a version 2 body, which has no
-    refs), or a block."""
+    ``xs``, the x table read so far, or a block."""
     if type(v) is dict and "ref" in v:
-        if xs is None:
-            raise RecordError(f"x ref {v!r} in a version 2 body")
         index = v["ref"]
         if len(v) != 1 or type(index) is not int:
             raise RecordError(f"bad x ref {v!r}")
@@ -180,24 +163,6 @@ def _iter_array(v, xs):
             raise RecordError(f"x ref {index} is not one of the {len(xs)} x read so far")
         return xs[index].copy()
     return _owned(v)
-
-
-# version 1 bodies: every float a hexfloat, arrays as (nested) lists
-
-def _decode_result_v1(r):
-    if isinstance(r, str):
-        return _unhex(r)
-    if r and isinstance(r[0], list):
-        return np.array([[_unhex(s) for s in row] for row in r], dtype=float)
-    return _unhex_vec(r)
-
-
-def _decode_value_v1(v):
-    if isinstance(v, str):
-        return _unhex(v)
-    if isinstance(v, list):
-        return _unhex_vec(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +458,10 @@ def write_record(record, path):
     return path
 
 
-def _event(payload, xs, last, version=FORMAT_VERSION):
-    """One event of a version 2 to 5 body.  ``xs`` is the x table read so far
-    and ``last`` maps each evaluation kind to its latest array result, which a
-    version 5 result marker repeats.  The event's values are decoded in place
+def _event(payload, xs, last):
+    """One event of a record body.  ``xs`` is the x table read so far and
+    ``last`` maps each evaluation kind to its latest array result, which a
+    result marker repeats.  The event's values are decoded in place
     in ``payload``, which an iteration event keeps as its values."""
     tag = payload.get("t")
     if tag == "eval":
@@ -519,7 +484,7 @@ def _event(payload, xs, last, version=FORMAT_VERSION):
             except (ValueError, OverflowError):
                 _unhex(r)       # raises the RecordError
         elif type(r) is dict and "same" in r:
-            r = _same_result(r, kind, last, version)
+            r = _same_result(r, kind, last)
         else:
             r = _unblock(r)
             if r.ndim:
@@ -530,7 +495,6 @@ def _event(payload, xs, last, version=FORMAT_VERSION):
         return EvalEvent(kind, x, None if lam is None else _unblock(lam).copy(), r)
     if tag == "iter":
         del payload["t"]
-        table = xs if version >= 3 else None
         for name, v in payload.items():
             cls = type(v)
             if cls is str:
@@ -539,16 +503,14 @@ def _event(payload, xs, last, version=FORMAT_VERSION):
                 except (ValueError, OverflowError):
                     _unhex(v)       # raises the RecordError
             elif cls is not int and cls is not bool:
-                payload[name] = _iter_array(v, table)
+                payload[name] = _iter_array(v, xs)
         return IterEvent(payload)
     raise RecordError(f"unknown event tag {tag!r}")
 
 
-def _same_result(marker, kind, last, version):
+def _same_result(marker, kind, last):
     """A writable copy of the latest array result of ``kind``, which the
     result marker ``marker`` repeats."""
-    if version < 5:
-        raise RecordError(f"result marker {marker!r} in a version {version} body")
     if len(marker) != 1 or type(marker["same"]) is not int or marker["same"] != 1:
         raise RecordError(f"bad result marker {marker!r}")
     prev = last.get(kind)
@@ -557,56 +519,10 @@ def _same_result(marker, kind, last, version):
     return prev.copy()
 
 
-def _event_v1(payload, _xs, _last):     # version 1 bodies spell out every x
-    tag = payload.get("t")
-    if tag == "eval":
-        kind = payload["k"]
-        if type(kind) is not str or kind not in _EVAL_START:
-            raise RecordError(f"unknown evaluation kind {kind!r}")
-        lam = payload.get("lam")
-        return EvalEvent(kind=kind, x=_unhex_vec(payload["x"]),
-                         lam=None if lam is None else _unhex_vec(lam),
-                         result=_decode_result_v1(payload["r"]))
-    if tag == "iter":
-        return IterEvent(values={k: _decode_value_v1(v) for k, v in payload.items() if k != "t"})
-    raise RecordError(f"unknown event tag {tag!r}")
-
-
-# version 2 has x indices, 3 adds iteration refs, 4 moves the iteration
-# values to user units, 5 adds result markers
-_EVENT_DECODERS = {1: _event_v1, **{v: partial(_event, version=v) for v in (2, 3, 4)},
-                   FORMAT_VERSION: _event}
-
-
-def _iterates_to_user_units(record):
-    """Take the iteration ``x``, ``obj`` and ``lam`` of a version 1-3 record,
-    which hold the solver's scaled values, to user units: the formulas of
-    ``ScaledView.unscale_x``, ``unscale_f`` and ``unscale_lam`` with the
-    header's scalers.  A value of another type or shape is left as it is;
-    a scaler that is not strictly positive and finite is a RecordError."""
-    scalers = record.header["scalers"]
-    x_scaler, f_scaler, c_scaler = scalers["x"], scalers["f"], scalers["c"]
-    every = np.concatenate([x_scaler, [f_scaler], c_scaler])
-    if not np.all((every > 0.0) & np.isfinite(every)):
-        raise RecordError("header scalers are not all strictly positive and finite")
-    for event in record.events:
-        if type(event) is not IterEvent:
-            continue
-        values = event.values
-        x, obj, lam = values.get("x"), values.get("obj"), values.get("lam")
-        if type(x) is np.ndarray and x.shape == x_scaler.shape:
-            values["x"] = x / x_scaler
-        if type(obj) is float:
-            values["obj"] = obj / f_scaler
-        if type(lam) is np.ndarray and lam.shape == c_scaler.shape:
-            values["lam"] = lam * c_scaler / f_scaler
-
-
 def _decode_header(header):
     version = header.get("format_version")
-    if type(version) is not int or version not in _EVENT_DECODERS:
-        raise RecordError(f"unsupported format_version {version!r} "
-                          f"(expected one of {sorted(_EVENT_DECODERS)})")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise RecordError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     scalers = header.get("scalers", {})
     return {
         "format_version": version,
@@ -626,9 +542,10 @@ def _decode_header(header):
 
 
 def read_record(path):
-    """Parse a record file of version 1 to 5, with its iteration values in user units.
+    """Parse a record file of the version :func:`write_record` writes.
 
-    Malformed lines report their 1-based line number.
+    Malformed lines report their 1-based line number, and a header of any
+    other ``format_version`` is a RecordError at line 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -643,7 +560,6 @@ def read_record(path):
             raise RecordError(f"{path}:1: {exc}") from None
         except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
             raise RecordError(f"{path}:1: malformed header: {exc}") from exc
-        decode = _EVENT_DECODERS[record.header["format_version"]]
         xs = []     # the x table: each distinct eval x of the body, in order of first appearance
         last = {}   # evaluation kind -> its latest array result
         append = record.events.append
@@ -660,16 +576,11 @@ def read_record(path):
                     payload = json.loads(line)
                 if type(payload) is not dict:
                     raise RecordError(f"event is not a JSON object: {line[:40]!r}")
-                append(decode(payload, xs, last))
+                append(_event(payload, xs, last))
             except RecordError as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from None
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}: malformed record line: {exc}") from exc
-    if record.header["format_version"] < 4:
-        try:
-            _iterates_to_user_units(record)
-        except RecordError as exc:
-            raise RecordError(f"{path}:1: {exc}") from None
     return record
 
 

@@ -139,6 +139,8 @@ def pso(problem, **options):
                          "seed": ((int, type(None)), None),
                          "sample_lower": ((list, tuple, type(None)), None),
                          "sample_upper": ((list, tuple, type(None)), None)}, options)
+    if opts.n_particles < 1:
+        raise SolverError("n_particles must be at least 1")
     require_unconstrained(view, "pso")
     ctx = RunContext(view, "pso",
                      {"itr": int, "obj": float, "x": (float, (view.n,))}, opts)

@@ -52,6 +52,21 @@ def test_run_bad_option_override_exit_two(capsys):
     assert "bogus" in err
 
 
+def test_run_non_numeric_list_override_exit_two(capsys):
+    code, _, err = run_cli(capsys, "run", "--problem", "rosenbrock2",
+                           "--solver", "quasi_newton", "--opt", "variant=a,b")
+    assert code == 2
+    assert "'variant=a,b'" in err
+
+
+def test_run_pso_empty_swarm_exit_one(capsys):
+    code, _, err = run_cli(capsys, "run", "--problem", "rosenbrock2", "--solver", "pso",
+                           "--opt", "sample_lower=-2,-2", "--opt", "sample_upper=2,2",
+                           "--opt", "n_particles=0")
+    assert code == 1
+    assert "n_particles must be at least 1" in err
+
+
 def test_run_writes_record_and_readable_outputs(tmp_path, capsys):
     rec = tmp_path / "run.rec"
     code, out, _ = run_cli(capsys, "run", "--problem", "bean",
@@ -166,6 +181,14 @@ def test_inspect_tail_rows(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "inspect", str(rec), "--tail", "5")
     assert code == 0
     assert len([l for l in out.splitlines() if l.lstrip().startswith("itr=")]) == 5
+
+
+def test_inspect_negative_tail_exit_two(tmp_path, capsys):
+    rec = tmp_path / "r.rec"
+    write_record(RunRecord.for_problem(quadratic_example()), rec)
+    code, out, err = run_cli(capsys, "inspect", str(rec), "--tail", "-1")
+    assert code == 2
+    assert "--tail must be at least 0, got -1" in err and not out
 
 
 def test_inspect_scaled_record_shows_the_report(tmp_path, capsys):

@@ -11,7 +11,6 @@ from optkit import (EvalEvent, HotStartError, IterEvent, OutputsDecl, RecordErro
                     read_record, recording, simulated_annealing, sqp, steepest_descent,
                     update_outputs, write_readable_outputs, write_record)
 from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
-from optkit.cli import main as cli_main
 from optkit.solvers.base import RunContext, make_options
 
 
@@ -227,6 +226,8 @@ def _truncate(lines):
     (_edit(4, lambda p: p["r"].update(shape=[2, 3])), 4, "does not hold shape"),
     (_edit(3, lambda p: p.update(x=1)), 3, "x index 1 is not one of the 1"),
     (_edit(1, lambda p: p.update(format_version=6)), 1, "unsupported format_version 6"),
+    (_edit(1, lambda p: p.update(format_version=1)), 1, r"unsupported format_version 1 \(expected 5\)"),
+    (_edit(1, lambda p: p.update(format_version=4)), 1, r"unsupported format_version 4 \(expected 5\)"),
     (_edit(1, lambda p: p.update(x0=5)), 1, "malformed header"),
     (_edit(2, lambda p: p.update(k="foo")), 2, "unknown evaluation kind 'foo'"),
     (_replace(3, "[1, 2]"), 3, r"event is not a JSON object: '\[1, 2\]'$"),
@@ -235,8 +236,8 @@ def _truncate(lines):
     (_rewrite(3, lambda line: line.split(",", 1)), 3, "malformed record line"),
     (_edit(5, lambda p: p.update(r="0x1p+99999")), 5, "bad hexfloat '0x1p\\+99999'"),
 ], ids=["truncated", "non_base64", "not_8_bytes", "shape_mismatch", "x_index_forward",
-        "unsupported_version", "header_x0", "unknown_kind", "not_an_object", "two_objects",
-        "split_event", "hexfloat_overflow"])
+        "unsupported_version", "version_1", "version_4", "header_x0", "unknown_kind",
+        "not_an_object", "two_objects", "split_event", "hexfloat_overflow"])
 def test_corrupt_record_reports_line(tmp_path, corrupt, lineno, message):
     record = RunRecord.for_problem(quad_spec())
     record.append_eval("obj", np.array([1.0, 2.0]), None, 5.0)
@@ -295,19 +296,10 @@ def test_blank_lines_skipped_and_counted(tmp_path):
         read_record(path)
 
 
-# Written by the version 1 writer: every float a hexfloat, every x in full.
-V1_RECORD = """\
-{"format_version":1,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.0000000000000p+0","0x1.0000000000000p+0"],"f":"0x1.0000000000000p+0","c":["0x1.0000000000000p+0"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
-{"t":"eval","k":"obj","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":"0x1.71c71c71c71c7p-2"}
-{"t":"eval","k":"grad","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":["0x1.0000000000000p+0","0x1.5555555555555p-1"]}
-{"t":"eval","k":"jac","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"r":[["0x1.0000000000000p+0","0x1.0000000000000p+0"]]}
-{"t":"eval","k":"lag_hess","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"],"lam":["0x1.0000000000000p-2"],"r":[["0x1.0000000000000p+1","0x0.0p+0"],["0x0.0p+0","0x1.0000000000000p+1"]]}
-{"t":"iter","itr":0,"obj":"0x1.71c71c71c71c7p-2","opt":"inf","x":["0x1.0000000000000p-1","0x1.5555555555555p-2"]}
-"""
-V1_X, V1_LAM = np.array([0.5, 1.0 / 3.0]), np.array([0.25])
+TINY_X, TINY_LAM = np.array([0.5, 1.0 / 3.0]), np.array([0.25])
 
 
-def v1_spec():
+def tiny_spec():
     return build_problem("tiny", [1.0, 2.0], obj=lambda x: float(x @ x),
                          grad=lambda x: 2.0 * x,
                          con=lambda x: np.array([x[0] + x[1] - 1.0]),
@@ -315,83 +307,18 @@ def v1_spec():
                          lag_hess=lambda x, lam: 2.0 * np.eye(2), cl=[0.0], cu=[0.0])
 
 
-# The same run written by the version 2 writer: blocks and x indices, no refs.
-V2_RECORD = """\
-{"format_version":2,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.0000000000000p+0","0x1.0000000000000p+0"],"f":"0x1.0000000000000p+0","c":["0x1.0000000000000p+0"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
-{"t":"eval","k":"obj","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="},"r":"0x1.71c71c71c71c7p-2"}
-{"t":"eval","k":"grad","x":0,"r":{"f8":"AAAAAAAA8D9VVVVVVVXlPw=="}}
-{"t":"eval","k":"jac","x":0,"r":{"f8":"AAAAAAAA8D8AAAAAAADwPw==","shape":[1,2]}}
-{"t":"eval","k":"lag_hess","x":0,"lam":{"f8":"AAAAAAAA0D8="},"r":{"f8":"AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEA=","shape":[2,2]}}
-{"t":"iter","itr":0,"obj":"0x1.71c71c71c71c7p-2","opt":"inf","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="}}
-"""
-
-
 def tiny_record():
-    """The run that V1_RECORD and V2_RECORD hold, built in memory."""
-    spec = v1_spec()
+    """A one-iteration run at one x, built in memory."""
+    spec = tiny_spec()
     record = RunRecord.for_problem(spec)
     record.set_solver("sqp", {"maxiter": 1})
     record.header["timestamp"] = "2026-01-01T00:00:00"
     for kind in ("obj", "grad", "jac"):
-        record.append_eval(kind, V1_X, None, spec.callbacks.get(kind)(V1_X))
-    record.append_eval("lag_hess", V1_X, V1_LAM, 2.0 * np.eye(2))
+        record.append_eval(kind, TINY_X, None, spec.callbacks.get(kind)(TINY_X))
+    record.append_eval("lag_hess", TINY_X, TINY_LAM, 2.0 * np.eye(2))
     update_outputs(OutputsDecl({"itr": int, "obj": float, "opt": float, "x": (float, (2,))}),
-                   record, itr=0, obj=float(V1_X @ V1_X), opt=math.inf, x=V1_X)
+                   record, itr=0, obj=float(TINY_X @ TINY_X), opt=math.inf, x=TINY_X)
     return record
-
-
-@pytest.fixture
-def v1_path(tmp_path):
-    path = tmp_path / "v1.rec"
-    path.write_text(V1_RECORD)
-    return path
-
-
-@pytest.fixture
-def v2_path(tmp_path):
-    path = tmp_path / "v2.rec"
-    path.write_text(V2_RECORD)
-    return path
-
-
-def test_v1_record_reads_as_built(v1_path):
-    back = read_record(v1_path)
-    assert back.header["format_version"] == 1
-    assert back == tiny_record()
-
-
-def test_v2_record_reads_as_built(v2_path):
-    back = read_record(v2_path)
-    assert back.header["format_version"] == 2
-    assert back == tiny_record()
-
-
-def _hot_starts_with_no_live_call(path):
-    view = ScaledView(v1_spec(), hot_start=read_record(path))
-    assert view.obj(V1_X) == float(V1_X @ V1_X)
-    view.grad(V1_X)
-    view.jac(V1_X)
-    view.lag_hess(V1_X, V1_LAM)
-    assert view.counters.as_dict() == {"n_obj": 0, "n_grad": 0, "n_con": 0,
-                                       "n_jac": 0, "n_hess": 0}
-    assert view.replayed.as_dict() == {"n_obj": 1, "n_grad": 1, "n_con": 0,
-                                       "n_jac": 1, "n_hess": 1}
-
-
-def test_v1_record_hot_starts(v1_path):
-    _hot_starts_with_no_live_call(v1_path)
-
-
-def test_v2_record_hot_starts(v2_path):
-    _hot_starts_with_no_live_call(v2_path)
-
-
-@pytest.mark.parametrize("text", [V1_RECORD, V2_RECORD], ids=["v1", "v2"])
-def test_unknown_kind_rejected_in_old_bodies(tmp_path, text):
-    path = tmp_path / "kind.rec"
-    path.write_text(text.replace('"k":"jac"', '"k":"hess"'))
-    with pytest.raises(RecordError, match=r"kind\.rec:4: unknown evaluation kind 'hess'"):
-        read_record(path)
 
 
 def test_iteration_x_refers_to_eval_x(tmp_path):
@@ -404,7 +331,7 @@ def test_iteration_x_refers_to_eval_x(tmp_path):
     back = read_record(path)
     assert back == record
     x = back.iter_events()[0].values["x"]
-    assert x.tobytes() == V1_X.tobytes()
+    assert x.tobytes() == TINY_X.tobytes()
     x[0] = 5.0      # a ref decodes to a writable copy of the eval x
     assert back.eval_events()[0].x[0] == 0.5
 
@@ -431,62 +358,17 @@ def test_iteration_x_refs_need_identical_bits(tmp_path):
         e.values["x"].tobytes() for e in record.iter_events()]
 
 
-# Written by the version 3 writer from a run scaled by x 10 and 3, f 0.1 and
-# c 5: its evaluation events are in user units, its iteration obj, x and lam
-# in the solver's scaled space.
-V3_SCALED_RECORD = """\
-{"format_version":3,"problem":"tiny","solver":"sqp","n":2,"m":1,"x0":["0x1.0000000000000p+0","0x1.0000000000000p+1"],"scalers":{"x":["0x1.4000000000000p+3","0x1.8000000000000p+1"],"f":"0x1.999999999999ap-4","c":["0x1.4000000000000p+2"]},"options":{"maxiter":1},"timestamp":"2026-01-01T00:00:00"}
-{"t":"eval","k":"obj","x":{"f8":"AAAAAAAA4D9VVVVVVVXVPw=="},"r":"0x1.71c71c71c71c7p-2"}
-{"t":"eval","k":"lag_hess","x":0,"lam":{"f8":"AAAAAAAAKUA="},"r":{"f8":"AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEA=","shape":[2,2]}}
-{"t":"iter","itr":0,"obj":"0x1.27d27d27d27d3p-5","opt":"inf","x":{"f8":"AAAAAAAAFEAAAAAAAADwPw=="},"lam":{"f8":"AAAAAAAA0D8="}}
-"""
-
-
-def test_v3_scaled_record_reads_in_user_units(tmp_path):
-    path = tmp_path / "v3.rec"
-    path.write_text(V3_SCALED_RECORD)
-    back = read_record(path)
-    assert back.header["format_version"] == 3
-    x_scaler, c_scaler = np.array([10.0, 3.0]), np.array([5.0])
-    f_scaler = float.fromhex("0x1.999999999999ap-4")
-    values = back.iter_events()[0].values
-    assert values["x"].tobytes() == (np.array([5.0, 1.0]) / x_scaler).tobytes()
-    assert values["x"].tobytes() == back.eval_events()[0].x.tobytes()
-    assert values["obj"] == float.fromhex("0x1.27d27d27d27d3p-5") / f_scaler
-    assert values["lam"].tobytes() == (np.array([0.25]) * c_scaler / f_scaler).tobytes()
-    assert values["itr"] == 0 and values["opt"] == math.inf
-    # written back, it is an honest version 5 file: the iterate is a ref
-    write_record(back, tmp_path / "v5.rec")
-    lines = (tmp_path / "v5.rec").read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 5
-    assert json.loads(lines[-1])["x"] == {"ref": 0}
-    assert read_record(tmp_path / "v5.rec") == back
-
-
-@pytest.mark.parametrize("old, new", [
-    ('"f":"0x1.999999999999ap-4"', '"f":"0x0.0p+0"'),
-    ('"x":["0x1.4000000000000p+3"', '"x":["-0x1.4000000000000p+3"'),
-    ('"c":["0x1.4000000000000p+2"]', '"c":["inf"]'),
-], ids=["zero_f", "negative_x", "infinite_c"])
-def test_v3_record_with_bad_scalers_rejected(tmp_path, old, new):
-    assert V3_SCALED_RECORD.count(old) == 1
-    path = tmp_path / "bad.rec"
-    path.write_text(V3_SCALED_RECORD.replace(old, new))
-    with pytest.raises(RecordError, match=r"bad\.rec:1: header scalers are not all strictly positive"):
-        read_record(path)
-
-
-@pytest.mark.parametrize("ref, version, message", [
-    ({"ref": 99}, 3, "x ref 99 is not one of the 1 x read so far"),
-    ({"ref": -1}, 3, "x ref -1 is not one of the 1"),
-    ({"ref": 0, "f8": ""}, 3, "bad x ref"),
-    ({"ref": "0"}, 3, "bad x ref"),
-    ({"ref": 0}, 2, "in a version 2 body"),
-], ids=["out_of_range", "negative", "extra_key", "not_int", "in_version_2"])
-def test_bad_x_ref_reports_line(tmp_path, ref, version, message):
-    lines = V2_RECORD.splitlines()
-    lines[0] = lines[0].replace('"format_version":2', f'"format_version":{version}')
-    payload = json.loads(lines[5])
+@pytest.mark.parametrize("ref, message", [
+    ({"ref": 99}, "x ref 99 is not one of the 1 x read so far"),
+    ({"ref": -1}, "x ref -1 is not one of the 1"),
+    ({"ref": 0, "f8": ""}, "bad x ref"),
+    ({"ref": "0"}, "bad x ref"),
+], ids=["out_of_range", "negative", "extra_key", "not_int"])
+def test_bad_x_ref_reports_line(tmp_path, ref, message):
+    write_record(tiny_record(), tmp_path / "good.rec")
+    lines = (tmp_path / "good.rec").read_text().splitlines()
+    payload = json.loads(lines[5])      # the iteration event: its x is {"ref": 0}
+    assert payload["x"] == {"ref": 0}
     payload["x"] = ref
     lines[5] = json.dumps(payload)
     path = tmp_path / "bad.rec"
@@ -560,22 +442,18 @@ def test_v5_record_round_trips_and_hot_starts(tmp_path):
     assert replayed.f_star.hex() == report.f_star.hex()
 
 
-@pytest.mark.parametrize("lineno, r, version, message", [
-    (5, {"same": 1}, 5, "result marker with no earlier grad array result"),
-    (2, {"same": 1}, 5, "result marker with no earlier jac array result"),
-    (3, {"same": 1}, 5, "result marker with no earlier obj array result"),
-    (4, {"same": 1}, 4, r"result marker \{'same': 1\} in a version 4 body"),
-    (4, {"same": 1}, 2, "in a version 2 body"),
-    (4, {"same": True}, 5, "bad result marker"),
-    (4, {"same": 2}, 5, "bad result marker"),
-    (4, {"same": 1, "f8": ""}, 5, "bad result marker"),
-], ids=["first_of_kind", "first_event", "after_a_scalar", "in_version_4", "in_version_2", "bool",
-        "not_one", "extra_key"])
-def test_bad_result_marker_reports_line(tmp_path, lineno, r, version, message):
+@pytest.mark.parametrize("lineno, r, message", [
+    (5, {"same": 1}, "result marker with no earlier grad array result"),
+    (2, {"same": 1}, "result marker with no earlier jac array result"),
+    (3, {"same": 1}, "result marker with no earlier obj array result"),
+    (4, {"same": True}, "bad result marker"),
+    (4, {"same": 2}, "bad result marker"),
+    (4, {"same": 1, "f8": ""}, "bad result marker"),
+], ids=["first_of_kind", "first_event", "after_a_scalar", "bool", "not_one", "extra_key"])
+def test_bad_result_marker_reports_line(tmp_path, lineno, r, message):
     path = tmp_path / "good.rec"
     write_record(_marker_record(), path)
     lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"format_version":5', f'"format_version":{version}')
     payload = json.loads(lines[lineno - 1])
     payload["r"] = r
     lines[lineno - 1] = json.dumps(payload)
@@ -583,24 +461,6 @@ def test_bad_result_marker_reports_line(tmp_path, lineno, r, version, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordError, match=rf"bad\.rec:{lineno}: .*{message}"):
         read_record(path)
-
-
-def test_result_marker_in_a_version_1_body_rejected(tmp_path):
-    lines = V1_RECORD.splitlines()
-    payload = json.loads(lines[3])      # the jac event
-    payload["r"] = {"same": 1}
-    lines[3] = json.dumps(payload)
-    path = tmp_path / "bad.rec"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RecordError, match=r"bad\.rec:4: malformed record line"):
-        read_record(path)
-
-
-def test_v1_record_inspect(v1_path, capsys):
-    assert cli_main(["inspect", str(v1_path), "--tail", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "problem:   tiny" in out and "1 iterations, 4 evaluations" in out
-    assert "itr=0 obj=0.361111 opt=inf x=[0.5" in out
 
 
 def test_record_bodies_deterministic():

@@ -750,6 +750,12 @@ def test_pso_requires_finite_box():
     assert report.f_star < 1.0
 
 
+@pytest.mark.parametrize("n_particles", [0, -1])
+def test_pso_rejects_an_empty_swarm(n_particles):
+    with pytest.raises(SolverError, match="n_particles must be at least 1"):
+        ok.pso(box_sphere(), seed=1, n_particles=n_particles)
+
+
 def test_sa_always_accepts_equal_objective():
     # constant objective: acceptance probability exp(0) = 1, every proposal moves
     spec = build_problem("const", [0.0, 0.0], obj=lambda x: 1.0, xl=-1.0, xu=1.0)
