@@ -12,11 +12,9 @@ from .problem import (Bounds, DerivativeCheck, EvalCallbacks, EvalCounters,
                       build_problem, check_first_derivatives, fd_derivative)
 from .kit import (HessianApprox, LineSearchResult, MeritSpec, QpError,
                   line_search, merit_value, qp_solve)
-from .recording import (EvalEvent, HotStartCache, HotStartError, IterEvent,
-                        OutputsDecl, RecordError, RunRecord, print_results,
-                        read_record, update_outputs, write_readable_outputs,
-                        write_record)
-from .solvers import (SOLVERS, OptionError, SolverError, SolverReport,
+from .recording import (EvalEvent, HotStartError, IterEvent, RecordError, RunRecord,
+                        print_results, read_record, write_readable_outputs, write_record)
+from .solvers import (SOLVERS, OptionError, RunContext, SolverError, SolverReport,
                       exact_penalty, nelder_mead, newton, newton_lagrange,
                       pso, quadratic_penalty, quasi_newton, simulated_annealing,
                       sqp, steepest_descent)
@@ -30,10 +28,9 @@ __all__ = [
     "build_problem", "check_first_derivatives", "fd_derivative",
     "HessianApprox", "LineSearchResult", "MeritSpec", "QpError",
     "line_search", "merit_value", "qp_solve",
-    "EvalEvent", "HotStartCache", "HotStartError", "IterEvent", "OutputsDecl",
-    "RecordError", "RunRecord", "print_results",
-    "read_record", "update_outputs", "write_readable_outputs", "write_record",
-    "SOLVERS", "OptionError", "SolverError", "SolverReport",
+    "EvalEvent", "HotStartError", "IterEvent", "RecordError", "RunRecord",
+    "print_results", "read_record", "write_readable_outputs", "write_record",
+    "SOLVERS", "OptionError", "RunContext", "SolverError", "SolverReport",
     "steepest_descent", "newton", "quasi_newton", "newton_lagrange",
     "quadratic_penalty", "exact_penalty", "sqp", "nelder_mead", "pso",
     "simulated_annealing", "bench", "__version__",

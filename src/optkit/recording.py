@@ -250,17 +250,6 @@ class OutputsDecl:
         return out
 
 
-def update_outputs(decl, record, **values):
-    """Validate one iteration's declared outputs and append them to the record
-    as an IterEvent, which is returned.  With ``record`` None they are checked
-    the same way but neither converted nor copied, and None is returned."""
-    if record is None:
-        return decl.validate(values, convert=False)
-    event = IterEvent(values=decl.validate(values))
-    record.events.append(event)
-    return event
-
-
 # ---------------------------------------------------------------------------
 # RunRecord
 # ---------------------------------------------------------------------------

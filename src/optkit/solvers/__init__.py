@@ -1,6 +1,6 @@
 """Solver drivers and the name -> function registry used by the CLI and benchmarks."""
 
-from .base import OptionError, SolverError, SolverOptions, SolverReport, ensure_view
+from .base import OptionError, RunContext, SolverError, SolverReport
 from .constrained import exact_penalty, newton_lagrange, quadratic_penalty, sqp
 from .direct import nelder_mead, pso, simulated_annealing
 from .gradient import newton, quasi_newton, steepest_descent
@@ -19,7 +19,7 @@ SOLVERS = {
 }
 
 __all__ = [
-    "OptionError", "SolverError", "SolverOptions", "SolverReport", "ensure_view",
+    "OptionError", "RunContext", "SolverError", "SolverReport",
     "SOLVERS", "steepest_descent", "newton", "quasi_newton", "newton_lagrange",
     "quadratic_penalty", "exact_penalty", "sqp", "nelder_mead", "pso",
     "simulated_annealing",

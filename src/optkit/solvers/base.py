@@ -1,12 +1,13 @@
-"""Shared solver infrastructure: option validation, reports, run plumbing."""
+"""The solver contract: option checks, the run context, and the report."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from dataclasses import dataclass
 
+from .. import recording
 from ..problem import EvalCounters, ProblemSpec, ScaledView
-from ..recording import OutputsDecl, update_outputs
 
 
 class OptionError(ValueError):
@@ -24,30 +25,20 @@ COMMON_OPTIONS = {
 }
 
 
-class SolverOptions:
-    """Declared-option container: unknown names are errors, values type-checked.
-
-    ``declared`` maps option name -> (type or tuple of types, default).
-    Ints are accepted where floats are declared.
-    """
-
-    def __init__(self, declared, values=None):
-        self._declared = dict(declared)
-        self._values = {}
-        for name, (_, default) in self._declared.items():
-            self._values[name] = default
-        for name, value in (values or {}).items():
-            self.set(name, value)
-
-    def set(self, name, value):
-        if name not in self._declared:
-            raise OptionError(f"unknown option {name!r}; valid options: {sorted(self._declared)}")
-        types, _ = self._declared[name]
+def _checked_options(declared, values):
+    """``values`` over the ``declared`` defaults (name -> (type or tuple of
+    types, default)), each type-checked: unknown names are errors, and ints
+    are accepted where floats are declared."""
+    out = {name: default for name, (_, default) in declared.items()}
+    for name, value in values.items():
+        if name not in declared:
+            raise OptionError(f"unknown option {name!r}; valid options: {sorted(declared)}")
+        types = declared[name][0]
         if not isinstance(types, tuple):
             types = (types,)
         if value is None and type(None) in types:
-            self._values[name] = None
-            return
+            out[name] = None
+            continue
         if float in types and isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             value = float(value)
         if int in types and isinstance(value, np.integer):
@@ -56,23 +47,8 @@ class SolverOptions:
             raise OptionError(f"option {name!r} must be {types}, got bool")
         if not isinstance(value, tuple(t for t in types if t is not type(None))):
             raise OptionError(f"option {name!r} must be of type {types}, got {type(value).__name__}")
-        self._values[name] = value
-
-    def __getattr__(self, name):
-        values = self.__dict__.get("_values", {})
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
-    def as_dict(self):
-        return dict(self._values)
-
-
-def make_options(extra=None, values=None):
-    declared = dict(COMMON_OPTIONS)
-    if extra:
-        declared.update(extra)
-    return SolverOptions(declared, values)
+        out[name] = value
+    return SimpleNamespace(**out)
 
 
 @dataclass
@@ -101,43 +77,55 @@ class SolverReport:
     multipliers: np.ndarray = None
 
 
-def ensure_view(problem):
-    """Accept a ProblemSpec or an already-configured ScaledView."""
-    if isinstance(problem, ScaledView):
-        return problem
-    if isinstance(problem, ProblemSpec):
-        return ScaledView(problem)
-    raise TypeError(f"expected ProblemSpec or ScaledView, got {type(problem).__name__}")
-
-
-def require_unconstrained(view, solver):
-    if view.m != 0:
-        raise SolverError(f"{solver} handles unconstrained problems only (m={view.m}); "
-                          "wrap constraints with a penalty solver instead")
-
-
 class RunContext:
-    """Per-run bookkeeping: wall clock, output declaration, report assembly."""
+    """The contract a solver is written against: one per run.
 
-    def __init__(self, view, solver_name, outputs, options):
-        self.view = view
+    ``problem`` (a ProblemSpec, or an already-configured ScaledView) becomes
+    ``view``, through which the solver reads the problem in scaled units.
+    ``options`` (name -> value) is checked against ``COMMON_OPTIONS``
+    (maxiter, opt_tol, feas_tol) plus ``declared`` (name -> (type or tuple
+    of types, default)) into ``options``, read as attributes; a bad option
+    raises OptionError.  With ``unconstrained`` the solver declares that it
+    handles m == 0 only, and a constrained problem raises SolverError.
+    The solver then names its per-iteration outputs with
+    ``declare_outputs``, reports each iteration with ``emit`` and returns
+    ``finish(...)``, the SolverReport in user units.
+    """
+
+    def __init__(self, problem, solver_name, options=None, declared=None, *,
+                 unconstrained=False):
+        if isinstance(problem, ProblemSpec):
+            problem = ScaledView(problem)
+        elif not isinstance(problem, ScaledView):
+            raise TypeError(f"expected ProblemSpec or ScaledView, got {type(problem).__name__}")
+        self.view = view = problem
         self.solver_name = solver_name
-        self.decl = OutputsDecl(outputs)
-        self.options = options
+        self.options = _checked_options({**COMMON_OPTIONS, **(declared or {})}, options or {})
+        if unconstrained and view.m != 0:
+            raise SolverError(f"{solver_name} handles unconstrained problems only (m={view.m}); "
+                              "wrap constraints with a penalty solver instead")
+        self.decl = recording.OutputsDecl({})
+        self._unscale = ()
         self.t0 = time.perf_counter()
         if view.record is not None:
-            view.record.set_solver(solver_name, options.as_dict())
+            view.record.set_solver(solver_name, vars(self.options))
+
+    def declare_outputs(self, **outputs):
+        """Name the per-iteration outputs: name -> int, float or (float, shape)."""
+        self.decl = recording.OutputsDecl(outputs)
         # the declared iterate, objective and multipliers, each with the view
         # method that takes it to user units; none when every scaler is 1,
         # since dividing by 1 keeps the bits
-        spec = view.spec
+        view, spec = self.view, self.view.spec
         unit = spec.f_scaler == 1.0 and np.all(spec.x_scaler == 1.0) and np.all(spec.c_scaler == 1.0)
         self._unscale = () if unit else tuple((name, unscale) for name, unscale in (
             ("x", view.unscale_x), ("obj", view.unscale_f), ("lam", view.unscale_lam))
-            if name in self.decl.decl)
+            if name in outputs)
 
     def emit(self, **values):
-        """Validate and record one iteration's outputs; without a record, validate only.
+        """Validate one iteration's outputs and append them to the view's record
+        as an IterEvent, which is returned; without a record, validate only
+        (no copy, no event) and return None.
 
         A recorded iteration holds ``x``, ``obj`` and ``lam`` in the user's
         units, as the evaluation events and the report's x* and f* are: the view's
@@ -147,12 +135,13 @@ class RunContext:
         ``T``) stays the solver's scaled-space measure.
         """
         record = self.view.record
-        if record is None:      # update_outputs would repack ``values`` to do the same
+        if record is None:
             return self.decl.validate(values, convert=False)
-        event = update_outputs(self.decl, record, **values)
+        event = recording.IterEvent(values=self.decl.validate(values))
         out = event.values
         for name, unscale in self._unscale:
             out[name] = unscale(out[name])
+        record.events.append(event)
         return event
 
     def finish(self, xs, fs, optimality, feasibility, niter, converged, multipliers=None):

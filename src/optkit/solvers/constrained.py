@@ -4,7 +4,7 @@ import numpy as np
 
 from .. import kit
 from ..problem import Bounds, signed_violation, violation
-from .base import (RunContext, SolverError, ensure_view, make_options)
+from .base import RunContext, SolverError
 from .direct import _nelder_mead_loop
 from .gradient import _descent_loop, _quasi_newton_rule
 
@@ -19,13 +19,12 @@ def newton_lagrange(problem, **options):
     ||grad L||^2.  Requires every constraint to be an equality
     (lower == upper).
     """
-    view = ensure_view(problem)
-    opts = make_options({"use_line_search": (bool, False)}, options)
+    ctx = RunContext(problem, "newton_lagrange", options, {"use_line_search": (bool, False)})
+    view, opts = ctx.view, ctx.options
     if not np.all(view.con_lower == view.con_upper):
         raise SolverError("newton_lagrange requires equality constraints only (lower == upper)")
-    ctx = RunContext(view, "newton_lagrange",
-                     {"itr": int, "obj": float, "opt": float, "feas": float,
-                      "x": (float, (view.n,)), "lam": (float, (view.m,))}, opts)
+    ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float,
+                        x=(float, (view.n,)), lam=(float, (view.m,)))
 
     n, m = view.n, view.m
     target = view.con_lower
@@ -92,13 +91,13 @@ def quadratic_penalty(problem, **options):
     rho grows geometrically until both feasibility and the subproblem
     optimality meet their tolerances.
     """
-    view = ensure_view(problem)
-    opts = make_options({"rho0": (float, 1.0), "rho_growth": (float, 10.0),
-                         "subsolver_tol_schedule": (list, [1e-2, 1e-3, 1e-4]),
-                         "sub_maxiter": (int, 300)}, options)
-    ctx = RunContext(view, "quadratic_penalty",
-                     {"itr": int, "obj": float, "opt": float, "feas": float,
-                      "rho": float, "x": (float, (view.n,))}, opts)
+    ctx = RunContext(problem, "quadratic_penalty", options,
+                     {"rho0": (float, 1.0), "rho_growth": (float, 10.0),
+                      "subsolver_tol_schedule": (list, [1e-2, 1e-3, 1e-4]),
+                      "sub_maxiter": (int, 300)})
+    view, opts = ctx.view, ctx.options
+    ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float, rho=float,
+                        x=(float, (view.n,)))
     m = view.m
     cl, cu = view.con_lower, view.con_upper
     bounds = Bounds(view.var_lower, view.var_upper)
@@ -182,14 +181,12 @@ def exact_penalty(problem, **options):
     kind='linf') at a fixed rho; for rho larger than the multiplier norm the
     minimizer coincides with the constrained solution.
     """
-    view = ensure_view(problem)
-    opts = make_options({"kind": (str, "l1"), "rho": (float, 100.0),
-                         "init_scale": (float, 0.05)}, options)
+    ctx = RunContext(problem, "exact_penalty", options,
+                     {"kind": (str, "l1"), "rho": (float, 100.0), "init_scale": (float, 0.05)})
+    view, opts = ctx.view, ctx.options
     if opts.kind not in ("l1", "linf"):
         raise SolverError(f"exact_penalty kind must be 'l1' or 'linf', got {opts.kind!r}")
-    ctx = RunContext(view, "exact_penalty",
-                     {"itr": int, "merit": float, "spread": float,
-                      "x": (float, (view.n,))}, opts)
+    ctx.declare_outputs(itr=int, merit=float, spread=float, x=(float, (view.n,)))
 
     try:
         merit = kit.MeritSpec(opts.kind, opts.rho)
@@ -238,11 +235,10 @@ def sqp(problem, **options):
     moves the multipliers along lam + alpha*(lam_hat - lam).  Infeasible QPs
     trigger a feasibility-restoration descent step on ||violation||^2.
     """
-    view = ensure_view(problem)
-    opts = make_options({}, options)
-    ctx = RunContext(view, "sqp",
-                     {"itr": int, "obj": float, "opt": float, "feas": float,
-                      "x": (float, (view.n,)), "lam": (float, (view.m,))}, opts)
+    ctx = RunContext(problem, "sqp", options)
+    view, opts = ctx.view, ctx.options
+    ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float,
+                        x=(float, (view.n,)), lam=(float, (view.m,)))
     n, m = view.n, view.m
     cl, cu = view.con_lower, view.con_upper
     xl, xu = view.var_lower, view.var_upper

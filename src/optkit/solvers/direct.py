@@ -3,8 +3,7 @@
 import numpy as np
 
 from ..problem import Bounds
-from .base import (RunContext, SolverError, ensure_view, make_options,
-                   require_unconstrained)
+from .base import RunContext, SolverError
 
 # canonical simplex coefficients: reflection, expansion, contraction, shrink
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -19,6 +18,8 @@ def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=
     Terminates when both the objective spread and the simplex diameter are
     small, or at ``maxiter``.  Returns the terminal state as a dict.
     """
+    if not (init_scale != 0.0 and np.isfinite(init_scale)):
+        raise SolverError(f"init_scale must be nonzero and finite, got {init_scale!r}")
     clip = bounds.clip
     x0 = clip(np.array(x0, dtype=float))
     n = x0.size
@@ -85,11 +86,10 @@ def nelder_mead(problem, **options):
     ``init_scale * max(1, |x0_i|)``; reported optimality is the simplex
     objective spread.
     """
-    view = ensure_view(problem)
-    opts = make_options({"init_scale": (float, 0.05)}, options)
-    require_unconstrained(view, "nelder_mead")
-    ctx = RunContext(view, "nelder_mead",
-                     {"itr": int, "obj": float, "spread": float, "x": (float, (view.n,))}, opts)
+    ctx = RunContext(problem, "nelder_mead", options, {"init_scale": (float, 0.05)},
+                     unconstrained=True)
+    view, opts = ctx.view, ctx.options
+    ctx.declare_outputs(itr=int, obj=float, spread=float, x=(float, (view.n,)))
 
     # names bound once per call (never at import, so patched methods are seen)
     emit = ctx.emit
@@ -102,6 +102,12 @@ def nelder_mead(problem, **options):
                               init_scale=opts.init_scale, on_iter=on_iter)
     return ctx.finish(state["x"], state["f"], state["spread"], 0.0,
                       state["niter"], state["converged"])
+
+
+# the random start and proposal stream, and the box they are drawn from
+_SAMPLING_OPTIONS = {"seed": ((int, type(None)), None),
+                     "sample_lower": ((list, tuple, type(None)), None),
+                     "sample_upper": ((list, tuple, type(None)), None)}
 
 
 def _sampling_box(view, opts):
@@ -133,17 +139,13 @@ def pso(problem, **options):
     1e-12 over 50 iterations); reported optimality is the improvement over
     that window.
     """
-    view = ensure_view(problem)
-    opts = make_options({"n_particles": (int, 20), "w": (float, 0.7),
-                         "c_p": (float, 1.5), "c_g": (float, 1.5),
-                         "seed": ((int, type(None)), None),
-                         "sample_lower": ((list, tuple, type(None)), None),
-                         "sample_upper": ((list, tuple, type(None)), None)}, options)
+    ctx = RunContext(problem, "pso", options,
+                     {"n_particles": (int, 20), "w": (float, 0.7), "c_p": (float, 1.5),
+                      "c_g": (float, 1.5), **_SAMPLING_OPTIONS}, unconstrained=True)
+    view, opts = ctx.view, ctx.options
     if opts.n_particles < 1:
         raise SolverError("n_particles must be at least 1")
-    require_unconstrained(view, "pso")
-    ctx = RunContext(view, "pso",
-                     {"itr": int, "obj": float, "x": (float, (view.n,))}, opts)
+    ctx.declare_outputs(itr=int, obj=float, x=(float, (view.n,)))
     box = _sampling_box(view, opts)
     width = box.upper - box.lower
     rng = np.random.default_rng(opts.seed)
@@ -207,15 +209,13 @@ def simulated_annealing(problem, **options):
     50 proposals (inf when ``k_max`` is shorter than one window); the run
     counts as converged when that improvement is at most ``opt_tol``.
     """
-    view = ensure_view(problem)
-    opts = make_options({"T0": (float, 10.0), "k_max": (int, 5000),
-                         "step_scale": (float, 0.1),
-                         "seed": ((int, type(None)), None),
-                         "sample_lower": ((list, tuple, type(None)), None),
-                         "sample_upper": ((list, tuple, type(None)), None)}, options)
-    require_unconstrained(view, "simulated_annealing")
-    ctx = RunContext(view, "simulated_annealing",
-                     {"itr": int, "obj": float, "T": float, "x": (float, (view.n,))}, opts)
+    ctx = RunContext(problem, "simulated_annealing", options,
+                     {"T0": (float, 10.0), "k_max": (int, 5000), "step_scale": (float, 0.1),
+                      **_SAMPLING_OPTIONS}, unconstrained=True)
+    view, opts = ctx.view, ctx.options
+    if opts.k_max < 0:
+        raise SolverError(f"k_max must be at least 0, got {opts.k_max}")
+    ctx.declare_outputs(itr=int, obj=float, T=float, x=(float, (view.n,)))
     box = _sampling_box(view, opts)
     width = box.upper - box.lower
     rng = np.random.default_rng(opts.seed)

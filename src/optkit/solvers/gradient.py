@@ -11,12 +11,10 @@ import numpy as np
 
 from .. import kit
 from ..problem import Bounds, EvaluationError, _is_finite
-from .base import (RunContext, SolverError, ensure_view, make_options,
-                   require_unconstrained)
+from .base import RunContext, SolverError
 
 log = logging.getLogger(__name__)
 
-_OUTPUTS = lambda n: {"itr": int, "obj": float, "opt": float, "x": (float, (n,))}
 _STEP_OPTIONS = {"use_line_search": (bool, True), "alpha": (float, 1.0)}
 
 
@@ -34,7 +32,9 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
     and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.
     ``refine_grad()`` is called once, at the first iterate whose projected
     gradient norm is at most 10 ``opt_tol``; when it returns True the
-    gradient is taken again there.  Returns a dict with the terminal state.
+    gradient is taken again there.  A step that leaves x with the same bits
+    ends the loop unconverged, since every later step would repeat it.
+    Returns a dict with the terminal state.
     """
     clip = bounds.clip
     x = clip(np.array(x0, dtype=float))
@@ -89,6 +89,9 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
             f_new = obj(x_new)
         if not _is_finite(x_new):
             raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
+        if x_new.tobytes() == x.tobytes():
+            itr -= 1    # the accepted step left x as it was: stop unconverged
+            break
         if g_new is None:
             g_new = grad(x_new)
 
@@ -102,8 +105,11 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
     return {"x": x, "f": f, "opt": opt, "niter": itr, "converged": opt <= opt_tol}
 
 
-def _solve(view, ctx, opts, direction, ls_kind, on_step=None):
-    """Run the descent loop on a view and report in the solver's context."""
+def _solve(ctx, direction, ls_kind, on_step=None):
+    """Run the descent loop on the context's view and report there."""
+    view, opts = ctx.view, ctx.options
+    ctx.declare_outputs(itr=int, obj=float, opt=float, x=(float, (view.n,)))
+
     def on_iter(itr, x, f, opt):
         ctx.emit(itr=itr, obj=f, opt=opt, x=x)
 
@@ -122,10 +128,7 @@ def steepest_descent(problem, **options):
     Terminates when the (projected) gradient 2-norm drops below ``opt_tol``.
     With ``use_line_search=False`` a fixed step ``alpha`` is taken instead.
     """
-    view = ensure_view(problem)
-    opts = make_options(_STEP_OPTIONS, options)
-    require_unconstrained(view, "steepest_descent")
-    ctx = RunContext(view, "steepest_descent", _OUTPUTS(view.n), opts)
+    ctx = RunContext(problem, "steepest_descent", options, _STEP_OPTIONS, unconstrained=True)
     f_prev = None
 
     def direction(x, f, g, pg):
@@ -144,7 +147,7 @@ def steepest_descent(problem, **options):
         f_prev = f
         return p, alpha0, slope
 
-    return _solve(view, ctx, opts, direction, "armijo")
+    return _solve(ctx, direction, "armijo")
 
 
 def _regularized_newton_step(H, g):
@@ -173,10 +176,8 @@ def newton(problem, **options):
     Indefinite Hessians are shifted by a doubling diagonal term until the
     Cholesky factorization succeeds.
     """
-    view = ensure_view(problem)
-    opts = make_options(_STEP_OPTIONS, options)
-    require_unconstrained(view, "newton")
-    ctx = RunContext(view, "newton", _OUTPUTS(view.n), opts)
+    ctx = RunContext(problem, "newton", options, _STEP_OPTIONS, unconstrained=True)
+    view = ctx.view
 
     def direction(x, f, g, pg):
         p = _regularized_newton_step(view.obj_hess(x), g)
@@ -186,7 +187,7 @@ def newton(problem, **options):
             slope = float(g.dot(p))
         return p, 1.0, slope
 
-    return _solve(view, ctx, opts, direction, "armijo")
+    return _solve(ctx, direction, "armijo")
 
 
 def _quasi_newton_rule(approx, scaled_start=False):
@@ -240,12 +241,11 @@ def quasi_newton(problem, **options):
     gamma = w'd / w'w from that step d and gradient change w, so H takes the
     problem's scale from the first step; the other variants update I itself.
     """
-    view = ensure_view(problem)
-    opts = make_options({**_STEP_OPTIONS, "variant": (str, "bfgs")}, options)
+    ctx = RunContext(problem, "quasi_newton", options, {**_STEP_OPTIONS, "variant": (str, "bfgs")},
+                     unconstrained=True)
+    opts = ctx.options
     if opts.variant not in kit.HESSIAN_VARIANTS:
         raise SolverError(f"unknown quasi-Newton variant {opts.variant!r}")
-    require_unconstrained(view, "quasi_newton")
-    ctx = RunContext(view, "quasi_newton", _OUTPUTS(view.n), opts)
-    approx = kit.HessianApprox(n=view.n, variant=opts.variant, inverse=True)
+    approx = kit.HessianApprox(n=ctx.view.n, variant=opts.variant, inverse=True)
     direction, on_step = _quasi_newton_rule(approx, scaled_start=opts.variant == "bfgs")
-    return _solve(view, ctx, opts, direction, "wolfe", on_step=on_step)
+    return _solve(ctx, direction, "wolfe", on_step=on_step)

@@ -67,6 +67,14 @@ def test_run_pso_empty_swarm_exit_one(capsys):
     assert "n_particles must be at least 1" in err
 
 
+def test_run_nelder_mead_zero_init_scale_exit_one(capsys):
+    code, out, err = run_cli(capsys, "run", "--problem", "rosenbrock2", "--solver", "nelder_mead",
+                             "--opt", "init_scale=0")
+    assert code == 1
+    assert "init_scale must be nonzero and finite" in err
+    assert "converged:   true" not in out
+
+
 def test_run_writes_record_and_readable_outputs(tmp_path, capsys):
     rec = tmp_path / "run.rec"
     code, out, _ = run_cli(capsys, "run", "--problem", "bean",

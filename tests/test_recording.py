@@ -6,12 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from optkit import (EvalEvent, HotStartError, IterEvent, OutputsDecl, RecordError, RunRecord,
+from optkit import (EvalEvent, HotStartError, IterEvent, RecordError, RunContext, RunRecord,
                     ScaledView, build_problem, nelder_mead, print_results, quasi_newton,
                     read_record, recording, simulated_annealing, sqp, steepest_descent,
-                    update_outputs, write_readable_outputs, write_record)
+                    write_readable_outputs, write_record)
 from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
-from optkit.solvers.base import RunContext, make_options
 
 
 def quad_spec():
@@ -23,30 +22,30 @@ def quad_spec():
 # output declarations
 # ---------------------------------------------------------------------------
 
-def test_update_outputs_happy_path():
-    decl = OutputsDecl({"itr": int, "obj": float, "x": (float, (2,))})
+def context(record, spec=None, **outputs):
+    """A steepest_descent RunContext on ``spec`` (default quad_spec()) whose
+    view records to ``record`` (a RunRecord, True, or None for no record),
+    with ``outputs`` declared."""
+    ctx = RunContext(ScaledView(spec or quad_spec(), record=record), "steepest_descent")
+    ctx.declare_outputs(**outputs)
+    return ctx
+
+
+def test_emit_appends_declared_outputs():
     record = RunRecord()
-    event = update_outputs(decl, record, itr=0, obj=1.0, x=np.array([1.0, 1.0]))
+    event = context(record, itr=int, obj=float, x=(float, (2,))).emit(
+        itr=0, obj=1.0, x=np.array([1.0, 1.0]))
     assert record.events == [event]
     assert event.values["itr"] == 0
+    assert record.header["solver"] == "steepest_descent"
+    assert context(None, itr=int).emit(itr=0) is None
 
 
-def test_update_outputs_rejects_undeclared_name():
-    decl = OutputsDecl({"itr": int})
-    with pytest.raises(RecordError, match="foo"):
-        update_outputs(decl, RunRecord(), itr=0, foo=1.0)
-
-
-def test_update_outputs_rejects_missing_name():
-    decl = OutputsDecl({"itr": int, "obj": float})
-    with pytest.raises(RecordError, match="missing"):
-        update_outputs(decl, RunRecord(), itr=0)
-
-
-def test_update_outputs_rejects_bad_shape():
-    decl = OutputsDecl({"x": (float, (2,))})
-    with pytest.raises(RecordError, match="shape"):
-        update_outputs(decl, RunRecord(), x=np.zeros(3))
+@pytest.mark.parametrize("record", [None, True], ids=["off", "on"])
+def test_emit_before_declare_outputs_is_undeclared(record):
+    ctx = RunContext(ScaledView(quad_spec(), record=record), "steepest_descent")
+    with pytest.raises(RecordError, match="undeclared \\['itr'\\]"):
+        ctx.emit(itr=0)
 
 
 @pytest.mark.parametrize("values, message", [
@@ -60,9 +59,8 @@ def test_update_outputs_rejects_bad_shape():
 def test_emit_validates_with_recording_off(values, message):
     messages = []
     for record in (None, True):
-        view = ScaledView(rosenbrock2(), record=record)
-        ctx = RunContext(view, "steepest_descent",
-                         {"itr": int, "obj": float, "x": (float, (2,))}, make_options())
+        ctx = context(record, rosenbrock2(), itr=int, obj=float, x=(float, (2,)))
+        view = ctx.view
         ctx.emit(itr=0, obj=1.0, x=np.zeros(2))
         with pytest.raises(RecordError, match=message) as info:
             ctx.emit(**values)
@@ -152,17 +150,16 @@ def test_events_compare_by_bit_pattern():
     assert nan_iter == IterEvent({"itr": 0, "obj": math.nan, "x": np.array([math.nan, 1.0])})
     assert IterEvent({"obj": 0.0}) != IterEvent({"obj": -0.0})
 
-    decl = OutputsDecl({"itr": int, "obj": float})
     a, b = RunRecord(), RunRecord()
-    update_outputs(decl, a, itr=0, obj=0.0)
-    update_outputs(decl, b, itr=0, obj=-0.0)
+    context(a, itr=int, obj=float).emit(itr=0, obj=0.0)
+    context(b, itr=int, obj=float).emit(itr=0, obj=-0.0)
     assert a != b
 
 
 def test_nan_output_roundtrip(tmp_path):
     record = RunRecord.for_problem(quad_spec())
-    decl = OutputsDecl({"itr": int, "obj": float, "x": (float, (2,))})
-    update_outputs(decl, record, itr=0, obj=math.nan, x=np.array([-0.0, math.inf]))
+    context(record, itr=int, obj=float, x=(float, (2,))).emit(
+        itr=0, obj=math.nan, x=np.array([-0.0, math.inf]))
     record.append_eval("obj", np.array([-0.0, 0.0]), None, math.nan)
     path = tmp_path / "nan.rec"
     write_record(record, path)
@@ -311,13 +308,13 @@ def tiny_record():
     """A one-iteration run at one x, built in memory."""
     spec = tiny_spec()
     record = RunRecord.for_problem(spec)
-    record.set_solver("sqp", {"maxiter": 1})
     record.header["timestamp"] = "2026-01-01T00:00:00"
+    ctx = RunContext(ScaledView(spec, record=record), "sqp", {"maxiter": 1})
+    ctx.declare_outputs(itr=int, obj=float, opt=float, x=(float, (2,)))
     for kind in ("obj", "grad", "jac"):
         record.append_eval(kind, TINY_X, None, spec.callbacks.get(kind)(TINY_X))
     record.append_eval("lag_hess", TINY_X, TINY_LAM, 2.0 * np.eye(2))
-    update_outputs(OutputsDecl({"itr": int, "obj": float, "opt": float, "x": (float, (2,))}),
-                   record, itr=0, obj=float(TINY_X @ TINY_X), opt=math.inf, x=TINY_X)
+    ctx.emit(itr=0, obj=float(TINY_X @ TINY_X), opt=math.inf, x=TINY_X)
     return record
 
 
@@ -341,11 +338,11 @@ def test_iteration_x_refs_need_identical_bits(tmp_path):
     nan_b = nan_a.copy()
     nan_b.view(np.int64)[0] |= 1            # the same NaN value, another payload
     record = RunRecord.for_problem(quad_spec())
-    decl = OutputsDecl({"itr": int, "x": (float, (2,))})
+    ctx = context(record, itr=int, x=(float, (2,)))
     record.append_eval("obj", np.array([0.0, 1.0]), None, 1.0)
     record.append_eval("obj", nan_a, None, math.nan)
     for itr, x in enumerate([np.array([-0.0, 1.0]), nan_b, nan_a, np.array([0.0, 1.0])]):
-        update_outputs(decl, record, itr=itr, x=x)
+        ctx.emit(itr=itr, x=x)
     path = tmp_path / "bits.rec"
     write_record(record, path)
     xs = [json.loads(line)["x"] for line in path.read_text().splitlines()[3:]]
@@ -688,10 +685,10 @@ def test_hot_start_extension_counts_only_fresh():
 # ---------------------------------------------------------------------------
 
 def test_readable_outputs_files(tmp_path):
-    decl = OutputsDecl({"itr": int, "obj": float, "x": (float, (2,))})
     record = RunRecord()
+    ctx = context(record, itr=int, obj=float, x=(float, (2,)))
     for k in range(3):
-        update_outputs(decl, record, itr=k, obj=float(k), x=np.array([k, -k], dtype=float))
+        ctx.emit(itr=k, obj=float(k), x=np.array([k, -k], dtype=float))
     paths = write_readable_outputs(record, ["obj", "x", "itr"], tmp_path)
     obj_lines = open(paths[0]).read().splitlines()
     assert len(obj_lines) == 3
@@ -701,9 +698,8 @@ def test_readable_outputs_files(tmp_path):
 
 
 def test_readable_outputs_17_digits(tmp_path):
-    decl = OutputsDecl({"obj": float})
     record = RunRecord()
-    update_outputs(decl, record, obj=math.pi)
+    context(record, obj=float).emit(obj=math.pi)
     (path,) = write_readable_outputs(record, ["obj"], tmp_path)
     assert float(open(path).read().strip()) == math.pi
 
@@ -715,9 +711,8 @@ def test_readable_outputs_empty_record(tmp_path):
 
 
 def test_readable_outputs_unknown_name(tmp_path):
-    decl = OutputsDecl({"obj": float})
     record = RunRecord()
-    update_outputs(decl, record, obj=1.0)
+    context(record, obj=float).emit(obj=1.0)
     with pytest.raises(RecordError, match="nope"):
         write_readable_outputs(record, ["nope"], tmp_path)
 

@@ -66,6 +66,19 @@ def test_sd_stationary_start_returns_immediately():
     assert report.converged and report.niter == 0
 
 
+@pytest.mark.parametrize("solver", [ok.steepest_descent, ok.quasi_newton],
+                         ids=["steepest_descent", "quasi_newton"])
+def test_descent_stops_at_a_step_that_leaves_x_unchanged(solver):
+    # |g| = 1e-5 is far above opt_tol but below the spacing of floats at
+    # 1e12, so the accepted step rounds back to x0; every later step would too
+    spec = build_problem("flat", [1e12], obj=lambda x: float(x @ x),
+                         grad=lambda x: 1e-17 * x)
+    report = solver(spec)
+    assert not report.converged and report.niter == 0
+    assert report.x_star[0] == 1e12 and report.optimality == 1e-5
+    assert report.counters.n_grad <= 2
+
+
 def test_sd_rejects_constrained_problem():
     with pytest.raises(SolverError):
         ok.steepest_descent(quadratic_example())
@@ -415,6 +428,16 @@ def test_quadratic_penalty_never_repeats_the_previous_request(token):
         assert all(a != b for a, b in zip(bits, bits[1:])), kind
 
 
+def test_quadratic_penalty_unscaled_spacecraft_fails_quickly():
+    # the subsolves stall at steps that leave x as it was; each ends there
+    # instead of repeating the step up to sub_maxiter, so the rho cap is
+    # reached in well under a second rather than in several
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="penalty parameter exceeded"):
+        ok.quadratic_penalty(parse_problem_token("spacecraft:3"))
+    assert time.perf_counter() - start < 2.0
+
+
 def test_exact_penalty_kink_minimum():
     spec = build_problem("kink", [3.0], obj=lambda x: float(x[0] ** 2),
                          con=lambda x: x.copy(), jac=lambda x: np.array([[1.0]]),
@@ -754,6 +777,20 @@ def test_pso_requires_finite_box():
 def test_pso_rejects_an_empty_swarm(n_particles):
     with pytest.raises(SolverError, match="n_particles must be at least 1"):
         ok.pso(box_sphere(), seed=1, n_particles=n_particles)
+
+
+@pytest.mark.parametrize("solver, options, message", [
+    (ok.nelder_mead, {"init_scale": 0.0}, "init_scale must be nonzero and finite"),
+    (ok.nelder_mead, {"init_scale": float("inf")}, "init_scale must be nonzero and finite"),
+    (ok.nelder_mead, {"init_scale": float("nan")}, "init_scale must be nonzero and finite"),
+    (ok.exact_penalty, {"init_scale": 0.0}, "init_scale must be nonzero and finite"),
+    (ok.simulated_annealing, {"k_max": -1}, "k_max must be at least 0"),
+], ids=["nm-zero", "nm-inf", "nm-nan", "exact-zero", "sa-negative"])
+def test_options_that_would_fake_a_result_are_rejected(solver, options, message):
+    # a one-point simplex has zero spread, and a negative schedule no
+    # proposal: each would report a run that never searched
+    with pytest.raises(SolverError, match=message):
+        solver(box_sphere(), **options)
 
 
 def test_sa_always_accepts_equal_objective():
