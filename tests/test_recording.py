@@ -41,6 +41,27 @@ def test_emit_appends_declared_outputs():
     assert context(None, itr=int).emit(itr=0) is None
 
 
+def test_update_outputs_rejects_undeclared_name():
+    record = RunRecord()
+    with pytest.raises(RecordError, match="foo"):
+        context(record, itr=int).emit(itr=0, foo=1.0)
+    assert record.events == []
+
+
+def test_update_outputs_rejects_missing_name():
+    record = RunRecord()
+    with pytest.raises(RecordError, match="missing"):
+        context(record, itr=int, obj=float).emit(itr=0)
+    assert record.events == []
+
+
+def test_update_outputs_rejects_bad_shape():
+    record = RunRecord()
+    with pytest.raises(RecordError, match="shape"):
+        context(record, x=(float, (2,))).emit(x=np.zeros(3))
+    assert record.events == []
+
+
 @pytest.mark.parametrize("record", [None, True], ids=["off", "on"])
 def test_emit_before_declare_outputs_is_undeclared(record):
     ctx = RunContext(ScaledView(quad_spec(), record=record), "steepest_descent")
