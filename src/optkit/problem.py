@@ -9,7 +9,9 @@ directly; they evaluate through a :class:`ScaledView`, which applies the
 diagonal scaling, counts callback invocations, falls back to finite
 differences for missing derivatives (forward, or central for a gradient once
 a solver nears a stationary point), and (optionally) records or replays
-every evaluation.
+every evaluation.  Every call of a user callback goes through
+``ScaledView._invoke``: solver evaluations, finite-difference stencils and
+the analytic side of :func:`check_first_derivatives` alike.
 """
 
 import math
@@ -21,17 +23,17 @@ from dataclasses import dataclass, field, replace
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 
-EVAL_KINDS = ("obj", "grad", "con", "jac", "obj_hess", "lag_hess")
-
-# counter bucket per evaluation kind (both Hessian kinds share one counter)
-_COUNTER_OF = {
-    "obj": "n_obj",
-    "grad": "n_grad",
-    "con": "n_con",
-    "jac": "n_jac",
-    "obj_hess": "n_hess",
-    "lag_hess": "n_hess",
+# evaluation kind -> (EvalCallbacks field, EvalCounters bucket, result shape
+# in terms of n and m); both Hessian kinds share one counter
+KINDS = {
+    "obj": ("objective", "n_obj", ()),
+    "grad": ("gradient", "n_grad", ("n",)),
+    "con": ("constraints", "n_con", ("m",)),
+    "jac": ("jacobian", "n_jac", ("m", "n")),
+    "obj_hess": ("obj_hessian", "n_hess", ("n", "n")),
+    "lag_hess": ("lag_hessian", "n_hess", ("n", "n")),
 }
+EVAL_KINDS = tuple(KINDS)
 
 
 class ProblemError(ValueError):
@@ -86,10 +88,6 @@ class Bounds:
     @classmethod
     def unbounded(cls, n):
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
-
-    @property
-    def size(self):
-        return self.lower.size
 
     def equality_mask(self):
         return self.lower == self.upper
@@ -146,14 +144,6 @@ class EvalCallbacks:
     jacobian: callable = None
     obj_hessian: callable = None
     lag_hessian: callable = None
-
-    # evaluation kind -> callback field
-    FIELDS = {"obj": "objective", "grad": "gradient", "con": "constraints",
-              "jac": "jacobian", "obj_hess": "obj_hessian", "lag_hess": "lag_hessian"}
-
-    def get(self, kind):
-        """The callback for an evaluation kind, or None when it is absent."""
-        return getattr(self, self.FIELDS[kind])
 
 
 @dataclass
@@ -309,18 +299,13 @@ def _is_finite(result):
     return np.count_nonzero(np.isfinite(result)) == result.size
 
 
-def fd_step(x, central=False):
-    """Difference steps h_i = c * max(1, |x_i|): c = sqrt(eps) for forward
-    differences, eps^(1/3) for central ones (Nocedal & Wright, sec. 8.1)."""
-    return (CBRT_EPS if central else SQRT_EPS) * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
-
-
 def _fd_columns(func, x, base=None):
-    """d(func)/dx column by column: forward differences from the known value
-    ``base`` at x, or central differences when ``base`` is None."""
+    """d(func)/dx column by column, with steps h_i = c * max(1, |x_i|): forward
+    differences from the known value ``base`` at x (c = sqrt(eps)), or central
+    ones when ``base`` is None (c = eps^(1/3); Nocedal & Wright, sec. 8.1)."""
     x = np.asarray(x, dtype=float)
     central = base is None
-    h = fd_step(x, central)
+    h = (CBRT_EPS if central else SQRT_EPS) * np.maximum(1.0, np.abs(x))
     if not central:
         base = np.asarray(base, dtype=float).ravel()
     cols = None
@@ -341,7 +326,7 @@ def _fd_columns(func, x, base=None):
 
 
 def fd_derivative(spec, kind, x, lam=None):
-    """Forward-difference derivative from the raw callbacks (verification path).
+    """Forward-difference derivative of ``spec`` at x, in user units.
 
     Supports kind in {grad, jac, obj_hess, lag_hess}; the Hessian kinds
     difference the gradient of f - lam @ c.  The differences are taken by the
@@ -378,15 +363,17 @@ class ScaledView:
     :meth:`jac` return float arrays of shape (0,) and (0, n) and call,
     count and record nothing, so a constrained solver needs no m = 0 path.
 
-    When ``record`` is given (a RunRecord, or True to create one), every raw
-    callback invocation is appended as an evaluation event.  When ``hot_start``
-    is given (a RunRecord or HotStartCache from a compatible prior run),
-    evaluations are replayed sequentially from it until the first mismatch.
+    Every user callback call is made by :meth:`_invoke`, which replays it
+    from a hot start or calls it, wraps what it raises, coerces its shape,
+    checks that it is finite and counts it.  When ``record`` is given (a
+    RunRecord, or True to create one), every such invocation is appended as
+    an evaluation event.  When ``hot_start`` is given (a RunRecord or
+    HotStartCache from a compatible prior run), evaluations are replayed
+    sequentially from it until the first mismatch.
     """
 
-    def __init__(self, spec, record=None, hot_start=None, allow_fd=True):
+    def __init__(self, spec, record=None, hot_start=None):
         self.spec = spec
-        self.allow_fd = bool(allow_fd)
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
         self._memo = {}  # kind -> (x, result): most recent raw evaluation
@@ -394,10 +381,9 @@ class ScaledView:
         # the spec is frozen, so derivative scale factors and the table of
         # kind -> (callback or None, counter name, result shape) are fixed per view
         self._grad_scale = spec.f_scaler / spec.x_scaler
-        n, m = spec.n, spec.m
-        shapes = {"obj": (), "grad": (n,), "con": (m,), "jac": (m, n),
-                  "obj_hess": (n, n), "lag_hess": (n, n)}
-        self._table = {kind: (spec.callbacks.get(kind), _COUNTER_OF[kind], shapes[kind]) for kind in EVAL_KINDS}
+        dims = {"n": spec.n, "m": spec.m}
+        self._table = {kind: (getattr(spec.callbacks, name), counter, tuple(dims[d] for d in shape))
+                       for kind, (name, counter, shape) in KINDS.items()}
 
         # local import: recording depends on problem types
         from .recording import RunRecord, HotStartCache
@@ -451,9 +437,6 @@ class ScaledView:
     def con_upper(self):
         return self.spec.c_scaler * self.spec.con_bounds.upper
 
-    def scale_x(self, x):
-        return self.spec.x_scaler * np.asarray(x, dtype=float)
-
     def unscale_x(self, xs):
         return np.asarray(xs, dtype=float) / self.spec.x_scaler
 
@@ -467,9 +450,9 @@ class ScaledView:
     def _invoke(self, kind, x, lam=None):
         """One raw invocation of the ``kind`` callback: replay if possible, else call and count.
 
-        ``x`` is an array the view made for this request (an unscaled copy or
-        an FD stencil point) and nobody changes afterwards, so the memo keeps
-        it without copying.
+        ``x`` is an array made for this request (an unscaled copy, an FD
+        stencil point or the derivative check's copy of its x) that nobody
+        changes afterwards, so the memo keeps it without copying.
         """
         fn, counter, shape = self._table[kind]
         if self._cache is not None:
@@ -503,7 +486,7 @@ class ScaledView:
             mx, result = hit
             if mx.shape == x.shape and not np.count_nonzero(mx != x):
                 return result
-        return self._invoke(kind, x)
+        return self._raw(kind, x)
 
     def _raw(self, kind, x, lam=None):
         """Raw-space result for any kind, dispatching to FD when needed."""
@@ -511,8 +494,6 @@ class ScaledView:
             return self._invoke(kind, x, lam)
         if kind in ("obj", "con"):
             raise EvaluationError(f"no {kind} callback available", kind=kind, x=x)
-        if not self.allow_fd:
-            raise EvaluationError(f"no {kind} callback and finite differencing is disabled", kind=kind, x=x)
         return self._fd(kind, x, lam)
 
     def central_fd_grad(self):
@@ -536,7 +517,8 @@ class ScaledView:
         Gradients and Jacobians difference the obj/con callbacks, forward or,
         for the gradient after :meth:`central_fd_grad`, central; Hessians
         take forward differences of the (analytic or FD) gradient of
-        f - lam @ c.
+        f - lam @ c, from a base at x that reuses the view's last gradient
+        and Jacobian when they were taken at x.
         """
         if kind in ("grad", "jac"):
             base_kind = "obj" if kind == "grad" else "con"
@@ -547,13 +529,13 @@ class ScaledView:
         # Hessians: difference the (FD or analytic) gradient of the Lagrangian.
         lam_use = lam if lam is not None and np.any(lam != 0.0) else None
 
-        def grad_lag(y):
-            g = self._raw("grad", y)
+        def grad_lag(y, value=self._raw):
+            g = value("grad", y)
             if lam_use is not None:
-                g = g - self._raw("jac", y).T @ lam_use
+                g = g - value("jac", y).T @ lam_use
             return g
 
-        H = _fd_columns(grad_lag, x, grad_lag(x))
+        H = _fd_columns(grad_lag, x, grad_lag(x, self._base_value))
         return 0.5 * (H + H.T)
 
     # -- scaled entry points ----------------------------------------------------
@@ -581,18 +563,6 @@ class ScaledView:
     def lag_hess(self, xs, lam_s):
         H = self._raw("lag_hess", self.unscale_x(xs), self.unscale_lam(lam_s))
         return self.spec.f_scaler * H / self._hess_den
-
-    def evaluate(self, kind, xs, lam=None):
-        """Generic scaled evaluation; ``lam`` only applies to kind='lag_hess'."""
-        if kind not in EVAL_KINDS:
-            raise ProblemError(f"unknown evaluation kind {kind!r}; expected one of {EVAL_KINDS}")
-        if kind == "lag_hess":
-            if lam is None and self.spec.m > 0:
-                raise ProblemError("lag_hess requires multipliers")
-            return self.lag_hess(xs, np.zeros(self.spec.m) if lam is None else lam)
-        if lam is not None:
-            raise ProblemError(f"multipliers only apply to kind='lag_hess', not {kind!r}")
-        return getattr(self, kind)(xs)
 
     def feasibility(self, xs):
         """Largest scaled constraint violation at a scaled iterate; 0.0 when
@@ -645,25 +615,28 @@ class DerivativeCheck:
 def check_first_derivatives(spec, x=None, tol=1e-4):
     """Compare analytic gradient/jacobian callbacks against forward differences.
 
-    Relative error is |analytic - fd| / max(1, |analytic|) per entry; entries
-    above ``tol`` are flagged.  Requires at least one analytic first-derivative
-    callback.
+    The analytic side comes from a :class:`ScaledView`'s ``_invoke`` and the
+    differences from its ``_fd``, so a bad callback raises the EvaluationError
+    a solve raises.  Relative error is |analytic - fd| / max(1, |analytic|)
+    per entry; entries above ``tol`` are flagged.  Requires at least one
+    analytic first-derivative callback.
     """
     cb = spec.callbacks
     if cb.gradient is None and cb.jacobian is None:
         raise ProblemError("no analytic first-derivative callbacks to check")
     x = spec.x0.copy() if x is None else _vector(x, spec.n, "x")
 
+    view = ScaledView(spec)
     report = DerivativeCheck(x=x, tol=tol)
     if cb.gradient is not None:
-        g = _coerce_result("grad", cb.gradient(x), (spec.n,))
-        g_fd = fd_derivative(spec, "grad", x)
+        g = view._invoke("grad", x)
+        g_fd = view._fd("grad", x)
         report.grad_errors = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g))
         for i in np.flatnonzero(report.grad_errors > tol):
             report.flagged.append(("grad", int(i), float(report.grad_errors[i])))
     if cb.jacobian is not None and spec.m > 0:
-        J = _coerce_result("jac", cb.jacobian(x), (spec.m, spec.n))
-        J_fd = fd_derivative(spec, "jac", x)
+        J = view._invoke("jac", x)
+        J_fd = view._fd("jac", x)
         report.jac_errors = np.abs(J - J_fd) / np.maximum(1.0, np.abs(J))
         for j, i in zip(*np.nonzero(report.jac_errors > tol)):
             report.flagged.append(("jac", (int(j), int(i)), float(report.jac_errors[j, i])))

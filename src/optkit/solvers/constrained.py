@@ -32,13 +32,12 @@ def newton_lagrange(problem, **options):
     lam = np.zeros(m)
 
     def kkt_state(x, lam):
-        f = view.obj(x)
         g = view.grad(x)
         J = view.jac(x)
-        resid = view.con(x) - target
-        return f, g - J.T @ lam, J, resid
+        return g - J.T @ lam, J, view.con(x) - target
 
-    f, grad_l, J, resid = kkt_state(x, lam)
+    f = view.obj(x)
+    grad_l, J, resid = kkt_state(x, lam)
     itr = 0
     while True:
         opt = float(np.linalg.norm(grad_l))
@@ -66,19 +65,19 @@ def newton_lagrange(problem, **options):
         dx, dlam = delta[:n], delta[n:]
 
         alpha = 1.0
+        trials = {}     # step -> KKT state at that trial, as kkt_state gives it
         if opts.use_line_search:
             psi0 = float(grad_l @ grad_l + resid @ resid)
 
             def psi(a):
-                xa, lama = x + a * dx, lam + a * dlam
-                _, gl, _, rs = kkt_state(xa, lama)
+                gl, _, rs = trials[a] = kkt_state(x + a * dx, lam + a * dlam)
                 return float(gl @ gl + rs @ rs)
 
-            res = kit.line_search("armijo", psi, f0=psi0, slope0=-2.0 * psi0)
-            alpha = res.alpha
+            alpha = kit.line_search("armijo", psi, f0=psi0, slope0=-2.0 * psi0).alpha
         x = x + alpha * dx
         lam = lam + alpha * dlam
-        f, grad_l, J, resid = kkt_state(x, lam)
+        f = view.obj(x)
+        grad_l, J, resid = trials[alpha] if trials else kkt_state(x, lam)
 
     return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
 

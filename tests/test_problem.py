@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from optkit import (Bounds, EvaluationError, ProblemError, ScaledView,
                     build_problem, check_first_derivatives, fd_derivative)
+from optkit.problem import KINDS
 from optkit.bench import bean, parse_problem_token, quadratic_example, rosenbrock2
 from optkit.solvers import SOLVERS
 
@@ -107,7 +108,7 @@ def test_scaling_consistency_roundtrip():
     eps4 = 4.0 * np.finfo(float).eps
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, 2)
-        xs = view.scale_x(x)
+        xs = spec.x_scaler * x
         assert_allclose(view.obj(xs) / spec.f_scaler, plain.obj(x), rtol=eps4)
         assert_allclose(view.grad(xs) * spec.x_scaler / spec.f_scaler, plain.grad(x), rtol=eps4)
         assert_allclose(view.con(xs) / spec.c_scaler, plain.con(x), rtol=eps4)
@@ -124,7 +125,7 @@ def test_lagrangian_hessian_scaling():
         cl=[1.0], cu=[1.0], x_scaler=[2.0, 5.0], f_scaler=3.0, c_scaler=[4.0])
     view = ScaledView(spec)
     lam_s = np.array([0.25])
-    H = view.lag_hess(view.scale_x(np.array([1.0, 1.0])), lam_s)
+    H = view.lag_hess(spec.x_scaler * np.array([1.0, 1.0]), lam_s)
     lam_raw = lam_s * 4.0 / 3.0
     H_raw = 2.0 * np.eye(2) - lam_raw[0] * np.array([[2.0, 0.0], [0.0, 0.0]])
     expect = 3.0 * H_raw / np.outer([2.0, 5.0], [2.0, 5.0])
@@ -166,9 +167,9 @@ BAD_RESULTS = {
 def test_nonfinite_callback_raises_with_context(case):
     kind, override, message = BAD_RESULTS[case]
     view = ScaledView(one_constraint_spec(**override))
-    lam = np.array([0.3]) if kind == "lag_hess" else None
+    x = np.array([1.0, 0.5])
     with pytest.raises(EvaluationError, match=message) as err:
-        view.evaluate(kind, np.array([1.0, 0.5]), lam)
+        view.lag_hess(x, np.array([0.3])) if kind == "lag_hess" else getattr(view, kind)(x)
     assert err.value.kind == kind
     if message == "non-finite":
         assert err.value.x is not None
@@ -241,16 +242,6 @@ def test_objective_result_is_a_python_float(value):
     assert type(view.record.eval_events()[0].result) is float
 
 
-def test_missing_callback_with_fd_disabled():
-    view = ScaledView(quad_spec(), allow_fd=False)
-    spec_nograd = build_problem("ng", [1.0], obj=lambda x: float(x[0] ** 2))
-    bare = ScaledView(spec_nograd, allow_fd=False)
-    with pytest.raises(EvaluationError):
-        bare.grad(np.array([1.0]))
-    # analytic gradient still fine
-    assert view.grad(np.array([1.0, 0.0]))[0] == 2.0
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -300,12 +291,12 @@ def test_fd_derivative_is_the_view_fd_fallback(token):
     x = spec.x0 + 0.01
     lam = np.linspace(0.5, 1.5, spec.m)
     for kind in ("grad", "jac", "obj_hess", "lag_hess"):
-        withheld = replace(spec.callbacks, **{spec.callbacks.FIELDS[kind]: None})
+        withheld = replace(spec.callbacks, **{KINDS[kind][0]: None})
         view = ScaledView(replace(spec, callbacks=withheld))
         if kind == "lag_hess":
             assert np.array_equal(fd_derivative(spec, kind, x, lam), view.lag_hess(x, lam))
         else:
-            assert np.array_equal(fd_derivative(spec, kind, x), view.evaluate(kind, x))
+            assert np.array_equal(fd_derivative(spec, kind, x), getattr(view, kind)(x))
 
 
 def test_fd_derivative_wraps_raising_callback():
@@ -382,10 +373,9 @@ def test_unconstrained_view_has_an_empty_constraint_block():
                          grad=lambda x: 2.0 * x, con=boom, jac=boom, m=0)
     view = ScaledView(spec, record=True)
     x = np.array([0.5, -0.5])
-    for c in (view.con(x), view.evaluate("con", x)):
-        assert c.shape == (0,) and c.dtype == float
-    for J in (view.jac(x), view.evaluate("jac", x)):
-        assert J.shape == (0, 2) and J.dtype == float
+    c, J = view.con(x), view.jac(x)
+    assert c.shape == (0,) and c.dtype == float
+    assert J.shape == (0, 2) and J.dtype == float
     assert view.feasibility(x) == 0.0
     assert not any(view.counters.as_dict().values())
     assert view.record.eval_events() == []
@@ -433,21 +423,37 @@ def test_check_requires_analytic_derivatives():
         check_first_derivatives(spec)
 
 
+def _raise_zero_division(x):
+    return 1.0 / 0
+
+
+# case -> (kind, callback override, expected message); each was passed or
+# escaped as the callback's own exception when the check called them raw
+BAD_DERIVATIVES = {
+    "grad-nan": ("grad", {"grad": lambda x: np.array([np.nan, 1.0])}, "non-finite"),
+    "jac-inf": ("jac", {"jac": lambda x: np.array([[1.0, np.inf]])}, "non-finite"),
+    "grad-raises": ("grad", {"grad": _raise_zero_division}, "ZeroDivisionError"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DERIVATIVES))
+def test_check_raises_the_view_error_for_a_bad_derivative(case):
+    kind, override, message = BAD_DERIVATIVES[case]
+    with pytest.raises(EvaluationError, match=message) as err:
+        check_first_derivatives(one_constraint_spec(**override))
+    assert err.value.kind == kind
+    np.testing.assert_array_equal(err.value.x, [1.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
-# generic evaluate dispatch
+# dispatch by kind method
 # ---------------------------------------------------------------------------
 
 def test_evaluate_dispatch_and_lam_rules():
     view = ScaledView(quadratic_example())
     x = view.x0
-    assert view.evaluate("obj", x) == view.spec.callbacks.objective(np.array([500.0, 5.0]))
-    assert_allclose(view.evaluate("grad", x), [1000.0, 10.0])
-    assert_allclose(view.evaluate("con", x), [505.0, 495.0])
-    H = view.evaluate("lag_hess", x, np.array([0.5, 0.5]))
+    assert view.obj(x) == view.spec.callbacks.objective(np.array([500.0, 5.0]))
+    assert_allclose(view.grad(x), [1000.0, 10.0])
+    assert_allclose(view.con(x), [505.0, 495.0])
+    H = view.lag_hess(x, np.array([0.5, 0.5]))
     assert_allclose(H, 2.0 * np.eye(2))
-    with pytest.raises(ProblemError):
-        view.evaluate("grad", x, np.array([1.0, 1.0]))  # lam only for lag_hess
-    with pytest.raises(ProblemError):
-        view.evaluate("lag_hess", x)  # missing multipliers when m > 0
-    with pytest.raises(ProblemError):
-        view.evaluate("nope", x)

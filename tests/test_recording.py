@@ -11,6 +11,7 @@ from optkit import (EvalEvent, HotStartError, IterEvent, RecordError, RunContext
                     read_record, recording, simulated_annealing, sqp, steepest_descent,
                     write_readable_outputs, write_record)
 from optkit.bench import parse_problem_token, quadratic_example, rosenbrock2
+from optkit.problem import KINDS
 
 
 def quad_spec():
@@ -333,7 +334,7 @@ def tiny_record():
     ctx = RunContext(ScaledView(spec, record=record), "sqp", {"maxiter": 1})
     ctx.declare_outputs(itr=int, obj=float, opt=float, x=(float, (2,)))
     for kind in ("obj", "grad", "jac"):
-        record.append_eval(kind, TINY_X, None, spec.callbacks.get(kind)(TINY_X))
+        record.append_eval(kind, TINY_X, None, getattr(spec.callbacks, KINDS[kind][0])(TINY_X))
     record.append_eval("lag_hess", TINY_X, TINY_LAM, 2.0 * np.eye(2))
     ctx.emit(itr=0, obj=float(TINY_X @ TINY_X), opt=math.inf, x=TINY_X)
     return record

@@ -361,6 +361,56 @@ def test_newton_lagrange_line_search_variant():
     assert_allclose(report.x_star, [0.5, 0.5], atol=1e-8)
 
 
+def _assert_no_repeated_request(record):
+    for kind, bits in _eval_xs(record).items():
+        assert len(bits) == len(set(bits)), kind
+
+
+def _solve_recorded(solver, token, **options):
+    """(report or the EvaluationError raised, view) of a recorded solve."""
+    view = ScaledView(parse_problem_token(token), record=True)
+    # spacecraft:3 diverges: its iterates overflow before the NaN objective stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return SOLVERS[solver](view, **options), view
+        except ok.EvaluationError as exc:
+            return exc, view
+
+
+@pytest.mark.parametrize("solver,token", [("newton", "rosen_coupled:8"),
+                                          ("newton_lagrange", "cantilever:20"),
+                                          ("newton_lagrange", "spacecraft:3")])
+def test_fd_hessian_base_reuses_the_gradient_at_x(monkeypatch, solver, token):
+    # none of these problems has a Hessian callback; the FD Hessian's base
+    # gradient (and Jacobian) at x is the one the solver just asked for
+    got, view = _solve_recorded(solver, token)
+    _assert_no_repeated_request(view.record)
+    # asking the callbacks again at the base gives the same bits: only the
+    # counts differ
+    monkeypatch.setattr(ScaledView, "_base_value", lambda self, kind, x: self._raw(kind, x))
+    fresh, fresh_view = _solve_recorded(solver, token)
+    assert fresh_view.counters.n_grad > view.counters.n_grad
+    assert view.counters.n_obj == fresh_view.counters.n_obj
+    if isinstance(fresh, ok.EvaluationError):
+        assert isinstance(got, ok.EvaluationError) and got.kind == fresh.kind
+        return
+    assert got.x_star.tobytes() == fresh.x_star.tobytes()
+    assert got.f_star == fresh.f_star and got.niter == fresh.niter
+
+
+def test_newton_lagrange_line_search_asks_each_point_once():
+    # the line search keeps each trial's KKT state and asks obj only at the
+    # accepted point; on cantilever:20 it takes every full step, so x* has
+    # the bits of the run without it
+    report, view = _solve_recorded("newton_lagrange", "cantilever:20", use_line_search=True)
+    assert report.converged
+    assert report.counters.n_obj == report.niter + 1
+    _assert_no_repeated_request(view.record)
+    plain = ok.newton_lagrange(parse_problem_token("cantilever:20"))
+    assert report.x_star.tobytes() == plain.x_star.tobytes()
+    assert report.niter == plain.niter
+
+
 # ---------------------------------------------------------------------------
 # penalty methods
 # ---------------------------------------------------------------------------
