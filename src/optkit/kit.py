@@ -430,11 +430,13 @@ def qp_solve(H, g, A=None, lo=None, hi=None, max_cycles=None, *,
         raise QpError(f"linearized constraints are infeasible ({_side_name(s, j, m)} cannot be reached)")
     p = -H.dot(g)
     # working rows: their row numbers (equalities, then inequalities), H^-1 a,
-    # (N H^-1 N')^-1, multipliers
-    rows = np.empty(n, dtype=int)
-    V = np.empty((n, n))
-    M_inv = np.empty((n, n))
-    u = np.empty(n)
+    # (N H^-1 N')^-1, multipliers; a row joins only on a full step, so at
+    # most n rows work at once, and never more than the n_eq + q there are
+    cap = min(n, n_eq + q)
+    rows = np.empty(cap, dtype=int)
+    V = np.empty((cap, n))
+    M_inv = np.empty((cap, cap))
+    u = np.empty(cap)
     nw = 0
     working = np.zeros(n_eq + q, dtype=bool)
     cycles = 0

@@ -300,29 +300,37 @@ def _is_finite(result):
 
 
 def _fd_columns(func, x, base=None):
-    """d(func)/dx column by column, with steps h_i = c * max(1, |x_i|): forward
-    differences from the known value ``base`` at x (c = sqrt(eps)), or central
-    ones when ``base`` is None (c = eps^(1/3); Nocedal & Wright, sec. 8.1)."""
+    """d(func)/dx as a (size, n) array, with steps h_i = c * max(1, |x_i|):
+    forward differences from the known value ``base`` at x (c = sqrt(eps)),
+    or central ones when ``base`` is None (c = eps^(1/3); Nocedal & Wright,
+    sec. 8.1).
+
+    ``func`` is called at x + h_0 e_0, x + h_1 e_1, ... in that order (for
+    central differences x + h_i e_i, then x - h_i e_i), each on its own copy
+    of x.  The values are collected and every column is formed in one array
+    operation, elementwise the same subtract and divide as a column at a time.
+    """
     x = np.asarray(x, dtype=float)
+    n = x.size
     central = base is None
     h = (CBRT_EPS if central else SQRT_EPS) * np.maximum(1.0, np.abs(x))
-    if not central:
-        base = np.asarray(base, dtype=float).ravel()
-    cols = None
-    for i in range(x.size):
+    plus, minus = [], []
+    for i in range(n):
         xp = x.copy()
         xp[i] += h[i]
-        col = np.asarray(func(xp), dtype=float).ravel()
+        plus.append(func(xp))
         if central:
             xm = x.copy()
             xm[i] -= h[i]
-            col = (col - np.asarray(func(xm), dtype=float).ravel()) / (2.0 * h[i])
-        else:
-            col = (col - base) / h[i]
-        if cols is None:
-            cols = np.empty((col.size, x.size))
-        cols[:, i] = col
-    return cols
+            minus.append(func(xm))
+    vals = np.array(plus, dtype=float).reshape(n, -1)
+    if central:
+        cols = ((vals - np.array(minus, dtype=float).reshape(n, -1)) / (2.0 * h)[:, None]).T
+    else:
+        cols = ((vals - np.asarray(base, dtype=float).ravel()) / h[:, None]).T
+    # row-major, as a column-at-a-time fill left it: BLAS sums a product such
+    # as J.T @ lam in another order on the transposed layout
+    return np.ascontiguousarray(cols)
 
 
 def fd_derivative(spec, kind, x, lam=None):

@@ -11,6 +11,9 @@ REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
 STAGNATION_WINDOW = 50
 STAGNATION_IMPROVEMENT = 1e-12
 
+# generator doubles simulated_annealing draws per call (n when n is larger)
+_DRAW_BLOCK = 1024
+
 
 def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=None):
     """Standard simplex iteration; vertices are clipped into the bounds.
@@ -208,6 +211,14 @@ def simulated_annealing(problem, **options):
     optimality is the best-objective improvement over the last full window of
     50 proposals (inf when ``k_max`` is shorter than one window); the run
     counts as converged when that improvement is at most ``opt_tol``.
+
+    One seed gives one stream of generator doubles d, read in order: n per
+    proposal (u = 2d - 1), then one more only when the proposal is worse.
+    The stream is drawn in blocks of max(``_DRAW_BLOCK``, n) doubles, the unused
+    tail of a block carried into the next, so a run is the same as with one
+    ``rng.uniform(-1, 1, n)`` and one ``rng.random()`` per draw: every
+    generator double is k 2^-53, so 2d - 1 is exact and has the bits that
+    ``uniform(-1, 1)`` computes from the same d.
     """
     ctx = RunContext(problem, "simulated_annealing", options,
                      {"T0": (float, 10.0), "k_max": (int, 5000), "step_scale": (float, 0.1),
@@ -215,6 +226,10 @@ def simulated_annealing(problem, **options):
     view, opts = ctx.view, ctx.options
     if opts.k_max < 0:
         raise SolverError(f"k_max must be at least 0, got {opts.k_max}")
+    if not (opts.step_scale != 0.0 and np.isfinite(opts.step_scale)):
+        raise SolverError(f"step_scale must be nonzero and finite, got {opts.step_scale!r}")
+    if np.isnan(opts.T0):
+        raise SolverError(f"T0 must not be NaN, got {opts.T0!r}")
     ctx.declare_outputs(itr=int, obj=float, T=float, x=(float, (view.n,)))
     box = _sampling_box(view, opts)
     width = box.upper - box.lower
@@ -223,7 +238,8 @@ def simulated_annealing(problem, **options):
     T0, k_max, n = opts.T0, opts.k_max, view.n
     step = opts.step_scale * width
 
-    obj, clip, uniform, random, emit = view.obj, box.clip, rng.uniform, rng.random, ctx.emit
+    obj, clip, random, emit, exp = view.obj, box.clip, rng.random, ctx.emit, np.exp
+    block = max(_DRAW_BLOCK, n)
     x = clip(view.x0)
     f = obj(x)
     best_x, best_f = x.copy(), f
@@ -231,12 +247,29 @@ def simulated_annealing(problem, **options):
     improvement = np.inf        # no window has closed yet
     emit(itr=0, obj=best_f, T=T0, x=x)
 
+    def refill(tail):
+        d = np.concatenate((tail, random(block)))
+        return d, 2.0 * d - 1.0
+
+    # d: the drawn doubles, read from d[pos] on, and u = 2d - 1 beside them
+    d = u = np.empty(0)
+    pos = 0
     for k in range(k_max):
         T = max(T0 * (1.0 - k / k_max), 1e-12)
-        u = uniform(-1.0, 1.0, n)
-        x_new = clip(x + step * u)
+        if pos + n > d.size:
+            d, u = refill(d[pos:])
+            pos = 0
+        x_new = clip(x + step * u[pos:pos + n])
+        pos += n
         f_new = obj(x_new)
-        if f_new <= f or random() < np.exp(-(f_new - f) / T):
+        accept = f_new <= f
+        if not accept:
+            if pos == d.size:
+                d, u = refill(d[pos:])
+                pos = 0
+            accept = d[pos] < exp(-(f_new - f) / T)
+            pos += 1
+        if accept:
             x, f = x_new, f_new
             if f < best_f:
                 best_x, best_f = x.copy(), f

@@ -593,6 +593,23 @@ def test_qp_reads_hessian_approx_without_folding():
     assert solved >= 200 and failed >= 10
 
 
+def test_qp_working_set_storage_is_sized_by_its_rows():
+    # one equality row on n = 1500: the working-set arrays hold at most
+    # min(n, n_eq + q) rows, so no n x n array (18 MB here) is allocated
+    n = 1500
+    H_inv, g, A = np.eye(n), np.ones(n), np.ones((1, n))
+    tracemalloc.start()
+    try:
+        p, lam, mu = qp_solve(H_inv, g, A, [1.0], [1.0], inverse=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert abs(float(A[0] @ p) - 1.0) <= 1e-12
+    assert_allclose(p + g, lam[0] * A[0], atol=1e-12)
+    assert not mu.any()
+
+
 def test_qp_inverse_array_is_taken_as_given():
     # H^-1 is not symmetrized: p = -H^-1 g even for a nonsymmetric array
     H_inv = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from optkit import (Bounds, EvaluationError, ProblemError, ScaledView,
                     build_problem, check_first_derivatives, fd_derivative)
-from optkit.problem import KINDS
+from optkit.problem import CBRT_EPS, KINDS, SQRT_EPS, _fd_columns
 from optkit.bench import bean, parse_problem_token, quadratic_example, rosenbrock2
 from optkit.solvers import SOLVERS
 
@@ -333,6 +333,77 @@ def test_fd_gradient_adds_exactly_n_objective_calls():
     view.grad(x)
     assert view.counters.n_obj == 1 + 3
     assert view.counters.n_grad == 0
+
+
+def _fd_columns_by_column(func, x, base=None):
+    """_fd_columns as written a column at a time: the reference for its bits."""
+    x = np.asarray(x, dtype=float)
+    central = base is None
+    h = (CBRT_EPS if central else SQRT_EPS) * np.maximum(1.0, np.abs(x))
+    if not central:
+        base = np.asarray(base, dtype=float).ravel()
+    cols = None
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += h[i]
+        col = np.asarray(func(xp), dtype=float).ravel()
+        if central:
+            xm = x.copy()
+            xm[i] -= h[i]
+            col = (col - np.asarray(func(xm), dtype=float).ravel()) / (2.0 * h[i])
+        else:
+            col = (col - base) / h[i]
+        if cols is None:
+            cols = np.empty((col.size, x.size))
+        cols[:, i] = col
+    return cols
+
+
+@pytest.mark.parametrize("token, case", [
+    (token, case) for token in ("rosenbrock2", "cantilever:6", "spacecraft:3")
+    for case in ("forward", "central", "jacobian", "hessian")
+    if token != "rosenbrock2" or case != "jacobian"])
+def test_fd_columns_match_the_column_at_a_time_reference(token, case):
+    # the same points in the same order, and every difference with the same bits
+    spec = parse_problem_token(token)
+    cb = spec.callbacks
+    x = spec.x0 + 0.01
+    func = {"forward": cb.objective, "central": cb.objective,
+            "jacobian": cb.constraints, "hessian": cb.gradient}[case]
+    base = None if case == "central" else func(x)
+    results, calls = [], []
+    for columns in (_fd_columns, _fd_columns_by_column):
+        log = []
+        results.append(columns(lambda y: log.append(y.copy()) or func(y), x, base))
+        calls.append(np.array(log))
+    got, want = results
+    assert got.shape == want.shape == (np.size(func(x)), spec.n)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert calls[0].tobytes() == calls[1].tobytes()
+
+
+def test_fd_evaluation_events_keep_their_order():
+    # a recorded view's FD Jacobian and central FD gradient ask the same
+    # (kind, x) sequence as the column-at-a-time reference
+    spec = parse_problem_token("cantilever:6")
+    spec = replace(spec, x_scaler=np.ones(spec.n), f_scaler=1.0, c_scaler=np.ones(spec.m),
+                   callbacks=replace(spec.callbacks, gradient=None, jacobian=None))
+    view = ScaledView(spec, record=True)
+    x = spec.x0 + 0.01
+    J = view.jac(x)
+    assert view.central_fd_grad()
+    g = view.grad(x)
+    asked = []
+
+    def logged(kind):
+        fn = spec.callbacks.objective if kind == "obj" else spec.callbacks.constraints
+        return lambda y: asked.append((kind, y.tobytes())) or fn(y)
+
+    con = logged("con")
+    assert np.array_equal(J, _fd_columns_by_column(con, x, con(x)))
+    assert np.array_equal(g, _fd_columns_by_column(logged("obj"), x).ravel())
+    assert [(e.kind, e.x.tobytes()) for e in view.record.eval_events()] == asked
 
 
 def test_fd_gradient_at_fresh_point_adds_n_plus_one():

@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import optkit as ok
-from optkit import ScaledView, build_problem
+from optkit import Bounds, RunContext, ScaledView, build_problem
 from optkit.kit import HessianApprox
-from optkit.solvers import SOLVERS, OptionError, SolverError
+from optkit.solvers import SOLVERS, OptionError, SolverError, direct
 from optkit.bench import (bean, parse_problem_token, quadratic_example, quartic,
                           rosenbrock2)
 
@@ -184,6 +184,23 @@ def test_fd_quasi_newton_does_not_stall_near_the_minimum(seed):
     spec = replace(spec, callbacks=replace(spec.callbacks, gradient=None))
     report = ok.quasi_newton(spec, opt_tol=1e-4, maxiter=5000)
     assert report.converged
+
+
+def test_recorded_fd_quasi_newton_with_central_switch_replays_with_no_live_call(tmp_path):
+    spec = parse_problem_token("rosen_coupled:8")
+    spec = replace(spec, callbacks=replace(spec.callbacks, gradient=None))
+    view = ScaledView(spec, record=True)
+    live = ok.quasi_newton(view)
+    assert live.converged
+    assert view._central_grad           # the run switched to central differences
+    path = tmp_path / "qn.rec"
+    ok.write_record(view.record, path)
+    again = ScaledView(spec, hot_start=ok.read_record(path))
+    replayed = ok.quasi_newton(again)
+    assert not any(again.counters.as_dict().values())
+    assert again.replayed == view.counters
+    assert replayed.x_star.tobytes() == live.x_star.tobytes()
+    assert replayed.f_star == live.f_star and replayed.niter == live.niter
 
 
 def test_qn_monotone_objective_with_line_search():
@@ -835,10 +852,16 @@ def test_pso_rejects_an_empty_swarm(n_particles):
     (ok.nelder_mead, {"init_scale": float("nan")}, "init_scale must be nonzero and finite"),
     (ok.exact_penalty, {"init_scale": 0.0}, "init_scale must be nonzero and finite"),
     (ok.simulated_annealing, {"k_max": -1}, "k_max must be at least 0"),
-], ids=["nm-zero", "nm-inf", "nm-nan", "exact-zero", "sa-negative"])
+    (ok.simulated_annealing, {"step_scale": 0.0}, "step_scale must be nonzero and finite"),
+    (ok.simulated_annealing, {"step_scale": float("inf")}, "step_scale must be nonzero and finite"),
+    (ok.simulated_annealing, {"step_scale": float("nan")}, "step_scale must be nonzero and finite"),
+    (ok.simulated_annealing, {"T0": float("nan")}, "T0 must not be NaN"),
+], ids=["nm-zero", "nm-inf", "nm-nan", "exact-zero", "sa-negative", "sa-step-zero",
+        "sa-step-inf", "sa-step-nan", "sa-T0-nan"])
 def test_options_that_would_fake_a_result_are_rejected(solver, options, message):
-    # a one-point simplex has zero spread, and a negative schedule no
-    # proposal: each would report a run that never searched
+    # a one-point simplex has zero spread, a negative schedule no proposal,
+    # and a zero step proposes x itself: each would report a run that never
+    # searched; a NaN temperature turns every acceptance test into a NaN comparison
     with pytest.raises(SolverError, match=message):
         solver(box_sphere(), **options)
 
@@ -885,6 +908,58 @@ def test_sa_seeded_quality_and_determinism():
     r2 = ok.simulated_annealing(box_sphere(), seed=7, T0=10.0, k_max=5000)
     assert r1.f_star <= 1e-2
     assert np.array_equal(r1.x_star, r2.x_star)
+
+
+def _annealing_per_call(problem, *, seed, k_max):
+    """simulated_annealing (default T0 and step_scale) as written with one
+    generator call per draw: the reference that the block-drawn stream must
+    reproduce bit for bit.  Also returns the number of doubles it drew."""
+    ctx = RunContext(problem, "simulated_annealing", unconstrained=True)
+    view = ctx.view
+    ctx.declare_outputs(itr=int, obj=float, T=float, x=(float, (view.n,)))
+    box = Bounds(view.var_lower, view.var_upper)
+    T0, step = 10.0, 0.1 * (box.upper - box.lower)
+    rng = np.random.default_rng(seed)
+    x = box.clip(view.x0)
+    f = view.obj(x)
+    best_x, best_f = x.copy(), f
+    ctx.emit(itr=0, obj=best_f, T=T0, x=x)
+    draws = 0
+    for k in range(k_max):
+        T = max(T0 * (1.0 - k / k_max), 1e-12)
+        x_new = box.clip(x + step * rng.uniform(-1.0, 1.0, view.n))
+        draws += view.n
+        f_new = view.obj(x_new)
+        if f_new <= f or rng.random() < np.exp(-(f_new - f) / T):
+            x, f = x_new, f_new
+            if f < best_f:
+                best_x, best_f = x.copy(), f
+        draws += f_new > f
+        ctx.emit(itr=k + 1, obj=best_f, T=T, x=x)
+    return best_x, best_f, draws
+
+
+@pytest.mark.parametrize("n, k_max, block", [(2, 1500, None), (7, 500, None),
+                                             (2, 300, 5), (7, 100, 5)],
+                         ids=["n2", "n7", "n2-block5", "n7-block5"])
+def test_sa_block_draws_match_per_call_draws(monkeypatch, n, k_max, block):
+    # every case reads at least three blocks and makes many acceptance
+    # draws; a block of 5 doubles also refills before an acceptance draw
+    # and, at n = 7, is widened to n
+    if block is not None:
+        monkeypatch.setattr(direct, "_DRAW_BLOCK", block)
+    block = max(direct._DRAW_BLOCK, n)
+    x0 = np.linspace(-3.0, 4.0, n)
+    spec = build_problem("wavy", x0, obj=lambda x: float(x @ x + 3.0 * np.sum(np.cos(2.0 * x))),
+                         xl=-5.0, xu=5.0)
+    views = [ScaledView(spec, record=True) for _ in range(2)]
+    report = ok.simulated_annealing(views[0], seed=29, k_max=k_max)
+    best_x, best_f, draws = _annealing_per_call(views[1], seed=29, k_max=k_max)
+    assert draws > 3 * block and draws - n * k_max > k_max // 4
+    body, reference = views[0].record.body_lines(), views[1].record.body_lines()
+    assert len(body) == len(reference) == 2 * k_max + 2
+    assert body == reference
+    assert report.x_star.tobytes() == best_x.tobytes() and report.f_star == best_f
 
 
 def test_stochastic_bit_identical_records():
