@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from ..problem import ScaledView
-from ..solvers import SOLVERS
+from ..solvers import SOLVERS, OptionError
 from .analytic import (bean, quadratic_example, quartic, rosen_coupled,
                        rosen_uncoupled, rosenbrock2)
 from .beam import cantilever, uniform_compliance
@@ -68,8 +68,9 @@ def run_suite(problems, solvers, options=None, budget=None):
     ``problems`` holds ProblemSpecs or registry names; ``solvers`` holds
     solver callables or registry names.  ``options`` optionally maps solver
     name -> option overrides.  ``budget`` is (maxiter, wall_seconds); a run
-    counts as solved only if it converges within both.  Crashing runs are
-    caught and marked unsolved.
+    counts as solved only if it converges within both.  An option a solver
+    does not declare raises its OptionError; any other failure of a run is
+    caught and marks the run unsolved.
     """
     if not problems or not solvers:
         raise ValueError("run_suite needs nonempty problem and solver lists")
@@ -101,6 +102,8 @@ def run_suite(problems, solvers, options=None, budget=None):
             try:
                 report = fn(view, **overrides)
                 elapsed = report.wall_time
+            except OptionError:
+                raise
             except Exception:
                 elapsed = time.perf_counter() - t0
             ok = (report is not None and report.converged

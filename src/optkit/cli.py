@@ -1,5 +1,11 @@
 """Command-line front end: run solvers, check derivatives, benchmark, inspect records.
 
+``run``, ``check`` and ``bench`` name problems as ``name[:size]`` tokens
+(``cantilever:400``), and each subcommand takes only the flags it uses.
+``bench`` applies each ``--opt KEY=VALUE`` to every selected solver, so an
+option one of them does not declare is a usage error, like any other bad
+option, problem, scaler or hot-start record.
+
 Exit codes: 0 success/converged, 1 ran-but-failed, 2 usage/config error.
 """
 
@@ -10,8 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import (REGISTRY, data_profile, make_problem, parse_problem_token,
-                    performance_profile, problem_names, run_suite, write_suite_csv)
+from .bench import (data_profile, parse_problem_token, performance_profile,
+                    problem_names, run_suite, write_suite_csv)
 from .problem import (EvaluationError, ProblemError, ScaledView,
                       check_first_derivatives, validate_scalers)
 from .recording import (HotStartError, RecordError, print_results,
@@ -61,39 +67,28 @@ def _scaler_arg(text, label):
     return values[0] if len(values) == 1 else values
 
 
+def _problem(token):
+    """A registry problem from a 'name' or 'name:size' token."""
+    try:
+        return parse_problem_token(token)
+    except (KeyError, ValueError) as exc:
+        raise CliError(exc.args[0]) from None
+
+
 def _build_problem(args):
-    name = args.problem
-    if name is None:
-        raise CliError("--problem is required")
-    if name not in REGISTRY:
-        raise CliError(f"unknown problem {name!r}; valid names: {problem_names()}")
-    # a registry size_param is also the dest of its --n, --n-el or --n-t option
-    size_param = REGISTRY[name].size_param
-    spec = make_problem(name, getattr(args, size_param) if size_param else None)
+    spec = _problem(args.problem)
     # optional scaler overrides, checked like build_problem's scalers
     x_scaler = spec.x_scaler if args.x_scaler is None else _scaler_arg(args.x_scaler, "x_scaler")
     f_scaler = spec.f_scaler if args.f_scaler is None else args.f_scaler
     c_scaler = spec.c_scaler if args.c_scaler is None else _scaler_arg(args.c_scaler, "c_scaler")
-    try:
-        x_scaler, f_scaler, c_scaler = validate_scalers(spec.n, spec.m, x_scaler, f_scaler, c_scaler)
-    except ProblemError as exc:
-        raise CliError(f"bad scaler override: {exc}") from exc
+    x_scaler, f_scaler, c_scaler = validate_scalers(spec.n, spec.m, x_scaler, f_scaler, c_scaler)
     return replace(spec, x_scaler=x_scaler, f_scaler=f_scaler, c_scaler=c_scaler)
 
 
-def _solver_options(args):
-    options = {}
-    for token in args.opt or []:
-        key, value = _parse_override(token)
-        options[key] = value
-    if args.maxiter is not None:
-        options["maxiter"] = args.maxiter
-    if args.opt_tol is not None:
-        options["opt_tol"] = args.opt_tol
-    if args.feas_tol is not None:
-        options["feas_tol"] = args.feas_tol
-    if args.seed is not None:
-        options["seed"] = args.seed
+def _solver_options(tokens, **flags):
+    """Parse the --opt KEY=VALUE tokens; flags that are not None override them."""
+    options = dict(_parse_override(token) for token in tokens or [])
+    options.update((key, value) for key, value in flags.items() if value is not None)
     return options
 
 
@@ -102,7 +97,8 @@ def cmd_run(args):
     if args.solver not in SOLVERS:
         raise CliError(f"unknown solver {args.solver!r}; valid names: {sorted(SOLVERS)}")
     solver = SOLVERS[args.solver]
-    options = _solver_options(args)
+    options = _solver_options(args.opt, maxiter=args.maxiter, opt_tol=args.opt_tol,
+                              feas_tol=args.feas_tol, seed=args.seed)
 
     hot = None
     if args.hot_start:
@@ -111,15 +107,9 @@ def cmd_run(args):
         except (OSError, RecordError) as exc:
             raise CliError(f"cannot hot-start: {exc}") from exc
     recording = bool(args.record or args.readable_outputs)
-    try:
-        view = ScaledView(spec, record=True if recording else None, hot_start=hot)
-    except HotStartError as exc:
-        raise CliError(str(exc)) from exc
-
+    view = ScaledView(spec, record=True if recording else None, hot_start=hot)
     try:
         report = solver(view, **options)
-    except OptionError as exc:
-        raise CliError(str(exc)) from exc
     except (SolverError, EvaluationError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -137,10 +127,7 @@ def cmd_run(args):
 
 def cmd_check(args):
     spec = _build_problem(args)
-    try:
-        report = check_first_derivatives(spec)
-    except ProblemError as exc:
-        raise CliError(str(exc)) from exc
+    report = check_first_derivatives(spec)
     print(f"problem: {spec.name}")
     print(report)
     return EXIT_OK if report.ok else EXIT_FAILED
@@ -151,19 +138,12 @@ def cmd_bench(args):
     solvers = [t.strip() for t in (args.solvers or "").split(",") if t.strip()]
     if not problems or not solvers:
         raise CliError("bench needs nonempty --problems and --solvers selections")
-    try:
-        specs = [parse_problem_token(t) for t in problems]
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    specs = [_problem(t) for t in problems]
     for s in solvers:
         if s not in SOLVERS:
             raise CliError(f"unknown solver {s!r}; valid names: {sorted(SOLVERS)}")
 
-    options = {}
-    for token in args.opt or []:
-        key, value = _parse_override(token)
-        for s in solvers:
-            options.setdefault(s, {})[key] = value
+    options = dict.fromkeys(solvers, _solver_options(args.opt))
     budget = (args.maxiter, args.budget_seconds)
     table = run_suite(specs, solvers, options=options, budget=budget)
 
@@ -237,18 +217,13 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--maxiter", type=int, default=None)
-        p.add_argument("--opt-tol", dest="opt_tol", type=float, default=None)
-        p.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--opt", action="append", metavar="KEY=VALUE",
                        help="solver option override (repeatable)")
         p.add_argument("--out-dir", dest="out_dir", default=".")
 
     def add_problem(p):
-        p.add_argument("--problem", help=f"one of {problem_names()}")
-        p.add_argument("--n", type=int, default=None, help="size for scalable problems")
-        p.add_argument("--n-el", dest="n_el", type=int, default=None, help="beam element count")
-        p.add_argument("--n-t", dest="n_t", type=int, default=None, help="trajectory timesteps")
+        p.add_argument("--problem", required=True, metavar="NAME[:SIZE]",
+                       help=f"one of {problem_names()}, size via name:size")
         p.add_argument("--x-scaler", dest="x_scaler", default=None, help="comma floats or one float")
         p.add_argument("--f-scaler", dest="f_scaler", type=float, default=None)
         p.add_argument("--c-scaler", dest="c_scaler", default=None, help="comma floats or one float")
@@ -261,12 +236,14 @@ def build_parser():
                        help="replay evaluations from this record")
     run_p.add_argument("--readable-outputs", dest="readable_outputs", default=None,
                        help="comma-separated output names to export as text")
+    run_p.add_argument("--opt-tol", dest="opt_tol", type=float, default=None)
+    run_p.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
+    run_p.add_argument("--seed", type=int, default=None)
     add_common(run_p)
     run_p.set_defaults(func=cmd_run)
 
     check_p = sub.add_parser("check", help="verify analytic derivatives against finite differences")
     add_problem(check_p)
-    add_common(check_p)
     check_p.set_defaults(func=cmd_check)
 
     bench_p = sub.add_parser("bench", help="run a solver x problem suite and export profiles")
@@ -291,10 +268,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OptionError, ProblemError, HotStartError) as exc:
+    except (CliError, OptionError, ProblemError, HotStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

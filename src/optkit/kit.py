@@ -65,6 +65,7 @@ _FORMULAS = {"broyden": _broyden, "sr1": _sr1, "bfgs": _bfgs, "dfp": _dfp}
 # the inverse form of each rule is its dual formula applied to (w, d)
 _DUALS = {"sr1": _sr1, "bfgs": _dfp, "dfp": _bfgs}
 _CAPACITY = 16  # pending columns held before a fold: eight rank-2 updates
+_SKIP_TOL = 1e-10  # bfgs / dfp skip a step with w'd <= _SKIP_TOL |w| |d|
 
 
 class HessianApprox:
@@ -102,10 +103,10 @@ class HessianApprox:
     H = property(lambda self: self._fold() if self.inverse else None,
                  lambda self, M: self._assign(H=M))
 
-    def __init__(self, n, variant="bfgs", skip_tol=1e-10, B=None, inverse=False, H=None):
+    def __init__(self, n, variant="bfgs", B=None, inverse=False, H=None):
         if variant not in HESSIAN_VARIANTS:
             raise ValueError(f"unknown Hessian update variant {variant!r}; expected one of {HESSIAN_VARIANTS}")
-        self.n, self.variant, self.skip_tol, self.inverse = n, variant, skip_tol, inverse
+        self.n, self.variant, self.inverse = n, variant, inverse
         # row j of _L and _R holds the j-th pending left and right column
         self._L, self._R = np.empty((2, _CAPACITY, n))
         self._assign(B=B, H=H)
@@ -156,7 +157,7 @@ class HessianApprox:
         if nd == 0.0:
             return True
         # bfgs / dfp need positive curvature along the step (symmetric in d, w)
-        if self.variant in ("bfgs", "dfp") and w @ d <= self.skip_tol * math.sqrt(w @ w) * nd:
+        if self.variant in ("bfgs", "dfp") and w @ d <= _SKIP_TOL * math.sqrt(w @ w) * nd:
             return True
 
         if not self.inverse:

@@ -331,17 +331,20 @@ def _restore_feasibility(view, bounds, x, c, J):
     if norm == 0.0:
         raise SolverError("QP infeasible and the violation gradient vanishes; cannot restore")
 
+    trials = {}     # step -> (x, c) at that trial; armijo returns a step it tried
+
     def psi(a):
         xa = bounds.clip(x - a * grad_v)
-        va = violation(view.con(xa), view.con_lower, view.con_upper)
+        ca = view.con(xa)
+        trials[a] = (xa, ca)
+        va = violation(ca, view.con_lower, view.con_upper)
         return 0.5 * float(va @ va)
 
     v0 = violation(c, view.con_lower, view.con_upper)
     res = kit.line_search("armijo", psi, f0=0.5 * float(v0 @ v0),
                           slope0=-norm ** 2, alpha0=1.0 / max(1.0, norm))
-    x_new = bounds.clip(x - res.alpha * grad_v)
+    x_new, c_new = trials[res.alpha]
     f = view.obj(x_new)
-    c_new = view.con(x_new)
     g = view.grad(x_new)
     J_new = view.jac(x_new)
     return x_new, f, c_new, g, J_new

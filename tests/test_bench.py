@@ -192,6 +192,11 @@ def test_run_suite_contains_crashes():
     assert np.all(np.isinf(table.time))
 
 
+def test_run_suite_raises_on_an_undeclared_option():
+    with pytest.raises(ok.OptionError, match="unknown option 'nonsense'"):
+        run_suite(["quartic"], ["newton"], options={"newton": {"nonsense": 1}})
+
+
 def test_run_suite_newton_vs_steepest_descent_on_quartic():
     table = run_suite(["quartic"], ["newton", "steepest_descent"],
                       budget=(500, None))

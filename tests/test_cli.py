@@ -128,15 +128,39 @@ def test_check_bean_passes(capsys):
 
 
 def test_check_cantilever_adjoint(capsys):
-    code, out, _ = run_cli(capsys, "check", "--problem", "cantilever",
-                           "--n-el", "20")
+    code, out, _ = run_cli(capsys, "check", "--problem", "cantilever:20")
     assert code == 0
 
 
 def test_check_spacecraft_takes_its_size_from_n_t(capsys):
-    code, out, _ = run_cli(capsys, "check", "--problem", "spacecraft", "--n-t", "3")
+    code, out, _ = run_cli(capsys, "check", "--problem", "spacecraft:3")
     assert code == 0
     assert "problem: spacecraft_3" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a size the problem does not take, or one its factory refuses
+    (["run", "--problem", "rosenbrock2:7", "--solver", "quasi_newton"],
+     "problem 'rosenbrock2' takes no size parameter"),
+    (["check", "--problem", "cantilever:1"], "cantilever needs at least 2 elements, got 1"),
+    # flags a subcommand does not use are refused by the parser
+    (["run", "--problem", "cantilever", "--n-el", "20", "--solver", "sqp"],
+     "unrecognized arguments: --n-el 20"),
+    (["check", "--problem", "bean", "--maxiter", "3"], "unrecognized arguments: --maxiter 3"),
+    # bench gives every --opt to every solver, and an undeclared one is a usage error
+    (["bench", "--problems", "rosenbrock2", "--solvers", "newton", "--opt", "nonsense=1"],
+     "unknown option 'nonsense'"),
+])
+def test_input_errors_exit_two_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)     # the default --out-dir, which must stay empty
+    try:
+        code = main(argv)
+    except SystemExit as exc:    # argparse exits itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_writes_summary_and_profiles(tmp_path, capsys):

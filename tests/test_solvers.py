@@ -186,6 +186,32 @@ def test_fd_quasi_newton_does_not_stall_near_the_minimum(seed):
     assert report.converged
 
 
+def _assert_replays_with_no_live_call(solver, spec, view, live, tmp_path, **options):
+    """A run recorded in ``view`` replays from its written record with no live call."""
+    path = tmp_path / "run.rec"
+    ok.write_record(view.record, path)
+    again = ScaledView(spec, hot_start=ok.read_record(path))
+    replayed = SOLVERS[solver](again, **options)
+    assert not any(again.counters.as_dict().values())
+    assert again.replayed == view.counters
+    assert replayed.x_star.tobytes() == live.x_star.tobytes()
+    assert replayed.f_star == live.f_star and replayed.niter == live.niter
+
+
+def test_sr1_resets_at_a_non_descent_direction(monkeypatch, tmp_path):
+    # SR1 updates need not keep H positive definite; on rosenbrock2 its
+    # direction -H g points uphill 7 times, and each time H restarts from I
+    resets = []
+    reset = HessianApprox.reset
+    monkeypatch.setattr(HessianApprox, "reset", lambda self: resets.append(1) or reset(self))
+    spec = rosenbrock2()
+    view = ScaledView(spec, record=True)
+    live = ok.quasi_newton(view, variant="sr1")
+    assert live.converged and live.niter == 42
+    assert len(resets) == 7
+    _assert_replays_with_no_live_call("quasi_newton", spec, view, live, tmp_path, variant="sr1")
+
+
 def test_recorded_fd_quasi_newton_with_central_switch_replays_with_no_live_call(tmp_path):
     spec = parse_problem_token("rosen_coupled:8")
     spec = replace(spec, callbacks=replace(spec.callbacks, gradient=None))
@@ -193,14 +219,7 @@ def test_recorded_fd_quasi_newton_with_central_switch_replays_with_no_live_call(
     live = ok.quasi_newton(view)
     assert live.converged
     assert view._central_grad           # the run switched to central differences
-    path = tmp_path / "qn.rec"
-    ok.write_record(view.record, path)
-    again = ScaledView(spec, hot_start=ok.read_record(path))
-    replayed = ok.quasi_newton(again)
-    assert not any(again.counters.as_dict().values())
-    assert again.replayed == view.counters
-    assert replayed.x_star.tobytes() == live.x_star.tobytes()
-    assert replayed.f_star == live.f_star and replayed.niter == live.niter
+    _assert_replays_with_no_live_call("quasi_newton", spec, view, live, tmp_path)
 
 
 def test_qn_monotone_objective_with_line_search():
@@ -759,6 +778,24 @@ def test_sqp_unscaled_spacecraft_is_infeasible_quickly(n_t):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("solver", ["sqp", "newton_lagrange"])
+def test_constrained_maxiter_exit(solver):
+    view = ScaledView(parse_problem_token("cantilever:20"), record=True)
+    report = SOLVERS[solver](view, maxiter=2)
+    assert not report.converged and report.niter == 2
+    assert len(view.record.iter_events()) == 3
+
+
+def test_sqp_restoration_asks_con_once_at_its_accepted_point():
+    # every QP of unscaled spacecraft:10 is infeasible, so each iteration is
+    # a restoration step; its accepted point reuses the line search's con
+    view = ScaledView(parse_problem_token("spacecraft:10"), record=True)
+    with pytest.raises(SolverError, match="linearized constraints are infeasible"):
+        ok.sqp(view)
+    _assert_no_repeated_request(view.record)
+    assert view.counters.n_con == view.counters.n_obj
+
+
 # ---------------------------------------------------------------------------
 # Nelder-Mead
 # ---------------------------------------------------------------------------
@@ -772,6 +809,19 @@ def test_nelder_mead_sphere():
 def test_nelder_mead_bean_iteration_budget():
     report = ok.nelder_mead(bean(), maxiter=150)
     assert abs(report.f_star - 0.09194) <= 1e-3
+
+
+def test_nelder_mead_shrinks_on_a_plateau(tmp_path):
+    # reflections and contractions land on the start's plateau without
+    # improving the worst vertex, so the simplex shrinks toward the best one:
+    # without shrinks 17 iterations could ask for at most 3 + 2 * 17 points
+    spec = build_problem("plateau", [1.3, 0.7],
+                         obj=lambda x: float(np.floor(4 * abs(x[0])) + np.floor(4 * abs(x[1]))))
+    view = ScaledView(spec, record=True)
+    live = ok.nelder_mead(view)
+    assert live.converged and live.niter == 17
+    assert live.counters.n_obj == 69 > 3 + 2 * live.niter
+    _assert_replays_with_no_live_call("nelder_mead", spec, view, live, tmp_path)
 
 
 def test_nelder_mead_one_dimensional():
