@@ -10,8 +10,8 @@ support benchmarking.
 from .problem import (Bounds, DerivativeCheck, EvalCallbacks, EvalCounters,
                       EvaluationError, ProblemError, ProblemSpec, ScaledView,
                       build_problem, check_first_derivatives, fd_derivative)
-from .kit import (HessianApprox, LineSearchResult, MeritSpec, QpError,
-                  line_search, merit_value, qp_solve)
+from .kit import (HessianApprox, LineSearchResult, QpError, line_search,
+                  merit_value, qp_solve)
 from .recording import (EvalEvent, HotStartError, IterEvent, RecordError, RunRecord,
                         print_results, read_record, write_readable_outputs, write_record)
 from .solvers import (SOLVERS, OptionError, RunContext, SolverError, SolverReport,
@@ -26,7 +26,7 @@ __all__ = [
     "Bounds", "DerivativeCheck", "EvalCallbacks", "EvalCounters",
     "EvaluationError", "ProblemError", "ProblemSpec", "ScaledView",
     "build_problem", "check_first_derivatives", "fd_derivative",
-    "HessianApprox", "LineSearchResult", "MeritSpec", "QpError",
+    "HessianApprox", "LineSearchResult", "QpError",
     "line_search", "merit_value", "qp_solve",
     "EvalEvent", "HotStartError", "IterEvent", "RecordError", "RunRecord",
     "print_results", "read_record", "write_readable_outputs", "write_record",

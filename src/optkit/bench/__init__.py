@@ -21,8 +21,7 @@ class TestProblem:
 
     factory: callable
     known_solution: tuple = None      # (x_star, f_star) or None
-    size_param: str = None            # name of the size argument, if any
-    default_size: int = None
+    default_size: int = None          # the factory's size argument, if it takes one
 
 
 REGISTRY = {
@@ -31,12 +30,12 @@ REGISTRY = {
     "bean": TestProblem(bean, known_solution=(np.array([1.21314, 0.82414]), 0.09194)),
     "quadratic_example": TestProblem(quadratic_example,
                                      known_solution=(np.array([1.0, 0.0]), 1.0)),
-    "rosen_uncoupled": TestProblem(rosen_uncoupled, size_param="n", default_size=8,
+    "rosen_uncoupled": TestProblem(rosen_uncoupled, default_size=8,
                                    known_solution=(None, 0.0)),
-    "rosen_coupled": TestProblem(rosen_coupled, size_param="n", default_size=8,
+    "rosen_coupled": TestProblem(rosen_coupled, default_size=8,
                                  known_solution=(None, 0.0)),
-    "cantilever": TestProblem(cantilever, size_param="n_el", default_size=20),
-    "spacecraft": TestProblem(spacecraft, size_param="n_t", default_size=10),
+    "cantilever": TestProblem(cantilever, default_size=20),
+    "spacecraft": TestProblem(spacecraft, default_size=10),
 }
 
 
@@ -49,7 +48,7 @@ def make_problem(name, size=None):
     if name not in REGISTRY:
         raise KeyError(f"unknown problem {name!r}; valid names: {problem_names()}")
     entry = REGISTRY[name]
-    if entry.size_param is None:
+    if entry.default_size is None:
         if size is not None:
             raise ValueError(f"problem {name!r} takes no size parameter")
         return entry.factory()
@@ -57,9 +56,14 @@ def make_problem(name, size=None):
 
 
 def parse_problem_token(token):
-    """Parse 'name' or 'name:size' into a ProblemSpec."""
-    name, _, size = token.partition(":")
-    return make_problem(name.strip(), int(size) if size else None)
+    """Parse 'name' or 'name:size' into a ProblemSpec; a size that is not an
+    integer is a ValueError that quotes the token."""
+    name, colon, size = token.partition(":")
+    try:
+        size = int(size) if colon else None
+    except ValueError:
+        raise ValueError(f"problem size in {token!r} must be an integer") from None
+    return make_problem(name.strip(), size)
 
 
 def run_suite(problems, solvers, options=None, budget=None):

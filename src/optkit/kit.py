@@ -1,5 +1,7 @@
 """Reusable solver building blocks: quasi-Newton updates, line searches,
-merit functions, and a Goldfarb-Idnani dual active-set QP subsolver on H^-1."""
+merit values, and a Goldfarb-Idnani dual active-set QP subsolver on H^-1.
+A solver's option values (a merit's rho, an update variant) reach these
+already range-checked by its RunContext declaration."""
 
 import math
 from dataclasses import dataclass
@@ -9,7 +11,6 @@ import numpy as np
 from .problem import violation
 
 HESSIAN_VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
-MERIT_KINDS = ("l1", "linf", "quadratic_penalty")
 
 
 class QpError(RuntimeError):
@@ -293,31 +294,21 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
 # Merit functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MeritSpec:
-    """Merit function selector: penalty kind and parameter rho."""
-
-    kind: str = "l1"
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in MERIT_KINDS:
-            raise ValueError(f"unknown merit kind {self.kind!r}; expected one of {MERIT_KINDS}")
-        if not np.isfinite(self.rho) or self.rho < 0.0:
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-
-
-def merit_value(spec, f, c, con_lower, con_upper):
-    """Evaluate the merit function for objective f and constraint values c,
-    with violations measured against the two-sided bounds."""
+def merit_value(kind, rho, f, c, con_lower, con_upper):
+    """The ``kind`` merit ('l1', 'linf' or 'quadratic_penalty') of objective f
+    and constraint values c at penalty rho, with violations measured against
+    the two-sided bounds; an unknown kind is a ValueError.  rho is the
+    caller's to keep finite and nonnegative."""
     c = np.asarray(c, dtype=float)
     f = float(f)
     v = violation(c, con_lower, con_upper)
-    if spec.kind == "l1":
-        return f + spec.rho * float(np.sum(v))
-    if spec.kind == "linf":
-        return f + spec.rho * float(np.max(v, initial=0.0))
-    return f + 0.5 * spec.rho * float(v @ v)
+    if kind == "l1":
+        return f + rho * float(np.sum(v))
+    if kind == "linf":
+        return f + rho * float(np.max(v, initial=0.0))
+    if kind == "quadratic_penalty":
+        return f + 0.5 * rho * float(v @ v)
+    raise ValueError(f"unknown merit kind {kind!r}; expected 'l1', 'linf' or 'quadratic_penalty'")
 
 
 # ---------------------------------------------------------------------------

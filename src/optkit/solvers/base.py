@@ -25,14 +25,18 @@ COMMON_OPTIONS = {
 }
 
 
-def _checked_options(declared, values):
-    """``values`` over the ``declared`` defaults (name -> (type or tuple of
-    types, default)), each type-checked: unknown names are errors, and ints
-    are accepted where floats are declared."""
-    out = {name: default for name, (_, default) in declared.items()}
+def _checked_options(declared, values, solver_name):
+    """``values`` over the ``declared`` defaults, each type-checked, then each
+    final value range-checked.  A declaration is name -> (type or tuple of
+    types, default) or (types, default, (test, text)): unknown names and
+    ill-typed values are OptionErrors (ints are accepted where floats are
+    declared), and a value ``test`` refuses is a SolverError that reads
+    "{name} must {text}, got {value!r}"."""
+    out = {name: decl[1] for name, decl in declared.items()}
     for name, value in values.items():
         if name not in declared:
-            raise OptionError(f"unknown option {name!r}; valid options: {sorted(declared)}")
+            raise OptionError(f"unknown option {name!r} for {solver_name}; "
+                              f"valid options: {sorted(declared)}")
         types = declared[name][0]
         if not isinstance(types, tuple):
             types = (types,)
@@ -48,7 +52,16 @@ def _checked_options(declared, values):
         if not isinstance(value, tuple(t for t in types if t is not type(None))):
             raise OptionError(f"option {name!r} must be of type {types}, got {type(value).__name__}")
         out[name] = value
+    for name, (_, _, *value_range) in declared.items():
+        for test, text in value_range:
+            if not test(out[name]):
+                raise SolverError(f"{name} must {text}, got {out[name]!r}")
     return SimpleNamespace(**out)
+
+
+# value ranges for option declarations, the third slot of an entry
+_NONZERO_FINITE = (lambda v: v != 0.0 and np.isfinite(v), "be nonzero and finite")
+_FINITE_NONNEGATIVE = (lambda v: np.isfinite(v) and v >= 0.0, "be finite and nonnegative")
 
 
 @dataclass
@@ -84,9 +97,12 @@ class RunContext:
     ``view``, through which the solver reads the problem in scaled units.
     ``options`` (name -> value) is checked against ``COMMON_OPTIONS``
     (maxiter, opt_tol, feas_tol) plus ``declared`` (name -> (type or tuple
-    of types, default)) into ``options``, read as attributes; a bad option
-    raises OptionError.  With ``unconstrained`` the solver declares that it
-    handles m == 0 only, and a constrained problem raises SolverError.
+    of types, default), or (types, default, (test, text)) for an option
+    with a range) into ``options``, read as attributes.  An unknown name or
+    a wrong type raises OptionError, and a value its range refuses raises
+    SolverError, both before any callback is called.  With
+    ``unconstrained`` the solver declares that it handles m == 0 only, and
+    a constrained problem raises SolverError.
     The solver then names its per-iteration outputs with
     ``declare_outputs``, reports each iteration with ``emit`` and returns
     ``finish(...)``, the SolverReport in user units.
@@ -100,7 +116,8 @@ class RunContext:
             raise TypeError(f"expected ProblemSpec or ScaledView, got {type(problem).__name__}")
         self.view = view = problem
         self.solver_name = solver_name
-        self.options = _checked_options({**COMMON_OPTIONS, **(declared or {})}, options or {})
+        self.options = _checked_options({**COMMON_OPTIONS, **(declared or {})}, options or {},
+                                        solver_name)
         if unconstrained and view.m != 0:
             raise SolverError(f"{solver_name} handles unconstrained problems only (m={view.m}); "
                               "wrap constraints with a penalty solver instead")

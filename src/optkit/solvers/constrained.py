@@ -4,7 +4,7 @@ import numpy as np
 
 from .. import kit
 from ..problem import Bounds, signed_violation, violation
-from .base import RunContext, SolverError
+from .base import _FINITE_NONNEGATIVE, _NONZERO_FINITE, RunContext, SolverError
 from .direct import _nelder_mead_loop
 from .gradient import _descent_loop, _quasi_newton_rule
 
@@ -91,7 +91,8 @@ def quadratic_penalty(problem, **options):
     optimality meet their tolerances.
     """
     ctx = RunContext(problem, "quadratic_penalty", options,
-                     {"rho0": (float, 1.0), "rho_growth": (float, 10.0),
+                     {"rho0": (float, 1.0, _FINITE_NONNEGATIVE),
+                      "rho_growth": (float, 10.0, _FINITE_NONNEGATIVE),
                       "subsolver_tol_schedule": (list, [1e-2, 1e-3, 1e-4]),
                       "sub_maxiter": (int, 300)})
     view, opts = ctx.view, ctx.options
@@ -116,10 +117,8 @@ def quadratic_penalty(problem, **options):
     obj, grad, con, jac = once(view.obj), once(view.grad), once(view.con), once(view.jac)
 
     def make_penalized(rho):
-        merit = kit.MeritSpec("quadratic_penalty", rho)
-
         def pobj(x):
-            return kit.merit_value(merit, obj(x), con(x), cl, cu)
+            return kit.merit_value("quadratic_penalty", rho, obj(x), con(x), cl, cu)
 
         def pgrad(x):
             r = signed_violation(con(x), cl, cu)
@@ -181,16 +180,11 @@ def exact_penalty(problem, **options):
     minimizer coincides with the constrained solution.
     """
     ctx = RunContext(problem, "exact_penalty", options,
-                     {"kind": (str, "l1"), "rho": (float, 100.0), "init_scale": (float, 0.05)})
+                     {"kind": (str, "l1", (lambda v: v in ("l1", "linf"), "be 'l1' or 'linf'")),
+                      "rho": (float, 100.0, _FINITE_NONNEGATIVE),
+                      "init_scale": (float, 0.05, _NONZERO_FINITE)})
     view, opts = ctx.view, ctx.options
-    if opts.kind not in ("l1", "linf"):
-        raise SolverError(f"exact_penalty kind must be 'l1' or 'linf', got {opts.kind!r}")
     ctx.declare_outputs(itr=int, merit=float, spread=float, x=(float, (view.n,)))
-
-    try:
-        merit = kit.MeritSpec(opts.kind, opts.rho)
-    except ValueError as exc:
-        raise SolverError(str(exc)) from None
 
     # Variable bounds join the penalty instead of clipping the simplex:
     # clipped vertices collapse onto active-bound hyperplanes and degenerate.
@@ -200,7 +194,7 @@ def exact_penalty(problem, **options):
     def penalized(x):
         f = view.obj(x)
         c = np.concatenate([view.con(x), x])
-        return kit.merit_value(merit, f, c, lower, upper)
+        return kit.merit_value(opts.kind, opts.rho, f, c, lower, upper)
 
     def on_iter(itr, x, fbest, spread):
         ctx.emit(itr=itr, merit=fbest, spread=spread, x=x)
@@ -290,8 +284,7 @@ def sqp(problem, **options):
             continue
 
         rho = max(rho, float(np.max(np.abs(lam_hat), initial=0.0)) + 1.0)
-        merit = kit.MeritSpec("l1", rho)
-        merit0 = kit.merit_value(merit, f, c, cl, cu)
+        merit0 = kit.merit_value("l1", rho, f, c, cl, cu)
         slope0 = float(g @ p) - rho * float(np.sum(v))
 
         trials = {}
@@ -301,7 +294,7 @@ def sqp(problem, **options):
             fa = view.obj(xa)
             ca = view.con(xa)
             trials[a] = (xa, fa, ca)
-            return kit.merit_value(merit, fa, ca, cl, cu)
+            return kit.merit_value("l1", rho, fa, ca, cl, cu)
 
         if slope0 >= -1e-16 or float(np.max(np.abs(p))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             phi(1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..problem import Bounds
-from .base import RunContext, SolverError
+from .base import _NONZERO_FINITE, RunContext, SolverError
 
 # canonical simplex coefficients: reflection, expansion, contraction, shrink
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -21,8 +21,6 @@ def _nelder_mead_loop(fun, x0, bounds, *, maxiter, opt_tol, init_scale, on_iter=
     Terminates when both the objective spread and the simplex diameter are
     small, or at ``maxiter``.  Returns the terminal state as a dict.
     """
-    if not (init_scale != 0.0 and np.isfinite(init_scale)):
-        raise SolverError(f"init_scale must be nonzero and finite, got {init_scale!r}")
     clip = bounds.clip
     x0 = clip(np.array(x0, dtype=float))
     n = x0.size
@@ -89,8 +87,8 @@ def nelder_mead(problem, **options):
     ``init_scale * max(1, |x0_i|)``; reported optimality is the simplex
     objective spread.
     """
-    ctx = RunContext(problem, "nelder_mead", options, {"init_scale": (float, 0.05)},
-                     unconstrained=True)
+    ctx = RunContext(problem, "nelder_mead", options,
+                     {"init_scale": (float, 0.05, _NONZERO_FINITE)}, unconstrained=True)
     view, opts = ctx.view, ctx.options
     ctx.declare_outputs(itr=int, obj=float, spread=float, x=(float, (view.n,)))
 
@@ -143,11 +141,10 @@ def pso(problem, **options):
     that window.
     """
     ctx = RunContext(problem, "pso", options,
-                     {"n_particles": (int, 20), "w": (float, 0.7), "c_p": (float, 1.5),
-                      "c_g": (float, 1.5), **_SAMPLING_OPTIONS}, unconstrained=True)
+                     {"n_particles": (int, 20, (lambda v: v >= 1, "be at least 1")),
+                      "w": (float, 0.7), "c_p": (float, 1.5), "c_g": (float, 1.5),
+                      **_SAMPLING_OPTIONS}, unconstrained=True)
     view, opts = ctx.view, ctx.options
-    if opts.n_particles < 1:
-        raise SolverError("n_particles must be at least 1")
     ctx.declare_outputs(itr=int, obj=float, x=(float, (view.n,)))
     box = _sampling_box(view, opts)
     width = box.upper - box.lower
@@ -221,15 +218,11 @@ def simulated_annealing(problem, **options):
     ``uniform(-1, 1)`` computes from the same d.
     """
     ctx = RunContext(problem, "simulated_annealing", options,
-                     {"T0": (float, 10.0), "k_max": (int, 5000), "step_scale": (float, 0.1),
-                      **_SAMPLING_OPTIONS}, unconstrained=True)
+                     {"T0": (float, 10.0, (lambda v: not np.isnan(v), "not be NaN")),
+                      "k_max": (int, 5000, (lambda v: v >= 0, "be at least 0")),
+                      "step_scale": (float, 0.1, _NONZERO_FINITE), **_SAMPLING_OPTIONS},
+                     unconstrained=True)
     view, opts = ctx.view, ctx.options
-    if opts.k_max < 0:
-        raise SolverError(f"k_max must be at least 0, got {opts.k_max}")
-    if not (opts.step_scale != 0.0 and np.isfinite(opts.step_scale)):
-        raise SolverError(f"step_scale must be nonzero and finite, got {opts.step_scale!r}")
-    if np.isnan(opts.T0):
-        raise SolverError(f"T0 must not be NaN, got {opts.T0!r}")
     ctx.declare_outputs(itr=int, obj=float, T=float, x=(float, (view.n,)))
     box = _sampling_box(view, opts)
     width = box.upper - box.lower

@@ -241,11 +241,11 @@ def quasi_newton(problem, **options):
     gamma = w'd / w'w from that step d and gradient change w, so H takes the
     problem's scale from the first step; the other variants update I itself.
     """
-    ctx = RunContext(problem, "quasi_newton", options, {**_STEP_OPTIONS, "variant": (str, "bfgs")},
+    ctx = RunContext(problem, "quasi_newton", options,
+                     {**_STEP_OPTIONS, "variant": (str, "bfgs", (
+                         lambda v: v in kit.HESSIAN_VARIANTS, f"be one of {kit.HESSIAN_VARIANTS}"))},
                      unconstrained=True)
     opts = ctx.options
-    if opts.variant not in kit.HESSIAN_VARIANTS:
-        raise SolverError(f"unknown quasi-Newton variant {opts.variant!r}")
     approx = kit.HessianApprox(n=ctx.view.n, variant=opts.variant, inverse=True)
     direction, on_step = _quasi_newton_rule(approx, scaled_start=opts.variant == "bfgs")
     return _solve(ctx, direction, "wolfe", on_step=on_step)

@@ -62,7 +62,6 @@ def test_parse_problem_token_sizes():
     assert parse_problem_token("rosen_coupled:4").n == 4
     assert parse_problem_token("quartic").n == 2
 
-
 # ---------------------------------------------------------------------------
 # derivative checks across the registry (analytic problems)
 # ---------------------------------------------------------------------------
@@ -195,6 +194,12 @@ def test_run_suite_contains_crashes():
 def test_run_suite_raises_on_an_undeclared_option():
     with pytest.raises(ok.OptionError, match="unknown option 'nonsense'"):
         run_suite(["quartic"], ["newton"], options={"newton": {"nonsense": 1}})
+
+
+def test_run_suite_names_the_solver_that_refuses_an_option():
+    box = {"sample_lower": [-2.0, -2.0], "sample_upper": [2.0, 2.0]}
+    with pytest.raises(ok.OptionError, match="unknown option 'sample_lower' for newton"):
+        run_suite(["rosenbrock2"], ["newton", "pso"], options={"newton": box, "pso": box})
 
 
 def test_run_suite_newton_vs_steepest_descent_on_quartic():

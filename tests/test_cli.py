@@ -75,6 +75,14 @@ def test_run_nelder_mead_zero_init_scale_exit_one(capsys):
     assert "converged:   true" not in out
 
 
+def test_run_quadratic_penalty_nan_growth_exit_one(capsys):
+    code, out, err = run_cli(capsys, "run", "--problem", "cantilever:20",
+                             "--solver", "quadratic_penalty", "--opt", "rho_growth=nan")
+    assert code == 1
+    assert "rho_growth must be finite and nonnegative, got nan" in err
+    assert "evaluations" not in out
+
+
 def test_run_writes_record_and_readable_outputs(tmp_path, capsys):
     rec = tmp_path / "run.rec"
     code, out, _ = run_cli(capsys, "run", "--problem", "bean",
@@ -150,6 +158,15 @@ def test_check_spacecraft_takes_its_size_from_n_t(capsys):
     # bench gives every --opt to every solver, and an undeclared one is a usage error
     (["bench", "--problems", "rosenbrock2", "--solvers", "newton", "--opt", "nonsense=1"],
      "unknown option 'nonsense'"),
+    # ... and the message names the solver that does not declare it
+    (["bench", "--problems", "rosenbrock2", "--solvers", "newton,pso",
+      "--opt", "sample_lower=-2,-2", "--opt", "sample_upper=2,2"],
+     "unknown option 'sample_lower' for newton"),
+    # a size that is not an integer is quoted with its token
+    (["bench", "--problems", "rosenbrock2,cantilever:x", "--solvers", "sqp"],
+     "problem size in 'cantilever:x' must be an integer"),
+    (["run", "--problem", "cantilever:", "--solver", "sqp"],
+     "problem size in 'cantilever:' must be an integer"),
 ])
 def test_input_errors_exit_two_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)     # the default --out-dir, which must stay empty

@@ -40,6 +40,20 @@ def test_int_promotes_to_float_option():
     assert report.optimality <= 1.0
 
 
+def test_a_user_solver_option_range_is_enforced_before_any_call():
+    # the third slot of a declaration entry, (test, text), checked by RunContext
+    def damped(problem, **options):
+        declared = {"damping": (float, 0.5, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"))}
+        return RunContext(problem, "damped", options, declared).options.damping
+
+    assert damped(quartic()) == 0.5
+    assert damped(quartic(), damping=0.25) == 0.25
+    view = ScaledView(quartic())
+    with pytest.raises(SolverError, match=r"^damping must lie in \(0, 1\), got 1.5$"):
+        damped(view, damping=1.5)
+    assert view.counters == ok.EvalCounters()
+
+
 # ---------------------------------------------------------------------------
 # steepest descent
 # ---------------------------------------------------------------------------
@@ -906,14 +920,28 @@ def test_pso_rejects_an_empty_swarm(n_particles):
     (ok.simulated_annealing, {"step_scale": float("inf")}, "step_scale must be nonzero and finite"),
     (ok.simulated_annealing, {"step_scale": float("nan")}, "step_scale must be nonzero and finite"),
     (ok.simulated_annealing, {"T0": float("nan")}, "T0 must not be NaN"),
+    (ok.exact_penalty, {"rho": -1.0}, "rho must be finite and nonnegative"),
+    (ok.exact_penalty, {"rho": float("nan")}, "rho must be finite and nonnegative"),
+    (ok.exact_penalty, {"kind": "quadratic_penalty"}, "kind must be 'l1' or 'linf'"),
+    (ok.quadratic_penalty, {"rho0": -1.0}, "rho0 must be finite and nonnegative"),
+    (ok.quadratic_penalty, {"rho0": float("inf")}, "rho0 must be finite and nonnegative"),
+    (ok.quadratic_penalty, {"rho_growth": float("nan")}, "rho_growth must be finite and nonnegative"),
+    (ok.quadratic_penalty, {"rho_growth": -1.0}, "rho_growth must be finite and nonnegative"),
+    (ok.quasi_newton, {"variant": "bfgs2"}, "variant must be one of"),
 ], ids=["nm-zero", "nm-inf", "nm-nan", "exact-zero", "sa-negative", "sa-step-zero",
-        "sa-step-inf", "sa-step-nan", "sa-T0-nan"])
+        "sa-step-inf", "sa-step-nan", "sa-T0-nan", "exact-rho-negative", "exact-rho-nan",
+        "exact-kind", "qp-rho0-negative", "qp-rho0-inf", "qp-growth-nan", "qp-growth-negative",
+        "qn-variant"])
 def test_options_that_would_fake_a_result_are_rejected(solver, options, message):
     # a one-point simplex has zero spread, a negative schedule no proposal,
     # and a zero step proposes x itself: each would report a run that never
-    # searched; a NaN temperature turns every acceptance test into a NaN comparison
+    # searched; a NaN temperature turns every acceptance test into a NaN
+    # comparison, and a NaN or negative rho every penalty.  Each is refused
+    # by RunContext before the first callback.
+    view = ScaledView(box_sphere())
     with pytest.raises(SolverError, match=message):
-        solver(box_sphere(), **options)
+        solver(view, **options)
+    assert view.counters == ok.EvalCounters()
 
 
 def test_sa_always_accepts_equal_objective():
