@@ -108,16 +108,18 @@ def cmd_run(args):
             raise CliError(f"cannot hot-start: {exc}") from exc
     recording = bool(args.record or args.readable_outputs)
     view = ScaledView(spec, record=True if recording else None, hot_start=hot)
+    report = None
     try:
         report = solver(view, **options)
+        print(print_results(report))
     except (SolverError, EvaluationError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
-    print(print_results(report))
+    # a run that raised still leaves its record, up to the failure
     if args.record:
         write_record(view.record, args.record)
         print(f"record written to {args.record}")
+    if report is None:
+        return EXIT_FAILED
     if args.readable_outputs:
         names = [n.strip() for n in args.readable_outputs.split(",") if n.strip()]
         paths = write_readable_outputs(view.record, names, args.out_dir)

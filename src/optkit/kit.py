@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import violation
-
 HESSIAN_VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
 
 
@@ -294,14 +292,14 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
 # Merit functions
 # ---------------------------------------------------------------------------
 
-def merit_value(kind, rho, f, c, con_lower, con_upper):
+def merit_value(kind, rho, f, c, bounds):
     """The ``kind`` merit ('l1', 'linf' or 'quadratic_penalty') of objective f
-    and constraint values c at penalty rho, with violations measured against
-    the two-sided bounds; an unknown kind is a ValueError.  rho is the
-    caller's to keep finite and nonnegative."""
-    c = np.asarray(c, dtype=float)
+    and constraint values c at penalty rho, with violations measured by
+    ``bounds.violation(c)`` (a :class:`Bounds`, the view's ``con_bounds`` or
+    a stack of rows); an unknown kind is a ValueError.  rho is the caller's
+    to keep finite and nonnegative."""
     f = float(f)
-    v = violation(c, con_lower, con_upper)
+    v = bounds.violation(c)
     if kind == "l1":
         return f + rho * float(np.sum(v))
     if kind == "linf":

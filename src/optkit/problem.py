@@ -61,14 +61,14 @@ def _vector(value, n, name):
 
 @dataclass(frozen=True)
 class Bounds:
-    """Elementwise lower/upper bounds; entries may be -inf/+inf."""
+    """Elementwise lower/upper bounds, held as read-only copies; entries may be -inf/+inf."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.array(self.lower, dtype=float, ndmin=1)
+        up = np.array(self.upper, dtype=float, ndmin=1)
         if lo.shape != up.shape or lo.ndim != 1:
             raise ProblemError(f"bound vectors must be 1-D with equal length, got {lo.shape} and {up.shape}")
         if np.any(lo > up):
@@ -78,6 +78,7 @@ class Bounds:
         if unmet.any():
             bad = int(np.argmax(unmet))
             raise ProblemError(f"no value meets the bounds at index {bad}: [{lo[bad]}, {up[bad]}]")
+        lo.flags.writeable = up.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         # clip and project skip a side whose bounds are all infinite: clipping
@@ -88,9 +89,6 @@ class Bounds:
     @classmethod
     def unbounded(cls, n):
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
-
-    def equality_mask(self):
-        return self.lower == self.upper
 
     def clip(self, x):
         """Clip the float array ``x`` (a point or rows of points) in place; return it."""
@@ -109,25 +107,21 @@ class Bounds:
         g[((x <= self.lower + tol) & (g > 0.0)) | ((x >= self.upper - tol) & (g < 0.0))] = 0.0
         return g
 
+    def violation(self, c):
+        """Nonnegative violation of the bounds by ``c``, per component."""
+        c = np.asarray(c, dtype=float)
+        return np.maximum(self.lower - c, 0.0) + np.maximum(c - self.upper, 0.0)
 
-def violation(c, lower, upper):
-    """Nonnegative violation of two-sided bounds, per component."""
-    c = np.asarray(c, dtype=float)
-    return np.maximum(lower - c, 0.0) + np.maximum(c - upper, 0.0)
-
-
-def signed_violation(c, lower, upper):
-    """Signed violation: negative below the lower bound, positive above the upper.
-
-    This is the gradient factor of 0.5*||violation||^2 with respect to c.
-    """
-    c = np.asarray(c, dtype=float)
-    out = np.zeros_like(c)
-    below = c < lower
-    above = c > upper
-    out[below] = (c - lower)[below]
-    out[above] = (c - upper)[above]
-    return out
+    def signed_violation(self, c):
+        """Per component, c - lower below the lower bound, c - upper above the
+        upper one and 0 between: the gradient of 0.5*||violation(c)||^2."""
+        c = np.asarray(c, dtype=float)
+        out = np.zeros_like(c)
+        below = c < self.lower
+        above = c > self.upper
+        out[below] = (c - self.lower)[below]
+        out[above] = (c - self.upper)[above]
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,9 +177,6 @@ class ProblemSpec:
     f_scaler: float
     c_scaler: np.ndarray
     callbacks: EvalCallbacks
-
-    def equality_mask(self):
-        return self.con_bounds.equality_mask()
 
 
 def _expand(value, size, default, label):
@@ -367,6 +358,12 @@ class ScaledView:
     Multipliers passed to :meth:`lag_hess` are scaled-space multipliers; the
     raw multiplier is ``lam = (c_scaler / f_scaler) * lam_scaled``.
 
+    ``n``, ``m`` and ``name`` are the spec's.  ``var_bounds`` and
+    ``con_bounds`` are the scaled bounds, x_scaler and c_scaler times the
+    spec's, built once as :class:`Bounds` whose arrays are read-only, so no
+    solver can change the bounds that a later call sees.  :attr:`x0` is a
+    fresh scaled copy on each access, which a solver may clip in place.
+
     A problem with m = 0 has an empty constraint block: :meth:`con` and
     :meth:`jac` return float arrays of shape (0,) and (0, n) and call,
     count and record nothing, so a constrained solver needs no m = 0 path.
@@ -382,6 +379,10 @@ class ScaledView:
 
     def __init__(self, spec, record=None, hot_start=None):
         self.spec = spec
+        self.n, self.m, self.name = spec.n, spec.m, spec.name
+        xb, cb = spec.var_bounds, spec.con_bounds
+        self.var_bounds = Bounds(spec.x_scaler * xb.lower, spec.x_scaler * xb.upper)
+        self.con_bounds = Bounds(spec.c_scaler * cb.lower, spec.c_scaler * cb.upper)
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
         self._memo = {}  # kind -> (x, result): most recent raw evaluation
@@ -414,36 +415,8 @@ class ScaledView:
 
     # -- scaled problem data -------------------------------------------------
     @property
-    def n(self):
-        return self.spec.n
-
-    @property
-    def m(self):
-        return self.spec.m
-
-    @property
-    def name(self):
-        return self.spec.name
-
-    @property
     def x0(self):
         return self.spec.x_scaler * self.spec.x0
-
-    @property
-    def var_lower(self):
-        return self.spec.x_scaler * self.spec.var_bounds.lower
-
-    @property
-    def var_upper(self):
-        return self.spec.x_scaler * self.spec.var_bounds.upper
-
-    @property
-    def con_lower(self):
-        return self.spec.c_scaler * self.spec.con_bounds.lower
-
-    @property
-    def con_upper(self):
-        return self.spec.c_scaler * self.spec.con_bounds.upper
 
     def unscale_x(self, xs):
         return np.asarray(xs, dtype=float) / self.spec.x_scaler
@@ -575,8 +548,7 @@ class ScaledView:
     def feasibility(self, xs):
         """Largest scaled constraint violation at a scaled iterate; 0.0 when
         every constraint holds, and so when there are none."""
-        v = violation(self.con(xs), self.con_lower, self.con_upper)
-        return float(np.max(v, initial=0.0))
+        return float(np.max(self.con_bounds.violation(self.con(xs)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

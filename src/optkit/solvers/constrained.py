@@ -3,7 +3,7 @@
 import numpy as np
 
 from .. import kit
-from ..problem import Bounds, signed_violation, violation
+from ..problem import Bounds
 from .base import _FINITE_NONNEGATIVE, _NONZERO_FINITE, RunContext, SolverError
 from .direct import _nelder_mead_loop
 from .gradient import _descent_loop, _quasi_newton_rule
@@ -21,13 +21,13 @@ def newton_lagrange(problem, **options):
     """
     ctx = RunContext(problem, "newton_lagrange", options, {"use_line_search": (bool, False)})
     view, opts = ctx.view, ctx.options
-    if not np.all(view.con_lower == view.con_upper):
+    target = view.con_bounds.lower
+    if not np.all(target == view.con_bounds.upper):
         raise SolverError("newton_lagrange requires equality constraints only (lower == upper)")
     ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float,
                         x=(float, (view.n,)), lam=(float, (view.m,)))
 
     n, m = view.n, view.m
-    target = view.con_lower
     x = view.x0.copy()
     lam = np.zeros(m)
 
@@ -91,16 +91,15 @@ def quadratic_penalty(problem, **options):
     optimality meet their tolerances.
     """
     ctx = RunContext(problem, "quadratic_penalty", options,
-                     {"rho0": (float, 1.0, _FINITE_NONNEGATIVE),
-                      "rho_growth": (float, 10.0, _FINITE_NONNEGATIVE),
+                     {"rho0": (float, 1.0, (lambda v: 0.0 < v < np.inf, "be finite and positive")),
+                      "rho_growth": (float, 10.0, (lambda v: 1.0 < v < np.inf,
+                                                   "be finite and greater than 1")),
                       "subsolver_tol_schedule": (list, [1e-2, 1e-3, 1e-4]),
                       "sub_maxiter": (int, 300)})
     view, opts = ctx.view, ctx.options
     ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float, rho=float,
                         x=(float, (view.n,)))
-    m = view.m
-    cl, cu = view.con_lower, view.con_upper
-    bounds = Bounds(view.var_lower, view.var_upper)
+    m, cons, bounds = view.m, view.con_bounds, view.var_bounds
 
     def once(method):
         # the view's ``method``, asked once per point: a request at the bits
@@ -118,16 +117,16 @@ def quadratic_penalty(problem, **options):
 
     def make_penalized(rho):
         def pobj(x):
-            return kit.merit_value("quadratic_penalty", rho, obj(x), con(x), cl, cu)
+            return kit.merit_value("quadratic_penalty", rho, obj(x), con(x), cons)
 
         def pgrad(x):
-            r = signed_violation(con(x), cl, cu)
+            r = cons.signed_violation(con(x))
             return grad(x) + rho * (jac(x).T @ r)
 
         return pobj, pgrad
 
     def feasibility(x):     # view.feasibility, through ``con``
-        return float(np.max(violation(con(x), cl, cu), initial=0.0))
+        return float(np.max(cons.violation(con(x)), initial=0.0))
 
     x = bounds.clip(view.x0)
     rho = opts.rho0
@@ -188,13 +187,14 @@ def exact_penalty(problem, **options):
 
     # Variable bounds join the penalty instead of clipping the simplex:
     # clipped vertices collapse onto active-bound hyperplanes and degenerate.
-    lower = np.concatenate([view.con_lower, view.var_lower])
-    upper = np.concatenate([view.con_upper, view.var_upper])
+    # One stack of the constraint rows over the variables serves the merit
+    # and the final feasibility.
+    cb, xb = view.con_bounds, view.var_bounds
+    stacked = Bounds(np.concatenate([cb.lower, xb.lower]), np.concatenate([cb.upper, xb.upper]))
 
     def penalized(x):
         f = view.obj(x)
-        c = np.concatenate([view.con(x), x])
-        return kit.merit_value(opts.kind, opts.rho, f, c, lower, upper)
+        return kit.merit_value(opts.kind, opts.rho, f, np.concatenate([view.con(x), x]), stacked)
 
     def on_iter(itr, x, fbest, spread):
         ctx.emit(itr=itr, merit=fbest, spread=spread, x=x)
@@ -204,8 +204,7 @@ def exact_penalty(problem, **options):
                               init_scale=opts.init_scale, on_iter=on_iter)
     x = state["x"]
     f = view.obj(x)
-    bound_v = violation(x, view.var_lower, view.var_upper)
-    feas = max(view.feasibility(x), float(np.max(bound_v)))
+    feas = float(np.max(stacked.violation(np.concatenate([view.con(x), x]))))
     converged = state["converged"] and feas <= opts.feas_tol
     return ctx.finish(x, f, state["spread"], feas, state["niter"], converged)
 
@@ -233,10 +232,8 @@ def sqp(problem, **options):
     ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float,
                         x=(float, (view.n,)), lam=(float, (view.m,)))
     n, m = view.n, view.m
-    cl, cu = view.con_lower, view.con_upper
-    xl, xu = view.var_lower, view.var_upper
-
-    bounds = Bounds(xl, xu)
+    cons, bounds = view.con_bounds, view.var_bounds
+    cl, cu, xl, xu = cons.lower, cons.upper, bounds.lower, bounds.upper
     x = bounds.clip(view.x0)
     lam = np.zeros(m)
     bound_mult = np.zeros(n)
@@ -254,7 +251,7 @@ def sqp(problem, **options):
         return float(np.max(np.abs(g - mu - J.T @ lam)))
 
     while True:
-        v = violation(c, cl, cu)
+        v = cons.violation(c)
         feas = float(np.max(v, initial=0.0))
         opt = kkt_residual(g, J, lam, bound_mult)
         ctx.emit(itr=itr, obj=f, opt=opt, feas=feas, x=x, lam=lam)
@@ -274,7 +271,7 @@ def sqp(problem, **options):
             restorations += 1
             if restorations > 5:
                 raise SolverError(f"QP subproblem failed {restorations} times in a row: {exc}") from exc
-            x, f, c, g, J = _restore_feasibility(view, bounds, x, c, J)
+            x, f, c, g, J = _restore_feasibility(view, x, c, J)
             continue
         restorations = 0
 
@@ -284,7 +281,7 @@ def sqp(problem, **options):
             continue
 
         rho = max(rho, float(np.max(np.abs(lam_hat), initial=0.0)) + 1.0)
-        merit0 = kit.merit_value("l1", rho, f, c, cl, cu)
+        merit0 = kit.merit_value("l1", rho, f, c, cons)
         slope0 = float(g @ p) - rho * float(np.sum(v))
 
         trials = {}
@@ -294,7 +291,7 @@ def sqp(problem, **options):
             fa = view.obj(xa)
             ca = view.con(xa)
             trials[a] = (xa, fa, ca)
-            return kit.merit_value("l1", rho, fa, ca, cl, cu)
+            return kit.merit_value("l1", rho, fa, ca, cons)
 
         if slope0 >= -1e-16 or float(np.max(np.abs(p))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             phi(1.0)
@@ -316,9 +313,10 @@ def sqp(problem, **options):
     return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
 
 
-def _restore_feasibility(view, bounds, x, c, J):
+def _restore_feasibility(view, x, c, J):
     """One descent step on 0.5*||violation||^2 after an infeasible QP."""
-    r = signed_violation(c, view.con_lower, view.con_upper)
+    cons, bounds = view.con_bounds, view.var_bounds
+    r = cons.signed_violation(c)
     grad_v = J.T @ r
     norm = float(np.linalg.norm(grad_v))
     if norm == 0.0:
@@ -330,10 +328,10 @@ def _restore_feasibility(view, bounds, x, c, J):
         xa = bounds.clip(x - a * grad_v)
         ca = view.con(xa)
         trials[a] = (xa, ca)
-        va = violation(ca, view.con_lower, view.con_upper)
+        va = cons.violation(ca)
         return 0.5 * float(va @ va)
 
-    v0 = violation(c, view.con_lower, view.con_upper)
+    v0 = cons.violation(c)
     res = kit.line_search("armijo", psi, f0=0.5 * float(v0 @ v0),
                           slope0=-norm ** 2, alpha0=1.0 / max(1.0, norm))
     x_new, c_new = trials[res.alpha]

@@ -98,7 +98,7 @@ def nelder_mead(problem, **options):
     def on_iter(itr, x, f, spread):
         emit(itr=itr, obj=f, spread=spread, x=x)
 
-    state = _nelder_mead_loop(view.obj, view.x0, Bounds(view.var_lower, view.var_upper),
+    state = _nelder_mead_loop(view.obj, view.x0, view.var_bounds,
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
                               init_scale=opts.init_scale, on_iter=on_iter)
     return ctx.finish(state["x"], state["f"], state["spread"], 0.0,
@@ -112,8 +112,7 @@ _SAMPLING_OPTIONS = {"seed": ((int, type(None)), None),
 
 
 def _sampling_box(view, opts):
-    lower = view.var_lower.copy()
-    upper = view.var_upper.copy()
+    lower, upper = view.var_bounds.lower, view.var_bounds.upper
     if opts.sample_lower is not None:
         lower = np.asarray(opts.sample_lower, dtype=float)
     if opts.sample_upper is not None:
@@ -204,7 +203,8 @@ def simulated_annealing(problem, **options):
     Proposals are x + step_scale * width * u with u ~ U[-1,1]^n, clipped to the
     box.  Worse points are accepted with probability exp(-(f_new - f)/T_k)
     under T_k = T0*(1 - k/k_max), floored at 1e-12.  Runs the full schedule of
-    ``k_max`` proposals and returns the best point ever seen.  Reported
+    ``k_max`` proposals and returns the best point ever seen, which each
+    iteration emits with its objective.  Reported
     optimality is the best-objective improvement over the last full window of
     50 proposals (inf when ``k_max`` is shorter than one window); the run
     counts as converged when that improvement is at most ``opt_tol``.
@@ -238,7 +238,7 @@ def simulated_annealing(problem, **options):
     best_x, best_f = x.copy(), f
     window_best = best_f
     improvement = np.inf        # no window has closed yet
-    emit(itr=0, obj=best_f, T=T0, x=x)
+    emit(itr=0, obj=best_f, T=T0, x=best_x)
 
     def refill(tail):
         d = np.concatenate((tail, random(block)))
@@ -269,7 +269,7 @@ def simulated_annealing(problem, **options):
         if (k + 1) % STAGNATION_WINDOW == 0:
             improvement = window_best - best_f
             window_best = best_f
-        emit(itr=k + 1, obj=best_f, T=T, x=x)
+        emit(itr=k + 1, obj=best_f, T=T, x=best_x)
 
     return ctx.finish(best_x, best_f, improvement, 0.0, k_max,
                       improvement <= opts.opt_tol)

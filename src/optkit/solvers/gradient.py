@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .. import kit
-from ..problem import Bounds, EvaluationError, _is_finite
+from ..problem import EvaluationError, _is_finite
 from .base import RunContext, SolverError
 
 log = logging.getLogger(__name__)
@@ -113,8 +113,8 @@ def _solve(ctx, direction, ls_kind, on_step=None):
     def on_iter(itr, x, f, opt):
         ctx.emit(itr=itr, obj=f, opt=opt, x=x)
 
-    state = _descent_loop(view.obj, view.grad, view.x0,
-                          Bounds(view.var_lower, view.var_upper), direction, ls_kind=ls_kind, maxiter=opts.maxiter,
+    state = _descent_loop(view.obj, view.grad, view.x0, view.var_bounds,
+                          direction, ls_kind=ls_kind, maxiter=opts.maxiter,
                           opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
                           alpha=opts.alpha, on_step=on_step, on_iter=on_iter,
                           refine_grad=view.central_fd_grad)

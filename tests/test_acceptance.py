@@ -102,7 +102,7 @@ def test_c06_constrained_quadratic_three_solvers():
                                     np.abs(c - spec.con_bounds.upper)),
                          np.abs(c - spec.con_bounds.lower))
         assert np.max(np.abs(lam * slack)) <= 10 * opt_tol
-        assert np.all(lam[~spec.equality_mask()] >= -opt_tol)
+        assert np.all(lam[spec.con_bounds.lower != spec.con_bounds.upper] >= -opt_tol)
 
 
 def test_c07_hessian_update_property_suite():

@@ -79,8 +79,22 @@ def test_run_quadratic_penalty_nan_growth_exit_one(capsys):
     code, out, err = run_cli(capsys, "run", "--problem", "cantilever:20",
                              "--solver", "quadratic_penalty", "--opt", "rho_growth=nan")
     assert code == 1
-    assert "rho_growth must be finite and nonnegative, got nan" in err
+    assert "rho_growth must be finite and greater than 1, got nan" in err
     assert "evaluations" not in out
+
+
+def test_run_that_raises_still_writes_its_record(tmp_path, capsys):
+    # unscaled spacecraft:10 makes sqp raise after six failed QPs
+    rec = tmp_path / "f.rec"
+    code, out, err = run_cli(capsys, "run", "--problem", "spacecraft:10", "--solver", "sqp",
+                             "--record", str(rec))
+    assert code == 1
+    assert "solver failed" in err and "record written" in out
+    record = read_record(rec)
+    assert record.header["solver"] == "sqp"
+    assert record.eval_events() and record.iter_events()
+    code, out, _ = run_cli(capsys, "inspect", str(rec))
+    assert code == 0 and "0 evaluations" not in out
 
 
 def test_run_writes_record_and_readable_outputs(tmp_path, capsys):

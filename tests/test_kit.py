@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optkit import HessianApprox, QpError, line_search, merit_value, qp_solve
+from optkit import Bounds, HessianApprox, QpError, line_search, merit_value, qp_solve
 
 VARIANTS = ("broyden", "sr1", "bfgs", "dfp")
 
@@ -345,22 +345,22 @@ def test_wolfe_zooms_past_too_long_step():
 
 def test_merit_feasible_returns_objective():
     c = np.array([0.5])
-    lo, up = np.array([0.0]), np.array([1.0])
+    bounds = Bounds(np.array([0.0]), np.array([1.0]))
     for kind in ("l1", "linf", "quadratic_penalty"):
-        assert merit_value(kind, 10.0, 3.25, c, lo, up) == 3.25
+        assert merit_value(kind, 10.0, 3.25, c, bounds) == 3.25
 
 
 def test_merit_l1_and_quadratic_values():
     # equality c=0 with bound 1, rho=10: violation 1
     c = np.array([0.0])
-    lo = up = np.array([1.0])
-    assert merit_value("l1", 10.0, 1.0, c, lo, up) == 11.0
-    assert merit_value("quadratic_penalty", 10.0, 1.0, c, lo, up) == 6.0
+    bounds = Bounds(np.array([1.0]), np.array([1.0]))
+    assert merit_value("l1", 10.0, 1.0, c, bounds) == 11.0
+    assert merit_value("quadratic_penalty", 10.0, 1.0, c, bounds) == 6.0
 
 
 def test_merit_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown merit kind 'l2'"):
-        merit_value("l2", 10.0, 1.0, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        merit_value("l2", 10.0, 1.0, np.array([0.0]), Bounds(np.array([1.0]), np.array([1.0])))
 
 
 # ---------------------------------------------------------------------------

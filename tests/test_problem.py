@@ -27,7 +27,7 @@ def test_build_paper_quadratic_is_valid():
     assert spec.var_bounds.lower[0] == 0.0 and np.isinf(spec.var_bounds.lower[1])
     assert_allclose(spec.con_bounds.lower, [1.0, 1.0])
     assert spec.con_bounds.upper[0] == 1.0 and np.isinf(spec.con_bounds.upper[1])
-    assert spec.equality_mask().tolist() == [True, False]
+    assert (spec.con_bounds.lower == spec.con_bounds.upper).tolist() == [True, False]
 
 
 def test_build_unconstrained_without_callback():
@@ -54,6 +54,54 @@ def test_crossed_bounds_rejected():
                          (np.inf, np.inf), (-np.inf, -np.inf)]:
         with pytest.raises(ProblemError):
             Bounds(np.array([lower]), np.array([upper]))
+
+
+def test_bounds_hold_read_only_copies():
+    lower = np.array([0.0, -1.0])
+    bounds = Bounds(lower, [1.0, 1.0])
+    lower[0] = 5.0
+    assert bounds.lower.tolist() == [0.0, -1.0] and lower.flags.writeable
+    for side in (bounds.lower, bounds.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            side[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(side, 1.0, out=side)
+
+
+def test_bounds_violation_and_signed_violation():
+    # rows: two-sided, lower only, upper only, free, equality
+    bounds = Bounds([0.0, 1.0, -np.inf, -np.inf, 2.0], [1.0, np.inf, 3.0, np.inf, 2.0])
+    cases = [  # (c, violation, signed violation)
+        ([-0.5, 0.25, 4.0, -1e300, 2.5], [0.5, 0.75, 1.0, 0.0, 0.5], [-0.5, -0.75, 1.0, 0.0, 0.5]),
+        ([1.5, 1e300, -1e300, 1e300, 1.5], [0.5, 0.0, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.0, -0.5]),
+        ([1.0, 1.0, 3.0, 0.0, 2.0], [0.0] * 5, [0.0] * 5),
+    ]
+    for c, want, want_signed in cases:
+        assert bounds.violation(c).tolist() == want
+        assert bounds.signed_violation(np.array(c)).tolist() == want_signed
+    # an empty (m = 0) block measures nothing
+    empty = Bounds(np.zeros(0), np.zeros(0))
+    for measure in (empty.violation, empty.signed_violation):
+        v = measure(np.zeros(0))
+        assert v.shape == (0,) and v.dtype == float
+
+
+def test_view_bounds_are_the_scaled_spec_bounds():
+    spec = build_problem("b", [0.5, 0.5], obj=lambda x: float(x @ x), con=lambda x: 2.0 * x,
+                         xl=[0.1, -np.inf], xu=[0.3, 2.0], cl=[1.0, -np.inf], cu=[1.0, 0.7],
+                         x_scaler=[0.01, 3.0], c_scaler=[0.1, 7.0])
+    view = ScaledView(spec)
+    assert (view.n, view.m, view.name) == (2, 2, "b")
+    for got, scaler, bounds in ((view.var_bounds, spec.x_scaler, spec.var_bounds),
+                                (view.con_bounds, spec.c_scaler, spec.con_bounds)):
+        assert got.lower.tobytes() == (scaler * bounds.lower).tobytes()
+        assert got.upper.tobytes() == (scaler * bounds.upper).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got.upper[0] = 0.0
+    # x0 is a fresh scaled copy that a solver may clip in place
+    x0 = view.var_bounds.clip(view.x0)
+    assert x0[0] == view.var_bounds.upper[0] and x0[1] == 0.5 * 3.0
+    assert view.x0.tobytes() == (spec.x_scaler * spec.x0).tobytes()
 
 
 def test_missing_constraint_callback_rejected():
@@ -448,6 +496,7 @@ def test_unconstrained_view_has_an_empty_constraint_block():
     assert c.shape == (0,) and c.dtype == float
     assert J.shape == (0, 2) and J.dtype == float
     assert view.feasibility(x) == 0.0
+    assert view.con_bounds.lower.shape == view.con_bounds.upper.shape == (0,)
     assert not any(view.counters.as_dict().values())
     assert view.record.eval_events() == []
     # the verification path gives the same block and calls nothing either

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import optkit as ok
-from optkit import Bounds, RunContext, ScaledView, build_problem
+from optkit import RunContext, ScaledView, build_problem
 from optkit.kit import HessianApprox
 from optkit.solvers import SOLVERS, OptionError, SolverError, direct
 from optkit.bench import (bean, parse_problem_token, quadratic_example, quartic,
@@ -608,7 +608,7 @@ def test_sqp_kkt_certificate_recomputed_from_callbacks():
                        np.abs(c - spec.con_bounds.upper))
     slack[~np.isfinite(slack)] = np.abs(c - spec.con_bounds.lower)[~np.isfinite(slack)]
     assert np.max(np.abs(lam * slack)) <= 10 * opt_tol
-    assert np.all(lam[~spec.equality_mask()] >= -opt_tol)
+    assert np.all(lam[spec.con_bounds.lower != spec.con_bounds.upper] >= -opt_tol)
 
 
 def test_sqp_multipliers_on_upper_range_and_bound_rows():
@@ -923,20 +923,24 @@ def test_pso_rejects_an_empty_swarm(n_particles):
     (ok.exact_penalty, {"rho": -1.0}, "rho must be finite and nonnegative"),
     (ok.exact_penalty, {"rho": float("nan")}, "rho must be finite and nonnegative"),
     (ok.exact_penalty, {"kind": "quadratic_penalty"}, "kind must be 'l1' or 'linf'"),
-    (ok.quadratic_penalty, {"rho0": -1.0}, "rho0 must be finite and nonnegative"),
-    (ok.quadratic_penalty, {"rho0": float("inf")}, "rho0 must be finite and nonnegative"),
-    (ok.quadratic_penalty, {"rho_growth": float("nan")}, "rho_growth must be finite and nonnegative"),
-    (ok.quadratic_penalty, {"rho_growth": -1.0}, "rho_growth must be finite and nonnegative"),
+    (ok.quadratic_penalty, {"rho0": -1.0}, "rho0 must be finite and positive"),
+    (ok.quadratic_penalty, {"rho0": float("inf")}, "rho0 must be finite and positive"),
+    (ok.quadratic_penalty, {"rho0": 0.0}, "rho0 must be finite and positive"),
+    (ok.quadratic_penalty, {"rho_growth": float("nan")}, "rho_growth must be finite and greater than 1"),
+    (ok.quadratic_penalty, {"rho_growth": -1.0}, "rho_growth must be finite and greater than 1"),
+    (ok.quadratic_penalty, {"rho_growth": 1.0}, "rho_growth must be finite and greater than 1"),
+    (ok.quadratic_penalty, {"rho_growth": 0.5}, "rho_growth must be finite and greater than 1"),
     (ok.quasi_newton, {"variant": "bfgs2"}, "variant must be one of"),
 ], ids=["nm-zero", "nm-inf", "nm-nan", "exact-zero", "sa-negative", "sa-step-zero",
         "sa-step-inf", "sa-step-nan", "sa-T0-nan", "exact-rho-negative", "exact-rho-nan",
-        "exact-kind", "qp-rho0-negative", "qp-rho0-inf", "qp-growth-nan", "qp-growth-negative",
-        "qn-variant"])
+        "exact-kind", "qp-rho0-negative", "qp-rho0-inf", "qp-rho0-zero", "qp-growth-nan",
+        "qp-growth-negative", "qp-growth-one", "qp-growth-half", "qn-variant"])
 def test_options_that_would_fake_a_result_are_rejected(solver, options, message):
     # a one-point simplex has zero spread, a negative schedule no proposal,
     # and a zero step proposes x itself: each would report a run that never
     # searched; a NaN temperature turns every acceptance test into a NaN
-    # comparison, and a NaN or negative rho every penalty.  Each is refused
+    # comparison, a NaN or negative rho every penalty, and a zero rho0 or a
+    # growth of at most 1 a rho that never grows.  Each is refused
     # by RunContext before the first callback.
     view = ScaledView(box_sphere())
     with pytest.raises(SolverError, match=message):
@@ -945,13 +949,29 @@ def test_options_that_would_fake_a_result_are_rejected(solver, options, message)
 
 
 def test_sa_always_accepts_equal_objective():
-    # constant objective: acceptance probability exp(0) = 1, every proposal moves
+    # constant objective: acceptance probability exp(0) = 1, so every
+    # proposal is accepted without an acceptance draw and the next one steps
+    # from it: each evaluated x is the previous one plus 0.2 u, clipped
     spec = build_problem("const", [0.0, 0.0], obj=lambda x: 1.0, xl=-1.0, xu=1.0)
     view = ScaledView(spec, record=True)
     ok.simulated_annealing(view, seed=3, k_max=40)
-    xs = np.array([e.values["x"] for e in view.record.iter_events()])
-    moved = [not np.array_equal(xs[k], xs[k + 1]) for k in range(len(xs) - 1)]
-    assert all(moved)
+    xs = [e.x for e in view.record.eval_events()]
+    rng = np.random.default_rng(3)
+    assert len(xs) == 41
+    for k in range(40):
+        step = np.clip(xs[k] + 0.2 * rng.uniform(-1.0, 1.0, 2), -1.0, 1.0)
+        assert step.tobytes() == xs[k + 1].tobytes()
+
+
+def test_sa_records_the_best_point_at_each_iteration():
+    # the last recorded iteration is the report's x* and f*, not the
+    # current point of the walk (which ends elsewhere on this seed)
+    view = ScaledView(rosenbrock2(), record=True)
+    report = ok.simulated_annealing(view, seed=3, k_max=2000,
+                                    sample_lower=[-2.0, -2.0], sample_upper=[2.0, 2.0])
+    last = view.record.iter_events()[-1].values
+    assert last["x"].tobytes() == report.x_star.tobytes()
+    assert last["obj"] == report.f_star
 
 
 def test_sa_cold_limit_rejects_uphill():
@@ -995,13 +1015,13 @@ def _annealing_per_call(problem, *, seed, k_max):
     ctx = RunContext(problem, "simulated_annealing", unconstrained=True)
     view = ctx.view
     ctx.declare_outputs(itr=int, obj=float, T=float, x=(float, (view.n,)))
-    box = Bounds(view.var_lower, view.var_upper)
+    box = view.var_bounds
     T0, step = 10.0, 0.1 * (box.upper - box.lower)
     rng = np.random.default_rng(seed)
     x = box.clip(view.x0)
     f = view.obj(x)
     best_x, best_f = x.copy(), f
-    ctx.emit(itr=0, obj=best_f, T=T0, x=x)
+    ctx.emit(itr=0, obj=best_f, T=T0, x=best_x)
     draws = 0
     for k in range(k_max):
         T = max(T0 * (1.0 - k / k_max), 1e-12)
@@ -1013,7 +1033,7 @@ def _annealing_per_call(problem, *, seed, k_max):
             if f < best_f:
                 best_x, best_f = x.copy(), f
         draws += f_new > f
-        ctx.emit(itr=k + 1, obj=best_f, T=T, x=x)
+        ctx.emit(itr=k + 1, obj=best_f, T=T, x=best_x)
     return best_x, best_f, draws
 
 
