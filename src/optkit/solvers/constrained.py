@@ -6,7 +6,7 @@ from .. import kit
 from ..problem import Bounds
 from .base import _FINITE_NONNEGATIVE, _NONZERO_FINITE, RunContext, SolverError
 from .direct import _nelder_mead_loop
-from .gradient import _descent_loop, _quasi_newton_rule
+from .gradient import _descent_loop, _quasi_newton_rule, _ScaledStart
 
 RHO_CAP = 1e12
 
@@ -88,7 +88,10 @@ def quadratic_penalty(problem, **options):
     Each outer iteration minimizes f + (rho/2)*||violation||^2 with the
     quasi-Newton core, warm-started at the previous solution;
     rho grows geometrically until both feasibility and the subproblem
-    optimality meet their tolerances.
+    optimality meet their tolerances.  Each subsolve's H starts from I,
+    unscaled: quasi_newton's (w'd / w'w) I start took cantilever:20 from
+    426 to 1312 evaluations and sent cantilever:8 to the rho cap, and
+    sqp's clamped start saves at most 9% on cantilever:8 / 20 / 80.
     """
     ctx = RunContext(problem, "quadratic_penalty", options,
                      {"rho0": (float, 1.0, (lambda v: 0.0 < v < np.inf, "be finite and positive")),
@@ -219,7 +222,13 @@ def sqp(problem, **options):
     guard keeps it positive definite, so the QP checks nothing.  The QP is a
     dual active set that starts at the unconstrained minimizer and updates
     (N H^-1 N')^-1 as rows join or leave, so no iteration factorizes a
-    matrix and none needs a phase-1 feasible point.
+    matrix and none needs a phase-1 feasible point.  H^-1 starts from I, and
+    the first update that passes its guards is applied to gamma I with
+    gamma = max(1, d'd / w'd) from that step d and Lagrangian-gradient
+    change w, so the iteration count no longer grows with the cantilever's
+    n (91 -> 26 iterations at n = 800).  The clamp at 1 keeps the start from
+    shrinking: w'd / w'w, or d'd / w'd unclamped, stall scaled spacecraft
+    at 500 iterations.
 
     Each iteration solves the QP linearization cl - c <= J p <= cu - c,
     xl - x <= p <= xu - x for a step p and signed multiplier estimates,
@@ -243,6 +252,7 @@ def sqp(problem, **options):
     J = view.jac(x)
 
     approx = kit.HessianApprox(n=n, variant="bfgs", inverse=True)
+    update = _ScaledStart(approx, _sqp_start_scale)
     rho = 1.0
     restorations = 0
     itr = 0
@@ -306,11 +316,17 @@ def sqp(problem, **options):
         J_new = view.jac(x)
         # secant pair for the Lagrangian Hessian at fixed new multipliers
         w = (g_new - J_new.T @ lam_new) - (g - J.T @ lam_new)
-        approx.update(alpha * p, w)
+        update(alpha * p, w)
         lam, bound_mult = lam_new, mu_hat
         g, J = g_new, J_new
 
     return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
+
+
+def _sqp_start_scale(d, w):
+    # max(1, d'd / w'd), clamped at 1 (the sqp docstring says why)
+    wd = float(w @ d)
+    return max(1.0, float(d @ d) / wd) if wd > 0.0 else 0.0
 
 
 def _restore_feasibility(view, x, c, J):

@@ -190,40 +190,56 @@ def newton(problem, **options):
     return _solve(ctx, direction, "armijo")
 
 
-def _quasi_newton_rule(approx, scaled_start=False):
+class _ScaledStart:
+    """Step hook ``(d, w)`` for a quasi-Newton ``approx`` whose first update
+    that passes its guards is applied to gamma I in place of the current
+    matrix, gamma = scale(d, w) from that step d and gradient change w.
+    A gamma that is not positive and finite makes the plain update and tries
+    again at the next step; an update skipped by a guard goes back to I.
+    Setting ``fresh`` again (after a restart) re-arms it."""
+
+    def __init__(self, approx, scale):
+        self.approx, self.scale, self.fresh = approx, scale, True
+
+    def __call__(self, d, w):
+        approx = self.approx
+        if self.fresh:
+            gamma = self.scale(d, w)
+            if 0.0 < gamma < math.inf:
+                # a new M, so an H read earlier keeps its values
+                approx.set_identity(gamma)
+                self.fresh = approx.update(d, w)
+                if self.fresh:
+                    approx.reset()      # skipped by a guard: back to the identity
+                return
+        approx.update(d, w)
+
+
+def _shanno_phua_scale(d, w):
+    # w'd / w'w (Shanno & Phua 1978; Nocedal & Wright eq. 6.20)
+    wd, ww = float(w @ d), float(w @ w)
+    return wd / ww if wd > 0.0 and ww > 0.0 else 0.0
+
+
+def _quasi_newton_rule(approx, scale=None):
     """Direction rule p = -H g for an inverse-mode ``approx`` and the step
     hook that updates it.  The approximation restarts from the identity when
-    p is not a descent direction.  With ``scaled_start`` the first update
+    p is not a descent direction.  With a ``scale`` rule the first update
     that passes its guards, from the start or after a restart, is applied to
-    gamma I, gamma = w'd / w'w (Shanno & Phua 1978; Nocedal & Wright eq.
-    6.20), in place of I."""
-    fresh = True
+    scale(d, w) I in place of I (:class:`_ScaledStart`)."""
+    on_step = approx.update if scale is None else _ScaledStart(approx, scale)
 
     def direction(x, f, g, pg):
-        nonlocal fresh
         p = -approx.dot(g)
         slope = float(g.dot(p))
         if slope >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
-            fresh = True
+            if scale is not None:
+                on_step.fresh = True
             p = -g
             slope = float(g.dot(p))
         return p, 1.0, slope
-
-    def on_step(d, w):
-        nonlocal fresh
-        if scaled_start and fresh:
-            wd, ww = float(w @ d), float(w @ w)
-            gamma = wd / ww if wd > 0.0 and ww > 0.0 else 0.0
-            if 0.0 < gamma < math.inf:
-                # a new M, so an H read earlier keeps its values
-                approx.set_identity(gamma)
-                fresh = approx.update(d, w)
-                if fresh:
-                    approx.reset()      # skipped by a guard: back to the identity
-                return
-        approx.update(d, w)
 
     return direction, on_step
 
@@ -247,5 +263,6 @@ def quasi_newton(problem, **options):
                      unconstrained=True)
     opts = ctx.options
     approx = kit.HessianApprox(n=ctx.view.n, variant=opts.variant, inverse=True)
-    direction, on_step = _quasi_newton_rule(approx, scaled_start=opts.variant == "bfgs")
+    direction, on_step = _quasi_newton_rule(
+        approx, _shanno_phua_scale if opts.variant == "bfgs" else None)
     return _solve(ctx, direction, "wolfe", on_step=on_step)

@@ -97,6 +97,18 @@ def test_run_that_raises_still_writes_its_record(tmp_path, capsys):
     assert code == 0 and "0 evaluations" not in out
 
 
+def test_run_refused_by_an_option_range_records_its_solver(tmp_path, capsys):
+    rec = tmp_path / "g.rec"
+    code, _, err = run_cli(capsys, "run", "--problem", "cantilever:20",
+                           "--solver", "quadratic_penalty", "--opt", "rho_growth=0.5",
+                           "--record", str(rec))
+    assert code == 1 and "rho_growth must be finite and greater than 1" in err
+    code, out, _ = run_cli(capsys, "inspect", str(rec))
+    assert code == 0
+    assert "solver: quadratic_penalty" in " ".join(out.split())
+    assert "0 iterations, 0 evaluations" in out
+
+
 def test_run_writes_record_and_readable_outputs(tmp_path, capsys):
     rec = tmp_path / "run.rec"
     code, out, _ = run_cli(capsys, "run", "--problem", "bean",

@@ -13,6 +13,7 @@ from optkit.kit import HessianApprox
 from optkit.solvers import SOLVERS, OptionError, SolverError, direct
 from optkit.bench import (bean, parse_problem_token, quadratic_example, quartic,
                           rosenbrock2)
+from optkit.bench.spacecraft import GIMBAL_MAX, T_MAX
 
 
 def sphere(x0, **kwargs):
@@ -687,6 +688,51 @@ def test_sqp_folds_once_per_eight_updates(monkeypatch):
     report = ok.sqp(parse_problem_token("cantilever:60"))
     assert report.converged and counts["update"] > 16
     assert counts["fold"] <= -(-counts["update"] // 8) + 1
+
+
+@pytest.mark.parametrize("n_el, max_iters", [(200, 25), (800, 30)])
+def test_sqp_cantilever_iterations_do_not_grow_with_n(n_el, max_iters):
+    # H^-1 starts from max(1, d'd / w'd) I at the first update; from I it
+    # took 53 and 91 iterations here
+    report = ok.sqp(parse_problem_token(f"cantilever:{n_el}"))
+    assert report.converged and report.niter <= max_iters
+
+
+def _scaled_spacecraft(n_t):
+    # the state scalers, tiled over the states and over the n_t + 1 defect
+    # and boundary blocks; 1/T_MAX and 1/GIMBAL_MAX on the controls
+    state = 1.0 / np.array([100.0, 10.0, 100.0, 10.0, 1.0, 1.0])
+    spec = parse_problem_token(f"spacecraft:{n_t}")
+    return replace(spec, x_scaler=np.concatenate([np.tile(state, n_t),
+                                                  np.tile([1.0 / T_MAX, 1.0 / GIMBAL_MAX], n_t)]),
+                   c_scaler=np.tile(state, n_t + 1), f_scaler=1.0 / T_MAX ** 2)
+
+
+@pytest.mark.parametrize("n_t, max_iters, f_ref", [(12, 45, 4.3812981953e13),
+                                                   (20, 50, 6.2910117233e13)])
+def test_sqp_scaled_spacecraft(n_t, max_iters, f_ref):
+    # from H^-1 = I these took 218 and 187 iterations
+    spec = _scaled_spacecraft(n_t)
+    report = ok.sqp(spec)
+    assert report.converged and report.niter <= max_iters
+    assert np.max(np.abs(spec.callbacks.constraints(report.x_star))) <= 1e-6
+    assert abs(report.f_star - f_ref) <= 1e-6 * f_ref
+
+
+def test_sqp_never_starts_hessian_below_identity(monkeypatch):
+    # sqp's first update is applied to gamma I with gamma >= 1 only; a smaller
+    # gamma stalls scaled spacecraft
+    scales = []
+    set_identity = HessianApprox.set_identity
+
+    def recorded(self, scale=1.0):
+        scales.append(scale)
+        return set_identity(self, scale)
+
+    monkeypatch.setattr(HessianApprox, "set_identity", recorded)
+    for spec in (parse_problem_token("cantilever:200"), rosenbrock2(), quadratic_example()):
+        assert ok.sqp(spec).converged
+    assert min(scales) >= 1.0 and max(scales) > 1.0
 
 
 def _record_qp_calls(monkeypatch):
