@@ -20,26 +20,23 @@ class QpError(RuntimeError):
 # Hessian approximations
 # ---------------------------------------------------------------------------
 
-def _bfgs(dot, d, w):
+def _bfgs(Bd, d, w, wd):
     # B + w w'/w'd - Bd Bd'/d'Bd: columns (w, Bd) against (w/w'd, -Bd/d'Bd)
-    Bd = dot(d)
     dBd = d @ Bd
     if dBd <= 0.0:
         return None
-    return (w, Bd), (w / (w @ d), -Bd / dBd)
+    return (w, Bd), (w / wd, -Bd / dBd)
 
 
-def _dfp(dot, d, w):
+def _dfp(Bd, d, w, wd):
     # (I - w d'/wd) B (I - d w'/wd) + w w'/wd for symmetric B, expanded into
     # the rank-2 form B + w u' + u w'
-    wd = w @ d
-    Bd = dot(d)
     u = (0.5 * (1.0 + (d @ Bd) / wd) / wd) * w - Bd / wd
     return (w, u), (u, w)
 
 
-def _sr1(dot, d, w):
-    v = w - dot(d)
+def _sr1(Bd, d, w, wd):
+    v = w - Bd
     denom = v @ d
     # standard SR1 safeguard: |v'd| must not be negligible vs |v||d|
     if abs(denom) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(v):
@@ -47,13 +44,12 @@ def _sr1(dot, d, w):
     return (v,), (v / denom,)
 
 
-def _broyden(dot, d, w):
-    return (w - dot(d),), (d / (d @ d),)
+def _broyden(Bd, d, w, wd):
+    return (w - Bd,), (d / (d @ d),)
 
 
-def _broyden_inverse(dot, tdot, d, w):
+def _broyden_inverse(Hw, tdot, d, w):
     # Sherman-Morrison inverse of the direct Broyden update: H + (d - Hw) d'H / d'Hw
-    Hw = dot(w)
     dHw = d @ Hw
     if abs(dHw) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(Hw):
         return None
@@ -75,9 +71,11 @@ class HessianApprox:
     gradient change w, maintaining the secant condition B_new @ d = w.  With
     ``inverse=True`` the matrix ``H`` approximates the inverse Hessian and the
     update maintains H_new @ w = d, so a direction is a matrix-vector product
-    instead of a linear solve; a quasi-Newton iteration costs two of them,
-    the direction p = -H g and the update's H w, plus one fold (below) per
-    eight rank-2 or sixteen rank-1 updates.  The inverse updates use
+    instead of a linear solve.  A quasi-Newton iteration costs one product
+    with H, plus one fold (below) per eight rank-2 or sixteen rank-1
+    updates: ``update_dot`` takes the update's H w and the next direction's
+    H g from the one product H g at the new iterate, since H w = H g_new -
+    H g_old and -H g_old was the last direction.  The inverse updates use
     duality: inverse BFGS is the DFP formula with (d, w) swapped, inverse DFP
     is the BFGS formula swapped, SR1 is self-dual, and Broyden uses the
     Sherman-Morrison form.
@@ -93,8 +91,9 @@ class HessianApprox:
     folds never write; assigning it (copied), ``set_identity(scale)`` or
     ``reset()`` replaces M.
 
-    Non-finite pairs, degenerate denominators and curvature violations skip
-    the update (approximation unchanged).
+    Non-finite pairs (or pairs whose squared norms overflow), degenerate
+    denominators and curvature violations skip the update (approximation
+    unchanged).
     """
 
     B = property(lambda self: None if self.inverse else self._fold(),
@@ -108,6 +107,7 @@ class HessianApprox:
         self.n, self.variant, self.inverse = n, variant, inverse
         # row j of _L and _R holds the j-th pending left and right column
         self._L, self._R = np.empty((2, _CAPACITY, n))
+        self._Hw = None     # H w handed to update by update_dot
         self._assign(B=B, H=H)
 
     def _assign(self, B=None, H=None):
@@ -149,22 +149,24 @@ class HessianApprox:
         """Apply one update; returns True if the update was skipped by a guard."""
         d = np.asarray(d, dtype=float).ravel()
         w = np.asarray(w, dtype=float).ravel()
-        if not (np.isfinite(d).all() and np.isfinite(w).all()):
+        # a NaN or inf in d or w, or a square that overflows, makes d'd or
+        # w'w NaN or inf; sqrt(x @ x) is np.linalg.norm's own 1-D formula
+        dd, ww = d @ d, w @ w
+        if not (0.0 < dd < math.inf and ww < math.inf):
             return True
-        # sqrt(x @ x) is np.linalg.norm's own 1-D formula, bit for bit
-        nd = math.sqrt(d @ d)
-        if nd == 0.0:
-            return True
+        wd = w @ d
         # bfgs / dfp need positive curvature along the step (symmetric in d, w)
-        if self.variant in ("bfgs", "dfp") and w @ d <= _SKIP_TOL * math.sqrt(w @ w) * nd:
+        if self.variant in ("bfgs", "dfp") and wd <= _SKIP_TOL * math.sqrt(ww) * math.sqrt(dd):
             return True
 
         if not self.inverse:
-            cols = _FORMULAS[self.variant](self.dot, d, w)
-        elif self.variant == "broyden":
-            cols = _broyden_inverse(self.dot, self._tdot, d, w)
+            cols = _FORMULAS[self.variant](self.dot(d), d, w, wd)
         else:
-            cols = _DUALS[self.variant](self.dot, w, d)
+            Hw = self.dot(w) if self._Hw is None else self._Hw
+            if self.variant == "broyden":
+                cols = _broyden_inverse(Hw, self._tdot, d, w)
+            else:
+                cols = _DUALS[self.variant](Hw, w, d, wd)
         if cols is None:
             return True
         if self._k + len(cols[0]) > _CAPACITY:
@@ -172,6 +174,26 @@ class HessianApprox:
         k, self._k = self._k, self._k + len(cols[0])
         self._L[k:self._k], self._R[k:self._k] = cols
         return False
+
+    def update_dot(self, d, w, Hw, x, Hx):
+        """``update(d, w)`` in inverse mode with H w already known, then the
+        updated H times x.  ``Hw`` is H w and ``Hx`` is H x, both before the
+        update; the result is Hx plus the columns the update appended, times
+        x.  So neither step takes a product with H (broyden still forms d'H),
+        where ``update(d, w)`` and ``dot(x)`` take one each.  Returns
+        (H x, skipped).
+        """
+        self._Hw, k0 = Hw, self._k
+        try:
+            skipped = self.update(d, w)
+        finally:
+            self._Hw = None
+        # a fold before the append leaves only the new columns pending
+        k = self._k
+        j = k0 if k >= k0 else 0
+        if k > j:
+            Hx = Hx + self._L[j:k].T @ (self._R[j:k] @ x)
+        return Hx, skipped
 
 
 # ---------------------------------------------------------------------------

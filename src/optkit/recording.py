@@ -210,6 +210,9 @@ class IterEvent:
         return all(_same_bits(self.values[k], other.values[k]) for k in self.values)
 
 
+_F8 = np.dtype(float)
+
+
 class OutputsDecl:
     """Declared per-iteration solver outputs: name -> int | float | (float, shape)."""
 
@@ -235,12 +238,17 @@ class OutputsDecl:
         out = {} if convert else None
         for name, spec in self._fields:     # declaration order fixes serialization order
             v = values[name]
-            if spec is int:
-                if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-                    raise RecordError(f"output {name!r} must be an integer, got {type(v).__name__}")
+            t = type(v)
+            # exact types first: an int, a float, or a float64 array of the
+            # declared shape passes with one test and no conversion
+            if t is spec or t is np.ndarray and v.dtype is _F8 and v.shape == spec:
+                pass
+            elif spec is int:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise RecordError(f"output {name!r} must be an integer, got {t.__name__}")
             elif spec is float:
-                if type(v) is not float and not isinstance(v, (int, float, np.integer, np.floating)):
-                    raise RecordError(f"output {name!r} must be a float, got {type(v).__name__}")
+                if not isinstance(v, (int, float, np.integer, np.floating)):
+                    raise RecordError(f"output {name!r} must be a float, got {t.__name__}")
             else:
                 v = np.asarray(v, dtype=float)
                 if v.shape != spec:

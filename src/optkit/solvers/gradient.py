@@ -223,20 +223,40 @@ def _shanno_phua_scale(d, w):
 
 def _quasi_newton_rule(approx, scale=None):
     """Direction rule p = -H g for an inverse-mode ``approx`` and the step
-    hook that updates it.  The approximation restarts from the identity when
-    p is not a descent direction.  With a ``scale`` rule the first update
-    that passes its guards, from the start or after a restart, is applied to
-    scale(d, w) I in place of I (:class:`_ScaledStart`)."""
-    on_step = approx.update if scale is None else _ScaledStart(approx, scale)
+    hook that updates it, with one product with H per direction.  The hook
+    only holds the step d.  The next direction applies its update with
+    w = g - g_old, the change between the gradients it was handed: the
+    loop's w, or where the loop refined the gradient the refined one, so
+    that H w = H g + p_old holds.  ``approx.update_dot`` takes H w and the
+    updated H g from the one product H g.  The last step's update is never
+    applied.  The approximation restarts from the identity when p is not a
+    descent direction.  With a ``scale`` rule the first update that passes
+    its guards, from the start or after a restart, is applied to
+    scale(d, w) I in place of I (:class:`_ScaledStart`); that iteration
+    alone takes a second product."""
+    start = None if scale is None else _ScaledStart(approx, scale)
+    d = g_old = p = None
+
+    def on_step(step, _w):
+        nonlocal d
+        d = step
 
     def direction(x, f, g, pg):
-        p = -approx.dot(g)
+        nonlocal d, g_old, p
+        if d is not None and start is not None and start.fresh:
+            start(d, g - g_old)
+            d = None
+        Hg = approx.dot(g)
+        if d is not None:
+            Hg = approx.update_dot(d, g - g_old, Hg + p, g, Hg)[0]
+            d = None
+        p, g_old = -Hg, g
         slope = float(g.dot(p))
         if slope >= 0.0:
             log.debug("non-descent direction; resetting Hessian approximation")
             approx.reset()
-            if scale is not None:
-                on_step.fresh = True
+            if start is not None:
+                start.fresh = True
             p = -g
             slope = float(g.dot(p))
         return p, 1.0, slope
@@ -248,14 +268,17 @@ def quasi_newton(problem, **options):
     """Quasi-Newton solver: p = -H g directions with a Wolfe line search.
 
     ``variant`` selects the update formula (bfgs, dfp, sr1, broyden), applied
-    in inverse form to H, the inverse-Hessian approximation; an iteration
-    costs two matrix-vector products with H and no linear solve, the
-    direction p = -H g and the update's H w (broyden also takes H'd), plus
-    one fold of the pending updates into H per eight updates (sixteen for
-    the rank-1 sr1 and broyden).  H starts from the identity.  For bfgs the
-    first update, and the first after a restart, is applied to gamma I with
-    gamma = w'd / w'w from that step d and gradient change w, so H takes the
-    problem's scale from the first step; the other variants update I itself.
+    in inverse form to H, the inverse-Hessian approximation.  An iteration
+    costs one matrix-vector product with H and no linear solve: H g at the
+    new iterate gives both the direction p = -H g and the update's H w
+    (broyden also takes H'd).  One fold of the pending updates into H
+    follows per eight updates (sixteen for the rank-1 sr1 and broyden).
+    H starts from the identity.  For bfgs the first update, and the first
+    after a restart, is applied to gamma I with gamma = w'd / w'w from that
+    step d and gradient change w, so H takes the problem's scale from the
+    first step; the other variants update I itself.  dfp does not converge
+    from the default start of rosen_coupled:8, 16 or 32 within 5000
+    iterations.
     """
     ctx = RunContext(problem, "quasi_newton", options,
                      {**_STEP_OPTIONS, "variant": (str, "bfgs", (

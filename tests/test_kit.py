@@ -96,6 +96,17 @@ def test_nonfinite_pair_is_skipped(variant, inverse, d, w):
     assert np.array_equal(H.H if inverse else H.B, np.eye(2))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("inverse", [False, True])
+def test_pair_whose_square_overflows_is_skipped(variant, inverse):
+    # the guards read finiteness from d'd and w'w, so a finite d whose
+    # square overflows is skipped like an infinite one
+    H = HessianApprox(n=2, variant=variant, inverse=inverse)
+    with np.errstate(over="ignore"):
+        assert H.update([1e200, 0.0], [1.0, 0.0])
+    assert np.array_equal(H.H if inverse else H.B, np.eye(2))
+
+
 def test_inverse_mode_rejects_direct_matrix():
     with pytest.raises(ValueError, match="H when inverse=True"):
         HessianApprox(n=2, inverse=True, B=np.eye(2))
@@ -243,6 +254,40 @@ def test_set_identity_scales_in_place(inverse):
     assert np.array_equal(_matrix(approx), scale * np.eye(n))
     assert _matrix(approx).tobytes() == (scale * np.eye(n)).tobytes()
     assert np.array_equal(held, early)      # an array read earlier keeps its values
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_update_dot_with_the_bits_of_h_w_matches_plain_update(monkeypatch, variant):
+    # 20 updates overflow the 16 pending columns, so both runs fold; an
+    # update handed H w with the bits of dot(w) leaves the same bits, and
+    # update is still entered as update(d, w)
+    calls = []
+    update = HessianApprox.update
+
+    def spy(self, *args, **kwargs):
+        calls.append((len(args), kwargs))
+        return update(self, *args, **kwargs)
+
+    monkeypatch.setattr(HessianApprox, "update", spy)
+    n = 12
+    rng = np.random.default_rng(9)
+    M = rng.normal(size=(n, n))
+    A = M @ M.T + n * np.eye(n)  # secant pairs w = A d have w'd > 0
+    plain = HessianApprox(n=n, variant=variant, inverse=True)
+    handed = HessianApprox(n=n, variant=variant, inverse=True)
+    folded = False
+    for _ in range(20):
+        d = rng.normal(size=n)
+        w = A @ d
+        x = rng.normal(size=n)
+        k = handed._k
+        Hx, skipped = handed.update_dot(d, w, handed.dot(w), x, handed.dot(x))
+        folded |= handed._k < k
+        assert skipped == plain.update(d, w)
+        assert handed.dot(x).tobytes() == plain.dot(x).tobytes()
+        assert _close(Hx, plain.dot(x))
+    assert folded
+    assert calls == [(2, {})] * 40
 
 
 def test_update_allocates_no_dense_matrix_before_a_fold():

@@ -227,6 +227,19 @@ def test_sr1_resets_at_a_non_descent_direction(monkeypatch, tmp_path):
     _assert_replays_with_no_live_call("quasi_newton", spec, view, live, tmp_path, variant="sr1")
 
 
+@pytest.mark.parametrize("variant", ["bfgs", "dfp", "sr1"])
+def test_quasi_newton_takes_one_product_with_h_per_iteration(monkeypatch, variant):
+    # H g at the new iterate gives both the direction and the update's
+    # H w = H g + p_old; only bfgs's first update, applied to gamma I, takes
+    # a second product.  Two products per iteration would count 2 niter.
+    products = []
+    dot = HessianApprox.dot
+    monkeypatch.setattr(HessianApprox, "dot", lambda self, x: products.append(1) or dot(self, x))
+    report = ok.quasi_newton(parse_problem_token("rosen_coupled:16"), variant=variant, maxiter=400)
+    assert report.niter > 50
+    assert len(products) <= report.niter + 2
+
+
 def test_recorded_fd_quasi_newton_with_central_switch_replays_with_no_live_call(tmp_path):
     spec = parse_problem_token("rosen_coupled:8")
     spec = replace(spec, callbacks=replace(spec.callbacks, gradient=None))
