@@ -91,9 +91,14 @@ class HessianApprox:
     folds never write; assigning it (copied), ``set_identity(scale)`` or
     ``reset()`` replaces M.
 
-    Non-finite pairs (or pairs whose squared norms overflow), degenerate
-    denominators and curvature violations skip the update (approximation
-    unchanged).
+    ``add_outer(a, sigma)`` adds a known term, B <- B + sigma a a': one
+    pending column pair, in inverse mode by Sherman-Morrison from one
+    product H a.  ``quadratic_penalty`` adds (gamma - 1) rho J_a'J_a this
+    way, a row at a time, each time rho grows by gamma.
+
+    Non-finite pairs (or pairs whose squared norms overflow, with no
+    warning), degenerate denominators and curvature violations skip the
+    update (approximation unchanged).
     """
 
     B = property(lambda self: None if self.inverse else self._fold(),
@@ -150,8 +155,9 @@ class HessianApprox:
         d = np.asarray(d, dtype=float).ravel()
         w = np.asarray(w, dtype=float).ravel()
         # a NaN or inf in d or w, or a square that overflows, makes d'd or
-        # w'w NaN or inf; sqrt(x @ x) is np.linalg.norm's own 1-D formula
-        dd, ww = d @ d, w @ w
+        # w'w NaN or inf; vdot, unlike @, warns of no overflow and costs
+        # less, and its root is np.linalg.norm's own 1-D formula
+        dd, ww = np.vdot(d, d), np.vdot(w, w)
         if not (0.0 < dd < math.inf and ww < math.inf):
             return True
         wd = w @ d
@@ -169,11 +175,27 @@ class HessianApprox:
                 cols = _DUALS[self.variant](Hw, w, d, wd)
         if cols is None:
             return True
+        self._append(cols)
+        return False
+
+    def _append(self, cols):
+        # pending columns (left, right), folded first when they do not fit
         if self._k + len(cols[0]) > _CAPACITY:
             self._fold()
         k, self._k = self._k, self._k + len(cols[0])
         self._L[k:self._k], self._R[k:self._k] = cols
-        return False
+
+    def add_outer(self, a, sigma):
+        """B <- B + sigma a a' for sigma > 0, a known change of the Hessian.
+        Direct mode appends (a, sigma a).  Inverse mode applies the
+        Sherman-Morrison form H - (Ha)(Ha)' / (1/sigma + a'Ha): one product
+        with H and one pending column pair, no solve or factorization."""
+        a = np.asarray(a, dtype=float).ravel()
+        if not self.inverse:
+            self._append(((a,), (sigma * a,)))
+            return
+        Ha = self.dot(a)
+        self._append(((Ha,), (Ha / -(1.0 / sigma + a @ Ha),)))
 
     def update_dot(self, d, w, Hw, x, Hx):
         """``update(d, w)`` in inverse mode with H w already known, then the

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,50 @@ def test_pair_whose_square_overflows_is_skipped(variant, inverse):
     with np.errstate(over="ignore"):
         assert H.update([1e200, 0.0], [1.0, 0.0])
     assert np.array_equal(H.H if inverse else H.B, np.eye(2))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("d, w", [([1e200, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, 1e200])],
+                         ids=["d", "w"])
+def test_overflowing_square_is_skipped_without_a_warning(inverse, d, w):
+    H = HessianApprox(n=2, variant="bfgs", inverse=inverse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert H.update(d, w)
+    assert np.array_equal(H.H if inverse else H.B, np.eye(2))
+
+
+@pytest.mark.parametrize("variant", ["bfgs", "sr1"])
+def test_add_outer_keeps_inverse_equal_to_inverse_of_direct(variant):
+    # the same updates and rank-one additions B + sigma a a' in both modes:
+    # Sherman-Morrison keeps H = inv(B), also across folds (over 16 columns)
+    n = 6
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(n, n))
+    A = M @ M.T + n * np.eye(n)
+    direct = HessianApprox(n=n, variant=variant)
+    inv = HessianApprox(n=n, variant=variant, inverse=True)
+    folds = 0
+    for _ in range(16):
+        d = rng.normal(size=n)
+        k = inv._k
+        assert direct.update(d, A @ d) == inv.update(d, A @ d) is False
+        a, sigma = rng.normal(size=n), 10.0 ** rng.uniform(-1, 3)
+        direct.add_outer(a, sigma)
+        inv.add_outer(a, sigma)
+        folds += inv._k <= k
+    assert folds    # H is read only here, since reading it folds as well
+    assert_allclose(inv.H @ direct.B, np.eye(n), atol=1e-8)
+    assert_allclose(inv.H, np.linalg.inv(direct.B), rtol=1e-8, atol=1e-12)
+
+
+def test_add_outer_folds_only_when_the_pending_columns_are_full():
+    H = HessianApprox(n=3, inverse=True)
+    for j in range(16):
+        H.add_outer(np.eye(3)[j % 3], 1.0)
+        assert H._k == j + 1
+    H.add_outer([1.0, 2.0, 3.0], 1.0)
+    assert H._k == 1
 
 
 def test_inverse_mode_rejects_direct_matrix():

@@ -11,7 +11,7 @@ import optkit as ok
 from optkit import RunContext, ScaledView, build_problem
 from optkit.kit import HessianApprox
 from optkit.solvers import SOLVERS, OptionError, SolverError, direct
-from optkit.bench import (bean, parse_problem_token, quadratic_example, quartic,
+from optkit.bench import (REGISTRY, bean, parse_problem_token, quadratic_example, quartic,
                           rosenbrock2)
 from optkit.bench.spacecraft import GIMBAL_MAX, T_MAX
 
@@ -550,6 +550,37 @@ def test_quadratic_penalty_unscaled_spacecraft_fails_quickly():
     with pytest.raises(SolverError, match="penalty parameter exceeded"):
         ok.quadratic_penalty(parse_problem_token("spacecraft:3"))
     assert time.perf_counter() - start < 2.0
+
+
+def test_quadratic_penalty_keeps_one_inverse_across_penalty_increases(monkeypatch):
+    # one H^-1 for the whole run, corrected by Sherman-Morrison for each rho
+    # increase; a fresh H = I per subsolve took 564 evaluations here
+    made = []
+    init = HessianApprox.__init__
+    monkeypatch.setattr(HessianApprox, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    report = ok.quadratic_penalty(quadratic_example())
+    x_star, f_star = REGISTRY["quadratic_example"].known_solution
+    assert report.converged and report.niter > 1 and len(made) == 1
+    assert_allclose(report.x_star, x_star, atol=1e-3)
+    assert abs(report.f_star - f_star) <= 3e-3
+    assert sum(report.counters.as_dict().values()) <= 100
+
+
+def test_quadratic_penalty_cantilever_within_300_evaluations():
+    # 426 evaluations with a fresh H = I per subsolve, to the same f*
+    report = ok.quadratic_penalty(parse_problem_token("cantilever:20"))
+    assert report.converged
+    assert report.f_star == pytest.approx(23927.14084103, rel=1e-8)
+    assert sum(report.counters.as_dict().values()) <= 300
+
+
+def test_recorded_quadratic_penalty_replays_with_no_live_call(tmp_path):
+    spec = quadratic_example()
+    view = ScaledView(spec, record=True)
+    live = ok.quadratic_penalty(view)
+    assert live.converged
+    _assert_replays_with_no_live_call("quadratic_penalty", spec, view, live, tmp_path)
 
 
 def test_exact_penalty_kink_minimum():
