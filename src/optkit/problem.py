@@ -9,16 +9,18 @@ directly; they evaluate through a :class:`ScaledView`, which applies the
 diagonal scaling, counts callback invocations, falls back to finite
 differences for missing derivatives (forward, or central for a gradient once
 a solver nears a stationary point), and (optionally) records or replays
-every evaluation.  Every call of a user callback goes through
-``ScaledView._invoke``: solver evaluations, finite-difference stencils and
-the analytic side of :func:`check_first_derivatives` alike.
+every evaluation.  A request at the bits of the last x requested of its kind
+returns the earlier value, so no solver keeps its own per-point cache.
+Every call of a user callback goes through ``ScaledView._invoke``: solver
+evaluations, finite-difference stencils and the analytic side of
+:func:`check_first_derivatives` alike.
 """
 
 import math
 from functools import cached_property
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
@@ -154,13 +156,7 @@ class EvalCounters:
         return replace(self)
 
     def as_dict(self):
-        return {
-            "n_obj": self.n_obj,
-            "n_grad": self.n_grad,
-            "n_con": self.n_con,
-            "n_jac": self.n_jac,
-            "n_hess": self.n_hess,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +360,15 @@ class ScaledView:
     solver can change the bounds that a later call sees.  :attr:`x0` is a
     fresh scaled copy on each access, which a solver may clip in place.
 
+    A request repeats no work: when its unscaled x has the bytes of the
+    last x requested of its kind, the view returns that request's result
+    and calls, counts and records nothing.  Each kind keeps its own last
+    request; a request that passes multipliers (:meth:`lag_hess`) is always
+    evaluated.  Finite-difference stencil points are evaluated afresh and
+    kept by no memo; the base at x of a requested FD derivative is itself a
+    request.  Every entry point returns a fresh array, so a solver may
+    change what it is given.
+
     A problem with m = 0 has an empty constraint block: :meth:`con` and
     :meth:`jac` return float arrays of shape (0,) and (0, n) and call,
     count and record nothing, so a constrained solver needs no m = 0 path.
@@ -385,7 +390,8 @@ class ScaledView:
         self.con_bounds = Bounds(spec.c_scaler * cb.lower, spec.c_scaler * cb.upper)
         self.counters = EvalCounters()
         self.replayed = EvalCounters()
-        self._memo = {}  # kind -> (x, result): most recent raw evaluation
+        # kind -> (x bytes, raw result) of the last request of that kind
+        self._memo = dict.fromkeys(KINDS, (None, None))
         self._central_grad = False  # FD gradient by central differences
         # the spec is frozen, so derivative scale factors and the table of
         # kind -> (callback or None, counter name, result shape) are fixed per view
@@ -429,18 +435,12 @@ class ScaledView:
 
     # -- raw counted layer ----------------------------------------------------
     def _invoke(self, kind, x, lam=None):
-        """One raw invocation of the ``kind`` callback: replay if possible, else call and count.
-
-        ``x`` is an array made for this request (an unscaled copy, an FD
-        stencil point or the derivative check's copy of its x) that nobody
-        changes afterwards, so the memo keeps it without copying.
-        """
+        """One raw invocation of the ``kind`` callback: replay if possible, else call and count."""
         fn, counter, shape = self._table[kind]
         if self._cache is not None:
             hit, result = self._cache.try_replay(kind, x, lam)
             if hit:
                 self.replayed.__dict__[counter] += 1
-                self._memo[kind] = (x, result)
                 if self.record is not None:
                     self.record.append_eval(kind, x, lam, result)
                 return result
@@ -455,27 +455,28 @@ class ScaledView:
         result = _coerce_result(kind, raw, shape)
         if not _is_finite(result):
             raise EvaluationError(f"{kind} callback returned non-finite values at x={x}", kind=kind, x=x)
-        self._memo[kind] = (x, result)
         if self.record is not None:
             self.record.append_eval(kind, x, lam, result)
         return result
 
-    def _base_value(self, kind, x):
-        """Base value for an FD stencil, reusing the last evaluation at this x."""
-        hit = self._memo.get(kind)
-        if hit is not None:
-            mx, result = hit
-            if mx.shape == x.shape and not np.count_nonzero(mx != x):
-                return result
-        return self._raw(kind, x)
+    def _raw(self, kind, x):
+        """Raw-space result of a request: the memo's when ``x`` has the bytes
+        of the last request of its kind, else a fresh :meth:`_evaluate`,
+        which the memo then keeps."""
+        key = x.tobytes()
+        last, result = self._memo[kind]
+        if key != last:
+            result = self._evaluate(kind, x)
+            self._memo[kind] = key, result
+        return result
 
-    def _raw(self, kind, x, lam=None):
-        """Raw-space result for any kind, dispatching to FD when needed."""
+    def _evaluate(self, kind, x, lam=None, value=None):
+        """Raw-space result for any kind, dispatching to FD (``value`` as in :meth:`_fd`)."""
         if self._table[kind][0] is not None:
             return self._invoke(kind, x, lam)
         if kind in ("obj", "con"):
             raise EvaluationError(f"no {kind} callback available", kind=kind, x=x)
-        return self._fd(kind, x, lam)
+        return self._fd(kind, x, lam, value)
 
     def central_fd_grad(self):
         """Take this view's FD gradient by central differences from now on.
@@ -490,33 +491,38 @@ class ScaledView:
         if self._central_grad or self.spec.callbacks.gradient is not None:
             return False
         self._central_grad = True
+        self._memo["grad"] = None, None     # the next request is differenced afresh
         return True
 
-    def _fd(self, kind, x, lam=None):
+    def _fd(self, kind, x, lam=None, value=None):
         """Finite-difference derivative of kind grad, jac, obj_hess or lag_hess.
 
         Gradients and Jacobians difference the obj/con callbacks, forward or,
         for the gradient after :meth:`central_fd_grad`, central; Hessians
         take forward differences of the (analytic or FD) gradient of
-        f - lam @ c, from a base at x that reuses the view's last gradient
-        and Jacobian when they were taken at x.
+        f - lam @ c.  ``value(kind, x)`` gives the base at x: by default
+        :meth:`_raw`, so the base is a request that reuses the last one at
+        x.  Stencil points are evaluated afresh, and a Hessian stencil's
+        gradient takes its own base by :meth:`_invoke`, so no stencil
+        writes the memo.
         """
+        value = value or self._raw
         if kind in ("grad", "jac"):
             base_kind = "obj" if kind == "grad" else "con"
-            base = None if kind == "grad" and self._central_grad else self._base_value(base_kind, x)
+            base = None if kind == "grad" and self._central_grad else value(base_kind, x)
             cols = _fd_columns(lambda y: self._invoke(base_kind, y), x, base)
             return cols.ravel() if kind == "grad" else cols
 
         # Hessians: difference the (FD or analytic) gradient of the Lagrangian.
         lam_use = lam if lam is not None and np.any(lam != 0.0) else None
 
-        def grad_lag(y, value=self._raw):
+        def grad_lag(y, value=lambda kind, y: self._evaluate(kind, y, value=self._invoke)):
             g = value("grad", y)
             if lam_use is not None:
                 g = g - value("jac", y).T @ lam_use
             return g
 
-        H = _fd_columns(grad_lag, x, grad_lag(x, self._base_value))
+        H = _fd_columns(grad_lag, x, grad_lag(x, value))
         return 0.5 * (H + H.T)
 
     # -- scaled entry points ----------------------------------------------------
@@ -542,7 +548,8 @@ class ScaledView:
         return self.spec.f_scaler * H / self._hess_den
 
     def lag_hess(self, xs, lam_s):
-        H = self._raw("lag_hess", self.unscale_x(xs), self.unscale_lam(lam_s))
+        # evaluated on every request, since the result depends on lam as well
+        H = self._evaluate("lag_hess", self.unscale_x(xs), self.unscale_lam(lam_s))
         return self.spec.f_scaler * H / self._hess_den
 
     def feasibility(self, xs):

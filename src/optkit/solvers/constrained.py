@@ -65,19 +65,18 @@ def newton_lagrange(problem, **options):
         dx, dlam = delta[:n], delta[n:]
 
         alpha = 1.0
-        trials = {}     # step -> KKT state at that trial, as kkt_state gives it
         if opts.use_line_search:
             psi0 = float(grad_l @ grad_l + resid @ resid)
 
             def psi(a):
-                gl, _, rs = trials[a] = kkt_state(x + a * dx, lam + a * dlam)
+                gl, _, rs = kkt_state(x + a * dx, lam + a * dlam)
                 return float(gl @ gl + rs @ rs)
 
             alpha = kit.line_search("armijo", psi, f0=psi0, slope0=-2.0 * psi0).alpha
         x = x + alpha * dx
         lam = lam + alpha * dlam
         f = view.obj(x)
-        grad_l, J, resid = trials[alpha] if trials else kkt_state(x, lam)
+        grad_l, J, resid = kkt_state(x, lam)
 
     return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
 
@@ -108,32 +107,15 @@ def quadratic_penalty(problem, **options):
                         x=(float, (view.n,)))
     m, cons, bounds = view.m, view.con_bounds, view.var_bounds
 
-    def once(method):
-        # the view's ``method``, asked once per point: a request at the bits
-        # of the previous x of its kind returns the previous value
-        last = [None, None]
-
-        def ask(x):
-            key = x.tobytes()
-            if last[0] != key:
-                last[:] = key, method(x)
-            return last[1]
-        return ask
-
-    obj, grad, con, jac = once(view.obj), once(view.grad), once(view.con), once(view.jac)
-
     def make_penalized(rho):
         def pobj(x):
-            return kit.merit_value("quadratic_penalty", rho, obj(x), con(x), cons)
+            return kit.merit_value("quadratic_penalty", rho, view.obj(x), view.con(x), cons)
 
         def pgrad(x):
-            r = cons.signed_violation(con(x))
-            return grad(x) + rho * (jac(x).T @ r)
+            r = cons.signed_violation(view.con(x))
+            return view.grad(x) + rho * (view.jac(x).T @ r)
 
         return pobj, pgrad
-
-    def feasibility(x):     # view.feasibility, through ``con``
-        return float(np.max(cons.violation(con(x)), initial=0.0))
 
     equality = cons.lower == cons.upper
     approx = kit.HessianApprox(n=view.n, inverse=True)
@@ -143,7 +125,7 @@ def quadratic_penalty(problem, **options):
     schedule = list(opts.subsolver_tol_schedule)
     converged = False
     outer = 0
-    feas = feasibility(x)
+    feas = view.feasibility(x)
     sub_opt = np.inf
 
     while outer < opts.maxiter:
@@ -166,24 +148,24 @@ def quadratic_penalty(problem, **options):
         outer += 1
         x = state["x"]
         sub_opt = state["opt"]
-        feas = feasibility(x)
-        f = obj(x)
+        feas = view.feasibility(x)
+        f = view.obj(x)
         ctx.emit(itr=outer, obj=f, opt=sub_opt, feas=feas, rho=rho, x=x)
         if feas <= opts.feas_tol and sub_opt <= opts.opt_tol:
             converged = True
             break
         # rho's increase adds (growth - 1) rho J_a'J_a to the penalty Hessian,
         # J_a the equality rows and the inequality rows violated at x
-        J = jac(x)
+        J = view.jac(x)
         sigma = (opts.rho_growth - 1.0) * rho
-        for j in np.flatnonzero(equality | (cons.signed_violation(con(x)) != 0.0)):
+        for j in np.flatnonzero(equality | (cons.signed_violation(view.con(x)) != 0.0)):
             approx.add_outer(J[j], sigma)
         rho *= opts.rho_growth
         if rho > RHO_CAP:
             raise SolverError(f"penalty parameter exceeded {RHO_CAP:g} at outer "
                               f"iteration {outer} (feasibility {feas:.3e})")
 
-    f = obj(x)
+    f = view.obj(x)
     return ctx.finish(x, f, sub_opt, feas, outer, converged)
 
 
@@ -294,7 +276,8 @@ def sqp(problem, **options):
             restorations += 1
             if restorations > 5:
                 raise SolverError(f"QP subproblem failed {restorations} times in a row: {exc}") from exc
-            x, f, c, g, J = _restore_feasibility(view, x, c, J)
+            x = _restore_feasibility(view, x, c, J)
+            f, g, c, J = view.obj(x), view.grad(x), view.con(x), view.jac(x)
             continue
         restorations = 0
 
@@ -307,22 +290,16 @@ def sqp(problem, **options):
         merit0 = kit.merit_value("l1", rho, f, c, cons)
         slope0 = float(g @ p) - rho * float(np.sum(v))
 
-        trials = {}
-
         def phi(a):
             xa = bounds.clip(x + a * p)
-            fa = view.obj(xa)
-            ca = view.con(xa)
-            trials[a] = (xa, fa, ca)
-            return kit.merit_value("l1", rho, fa, ca, cons)
+            return kit.merit_value("l1", rho, view.obj(xa), view.con(xa), cons)
 
         if slope0 >= -1e-16 or float(np.max(np.abs(p))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
-            phi(1.0)
             alpha = 1.0
         else:
-            res = kit.line_search("armijo", phi, f0=merit0, slope0=slope0)
-            alpha = res.alpha
-        x, f, c = trials[alpha]
+            alpha = kit.line_search("armijo", phi, f0=merit0, slope0=slope0).alpha
+        x = bounds.clip(x + alpha * p)
+        f, c = view.obj(x), view.con(x)
 
         lam_new = lam + alpha * (lam_hat - lam)
         g_new = view.grad(x)
@@ -343,7 +320,7 @@ def _sqp_start_scale(d, w):
 
 
 def _restore_feasibility(view, x, c, J):
-    """One descent step on 0.5*||violation||^2 after an infeasible QP."""
+    """The point one descent step on 0.5*||violation||^2 reaches after an infeasible QP."""
     cons, bounds = view.con_bounds, view.var_bounds
     r = cons.signed_violation(c)
     grad_v = J.T @ r
@@ -351,20 +328,11 @@ def _restore_feasibility(view, x, c, J):
     if norm == 0.0:
         raise SolverError("QP infeasible and the violation gradient vanishes; cannot restore")
 
-    trials = {}     # step -> (x, c) at that trial; armijo returns a step it tried
-
     def psi(a):
-        xa = bounds.clip(x - a * grad_v)
-        ca = view.con(xa)
-        trials[a] = (xa, ca)
-        va = cons.violation(ca)
+        va = cons.violation(view.con(bounds.clip(x - a * grad_v)))
         return 0.5 * float(va @ va)
 
     v0 = cons.violation(c)
     res = kit.line_search("armijo", psi, f0=0.5 * float(v0 @ v0),
                           slope0=-norm ** 2, alpha0=1.0 / max(1.0, norm))
-    x_new, c_new = trials[res.alpha]
-    f = view.obj(x_new)
-    g = view.grad(x_new)
-    J_new = view.jac(x_new)
-    return x_new, f, c_new, g, J_new
+    return bounds.clip(x - res.alpha * grad_v)

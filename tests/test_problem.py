@@ -259,7 +259,8 @@ def _shared_con(x):
 
 def test_view_keeps_no_alias_of_callback_or_returned_arrays():
     """Neither a callback that reuses its result array nor a solver that
-    writes into what the view returned changes the memo or the record."""
+    writes into what the view returned changes the memo, the next answer
+    or the record."""
     spec = build_problem("shared", [1.0, 2.0], obj=lambda x: float(x @ x), grad=_shared_grad,
                          con=_shared_con, cl=[0.0], cu=[1.0])
     view = ScaledView(spec, record=True)
@@ -267,6 +268,9 @@ def test_view_keeps_no_alias_of_callback_or_returned_arrays():
     g, c = view.grad(x), view.con(x)
     g[:] = -1.0
     c[:] = -1.0
+    # the memo answers the next requests at x with the values first given
+    np.testing.assert_array_equal(view.grad(x), [2.0, 4.0])
+    np.testing.assert_array_equal(view.con(x), [2.0])
     view.grad(np.array([3.0, 4.0]))
     J = view.jac(x)                 # forward differences from the memo's con base at x
     assert view.counters.n_con == 1 + 2
@@ -363,11 +367,66 @@ def test_fd_derivative_wraps_raising_callback():
 # ---------------------------------------------------------------------------
 
 def test_counters_count_each_objective_call():
+    # four requests at one x make one call; requests that alternate between
+    # two points make one call each
     view = ScaledView(quad_spec())
-    x = np.array([1.0, 0.0])
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     for _ in range(4):
         view.obj(x)
-    assert view.counters.n_obj == 4
+    assert view.counters.n_obj == 1
+    for _ in range(3):
+        view.obj(y)
+        view.obj(x)
+    assert view.counters.n_obj == 1 + 6
+
+
+# ---------------------------------------------------------------------------
+# the view's memo of the last request of each kind
+# ---------------------------------------------------------------------------
+
+def test_memo_serves_each_kind_independently():
+    view = ScaledView(one_constraint_spec(), record=True)
+    x, y = np.array([1.0, 0.5]), np.array([0.25, 2.0])
+    first = [view.obj(x), view.grad(x), view.con(x), view.jac(x), view.obj_hess(x)]
+    view.obj(y)             # displaces the objective at x, no other kind
+    again = [view.grad(x), view.con(x), view.jac(x), view.obj_hess(x)]
+    assert view.counters.as_dict() == {"n_obj": 2, "n_grad": 1, "n_con": 1, "n_jac": 1,
+                                       "n_hess": 1}
+    for got, want in zip(again, first[1:]):
+        assert np.array_equal(got, want)
+    assert view.obj(x) == first[0]
+    assert view.counters.n_obj == 3
+    assert [e.kind for e in view.record.eval_events()] == [
+        "obj", "grad", "con", "jac", "obj_hess", "obj", "obj"]
+
+
+def test_fd_stencils_do_not_displace_a_requested_value():
+    spec = one_constraint_spec(grad=None, jac=None, obj_hess=None)
+    view = ScaledView(spec)
+    x = np.array([1.0, 0.5])
+    f, c = view.obj(x), view.con(x)
+    g, J = view.grad(x), view.jac(x)        # bases from the memo, n stencil points each
+    assert view.counters.n_obj == view.counters.n_con == 1 + 2
+    view.obj_hess(x)                        # differences the memo's gradient at x
+    assert view.counters.n_obj == 1 + 2 + 2 * 3
+    before = view.counters.copy()
+    assert view.obj(x) == f
+    assert np.array_equal(view.con(x), c)
+    assert np.array_equal(view.grad(x), g)
+    assert np.array_equal(view.jac(x), J)
+    assert view.counters == before
+
+
+def test_a_request_with_multipliers_is_never_served_by_the_memo():
+    calls = []
+    spec = one_constraint_spec(lag_hess=lambda x, lam: calls.append(lam.copy()) or
+                               (2.0 - 2.0 * lam[0]) * np.eye(2))
+    view = ScaledView(spec)
+    x, lam = np.array([1.0, 0.5]), np.array([0.25])
+    H = view.lag_hess(x, lam)
+    assert np.array_equal(view.lag_hess(x, lam), H)
+    assert not np.array_equal(view.lag_hess(x, 2.0 * lam), H)
+    assert view.counters.n_hess == len(calls) == 3
 
 
 def test_fd_gradient_adds_exactly_n_objective_calls():
@@ -463,17 +522,20 @@ def test_fd_gradient_at_fresh_point_adds_n_plus_one():
 
 def test_central_fd_gradient_switch_is_one_way():
     # after the switch an FD gradient costs 2n objective calls and no base
-    # value, and its error falls from O(h) to O(h^2)
+    # value, and its error falls from O(h) to O(h^2); the memo's forward
+    # gradient at x is not served after it
     spec = build_problem("cubic", np.array([0.4, 1.7, -2.0]), obj=lambda x: float(np.sum(x ** 3)))
     view = ScaledView(spec)
     x = view.x0
     exact = 3.0 * x ** 2
     forward = view.grad(x)
+    assert np.array_equal(view.grad(x), forward)
     assert view.central_fd_grad()
     assert not view.central_fd_grad()
     before = view.counters.n_obj
     central = view.grad(x)
     assert view.counters.n_obj - before == 2 * x.size
+    assert np.array_equal(central, _fd_columns(spec.callbacks.objective, x).ravel())
     assert np.max(np.abs(central - exact)) < 1e-2 * np.max(np.abs(forward - exact))
     # an analytic gradient has nothing to switch
     assert not ScaledView(quad_spec()).central_fd_grad()

@@ -450,8 +450,8 @@ def test_fd_hessian_base_reuses_the_gradient_at_x(monkeypatch, solver, token):
     got, view = _solve_recorded(solver, token)
     _assert_no_repeated_request(view.record)
     # asking the callbacks again at the base gives the same bits: only the
-    # counts differ
-    monkeypatch.setattr(ScaledView, "_base_value", lambda self, kind, x: self._raw(kind, x))
+    # counts differ.  With the memo lookup patched away every request is fresh
+    monkeypatch.setattr(ScaledView, "_raw", lambda self, kind, x: self._evaluate(kind, x))
     fresh, fresh_view = _solve_recorded(solver, token)
     assert fresh_view.counters.n_grad > view.counters.n_grad
     assert view.counters.n_obj == fresh_view.counters.n_obj
@@ -992,6 +992,18 @@ def test_pso_requires_finite_box():
     report = ok.pso(spec, seed=1, sample_lower=[-1.0, -1.0], sample_upper=[1.0, 1.0],
                     maxiter=50)
     assert report.f_star < 1.0
+
+
+def test_pso_particles_clipped_to_one_corner_call_the_objective_once(tmp_path):
+    # consecutive particles clipped to the same corner of the box ask at the
+    # bits of the previous request, which the view answers without a call:
+    # fewer calls than the 20 (niter + 1) requests (3016 of 3020 at seed 1)
+    options = {"seed": 1, "sample_lower": [-2.0, -2.0], "sample_upper": [2.0, 2.0]}
+    spec = bean()
+    view = ScaledView(spec, record=True)
+    report = ok.pso(view, **options)
+    assert report.counters.n_obj < 20 * (report.niter + 1)
+    _assert_replays_with_no_live_call("pso", spec, view, report, tmp_path, **options)
 
 
 @pytest.mark.parametrize("n_particles", [0, -1])
