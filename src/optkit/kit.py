@@ -22,7 +22,7 @@ class QpError(RuntimeError):
 
 def _bfgs(Bd, d, w, wd):
     # B + w w'/w'd - Bd Bd'/d'Bd: columns (w, Bd) against (w/w'd, -Bd/d'Bd)
-    dBd = d @ Bd
+    dBd = d.dot(Bd)
     if dBd <= 0.0:
         return None
     return (w, Bd), (w / wd, -Bd / dBd)
@@ -31,13 +31,13 @@ def _bfgs(Bd, d, w, wd):
 def _dfp(Bd, d, w, wd):
     # (I - w d'/wd) B (I - d w'/wd) + w w'/wd for symmetric B, expanded into
     # the rank-2 form B + w u' + u w'
-    u = (0.5 * (1.0 + (d @ Bd) / wd) / wd) * w - Bd / wd
+    u = (0.5 * (1.0 + d.dot(Bd) / wd) / wd) * w - Bd / wd
     return (w, u), (u, w)
 
 
 def _sr1(Bd, d, w, wd):
     v = w - Bd
-    denom = v @ d
+    denom = v.dot(d)
     # standard SR1 safeguard: |v'd| must not be negligible vs |v||d|
     if abs(denom) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(v):
         return None
@@ -45,12 +45,12 @@ def _sr1(Bd, d, w, wd):
 
 
 def _broyden(Bd, d, w, wd):
-    return (w - Bd,), (d / (d @ d),)
+    return (w - Bd,), (d / d.dot(d),)
 
 
 def _broyden_inverse(Hw, tdot, d, w):
     # Sherman-Morrison inverse of the direct Broyden update: H + (d - Hw) d'H / d'Hw
-    dHw = d @ Hw
+    dHw = d.dot(Hw)
     if abs(dHw) <= 1e-8 * np.linalg.norm(d) * np.linalg.norm(Hw):
         return None
     return (d - Hw,), (tdot(d) / dHw,)
@@ -134,7 +134,7 @@ class HessianApprox:
     def dot(self, x):
         """The approximation (H or B) times x, without a fold."""
         k = self._k
-        return self._M @ x + self._L[:k].T @ (self._R[:k] @ x) if k else self._M @ x
+        return self._M.dot(x) + self._L[:k].T.dot(self._R[:k].dot(x)) if k else self._M.dot(x)
 
     def _tdot(self, x):
         # x' times the approximation
@@ -155,12 +155,12 @@ class HessianApprox:
         d = np.asarray(d, dtype=float).ravel()
         w = np.asarray(w, dtype=float).ravel()
         # a NaN or inf in d or w, or a square that overflows, makes d'd or
-        # w'w NaN or inf; vdot, unlike @, warns of no overflow and costs
-        # less, and its root is np.linalg.norm's own 1-D formula
+        # w'w NaN or inf.  These two take vdot, which unlike .dot and @ warns
+        # of no overflow; its root is np.linalg.norm's own 1-D formula
         dd, ww = np.vdot(d, d), np.vdot(w, w)
         if not (0.0 < dd < math.inf and ww < math.inf):
             return True
-        wd = w @ d
+        wd = w.dot(d)
         # bfgs / dfp need positive curvature along the step (symmetric in d, w)
         if self.variant in ("bfgs", "dfp") and wd <= _SKIP_TOL * math.sqrt(ww) * math.sqrt(dd):
             return True
@@ -179,11 +179,17 @@ class HessianApprox:
         return False
 
     def _append(self, cols):
-        # pending columns (left, right), folded first when they do not fit
-        if self._k + len(cols[0]) > _CAPACITY:
+        # pending columns (left, right), folded first when they do not fit;
+        # a row assignment per column costs less than a slice assignment
+        # from a tuple of arrays
+        left, right = cols
+        if self._k + len(left) > _CAPACITY:
             self._fold()
-        k, self._k = self._k, self._k + len(cols[0])
-        self._L[k:self._k], self._R[k:self._k] = cols
+        L, R, k = self._L, self._R, self._k
+        for a, b in zip(left, right):
+            L[k], R[k] = a, b
+            k += 1
+        self._k = k
 
     def add_outer(self, a, sigma):
         """B <- B + sigma a a' for sigma > 0, a known change of the Hessian.
@@ -214,7 +220,7 @@ class HessianApprox:
         k = self._k
         j = k0 if k >= k0 else 0
         if k > j:
-            Hx = Hx + self._L[j:k].T @ (self._R[j:k] @ x)
+            Hx = Hx + self._L[j:k].T.dot(self._R[j:k].dot(x))
         return Hx, skipped
 
 
@@ -283,53 +289,49 @@ def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
 
 
 def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
-    # bracket-and-zoom strong Wolfe search; the zoom bisects the bracket
-    n = {"f": 0, "g": 0}
-
-    def eval_phi(a):
-        n["f"] += 1
-        return phi(a)
-
-    def eval_slope(a):
-        n["g"] += 1
-        return dphi(a)
-
-    def result(alpha, fa, ok):
-        return LineSearchResult(alpha, fa, n["f"], n["g"], ok)
-
-    def zoom(lo, f_lo, hi, f_hi, budget):
-        best = (lo, f_lo)
-        for _ in range(budget):
-            a = 0.5 * (lo + hi)
-            fa = eval_phi(a)
-            if fa > f0 + c1 * a * slope0 or fa >= f_lo:
-                hi, f_hi = a, fa
-            else:
-                sa = eval_slope(a)
-                if abs(sa) <= c2 * abs(slope0):
-                    return result(a, fa, True)
-                if sa * (hi - lo) >= 0.0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo = a, fa
-                best = (a, fa)
-            if abs(hi - lo) < 1e-16:
-                break
-        return result(*best, False)
-
+    # bracket-and-zoom strong Wolfe search: the bracket loop doubles alpha
+    # until a trial brackets a step, then the zoom loop bisects [lo, hi]
+    # with the trials the bracket loop left unspent
+    n_f = n_g = 0
+    curvature = c2 * abs(slope0)
     alpha_prev, f_prev = 0.0, f0
     alpha = float(alpha0)
     for i in range(max_iters):
-        fa = eval_phi(alpha)
+        fa = phi(alpha)
+        n_f += 1
         if fa > f0 + c1 * alpha * slope0 or (i > 0 and fa >= f_prev):
-            return zoom(alpha_prev, f_prev, alpha, fa, max_iters - i)
-        sa = eval_slope(alpha)
-        if abs(sa) <= c2 * abs(slope0):
-            return result(alpha, fa, True)
+            lo, f_lo, hi = alpha_prev, f_prev, alpha
+            break
+        sa = dphi(alpha)
+        n_g += 1
+        if abs(sa) <= curvature:
+            return LineSearchResult(alpha, fa, n_f, n_g, True)
         if sa >= 0.0:
-            return zoom(alpha, fa, alpha_prev, f_prev, max_iters - i)
+            lo, f_lo, hi = alpha, fa, alpha_prev
+            break
         alpha_prev, f_prev = alpha, fa
         alpha = min(2.0 * alpha, 1e6)
-    return result(alpha_prev, f_prev, False)
+    else:
+        return LineSearchResult(alpha_prev, f_prev, n_f, n_g, False)
+
+    # lo is the best trial seen and meets Armijo; hi is the bracket's other end
+    for _ in range(max_iters - i):
+        a = 0.5 * (lo + hi)
+        fa = phi(a)
+        n_f += 1
+        if fa > f0 + c1 * a * slope0 or fa >= f_lo:
+            hi = a
+        else:
+            sa = dphi(a)
+            n_g += 1
+            if abs(sa) <= curvature:
+                return LineSearchResult(a, fa, n_f, n_g, True)
+            if sa * (hi - lo) >= 0.0:
+                hi = lo
+            lo, f_lo = a, fa
+        if abs(hi - lo) < 1e-16:
+            break
+    return LineSearchResult(lo, f_lo, n_f, n_g, False)
 
 
 # ---------------------------------------------------------------------------

@@ -279,10 +279,15 @@ def _is_finite(result):
     """True when a float or float array has only finite entries."""
     if isinstance(result, float):
         return math.isfinite(result)
-    # a loop over at most 16 Python floats costs less than two ufunc calls;
-    # count_nonzero is a fraction of the cost of .all() on larger arrays
+    # a loop over at most 16 Python floats costs less than two ufunc calls
     if result.size <= 16:
         return all(map(math.isfinite, result.ravel().tolist()))
+    # a vector's sum of squares is finite only when every entry is: an inf
+    # or NaN makes it inf or NaN.  One vdot (which, unlike a ufunc, warns of
+    # no overflow) proves most vectors finite; an inf or NaN sum, or a
+    # matrix, takes the exact count, a fraction of the cost of .all()
+    if result.ndim == 1 and math.isfinite(np.vdot(result, result)):
+        return True
     return np.count_nonzero(np.isfinite(result)) == result.size
 
 

@@ -17,13 +17,19 @@ def newton_lagrange(problem, **options):
     Solves grad L = 0 for (x, lam) where L = f - lam @ (c - target), taking
     full steps by default; ``use_line_search=True`` applies Armijo on
     ||grad L||^2.  Requires every constraint to be an equality
-    (lower == upper).
+    (lower == upper) and no variable to have a finite bound: the iteration
+    never reads the bounds, so it would report a point outside them as
+    converged.
     """
     ctx = RunContext(problem, "newton_lagrange", options, {"use_line_search": (bool, False)})
     view, opts = ctx.view, ctx.options
     target = view.con_bounds.lower
     if not np.all(target == view.con_bounds.upper):
         raise SolverError("newton_lagrange requires equality constraints only (lower == upper)")
+    xb = view.var_bounds
+    if np.isfinite(xb.lower).any() or np.isfinite(xb.upper).any():
+        raise SolverError("newton_lagrange handles no variable bounds (a finite lower or upper "
+                          "bound on x); use sqp instead")
     ctx.declare_outputs(itr=int, obj=float, opt=float, feas=float,
                         x=(float, (view.n,)), lam=(float, (view.m,)))
 

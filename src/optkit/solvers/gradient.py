@@ -28,8 +28,8 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
     ``pg`` is the projected gradient at ``x``, computed once per iterate.
     ``obj``/``grad`` evaluate the (scaled) objective at trial points clipped
     into the ``bounds`` (a Bounds) by closures built once per run, whose
-    caches are cleared at each iterate.  ``on_step(d, w)`` sees each step
-    and gradient change, ``on_iter(itr, x, f, opt)`` each iterate.
+    caches are cleared at each iterate.  ``on_step(d)`` sees each step,
+    ``on_iter(itr, x, f, opt)`` each iterate.
     ``refine_grad()`` is called once, at the first iterate whose projected
     gradient norm is at most 10 ``opt_tol``; when it returns True the
     gradient is taken again there.  A step that leaves x with the same bits
@@ -101,7 +101,7 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
             g_new = grad(x_new)
 
         if on_step is not None:
-            on_step(x_new - x, g_new - g)
+            on_step(x_new - x)
         x, f = x_new, f_new
         g, pg, opt = measure(x, g_new)
         if on_iter is not None:
@@ -228,11 +228,11 @@ def _shanno_phua_scale(d, w):
 
 def _quasi_newton_rule(approx, scale=None):
     """Direction rule p = -H g for an inverse-mode ``approx`` and the step
-    hook that updates it, with one product with H per direction.  The hook
-    only holds the step d.  The next direction applies its update with
-    w = g - g_old, the change between the gradients it was handed: the
-    loop's w, or where the loop refined the gradient the refined one, so
-    that H w = H g + p_old holds.  ``approx.update_dot`` takes H w and the
+    hook ``on_step(d)`` that updates it, with one product with H per
+    direction.  The hook only holds the step d.  The next direction applies
+    its update with w = g - g_old, the change between the gradients it was
+    handed (where the loop refined the gradient, the refined one), so that
+    H w = H g + p_old holds.  ``approx.update_dot`` takes H w and the
     updated H g from the one product H g.  The last step's update is never
     applied.  The approximation restarts from the identity when p is not a
     descent direction.  With a ``scale`` rule the first update that passes
@@ -242,7 +242,7 @@ def _quasi_newton_rule(approx, scale=None):
     start = None if scale is None else _ScaledStart(approx, scale)
     d = g_old = p = None
 
-    def on_step(step, _w):
+    def on_step(step):
         nonlocal d
         d = step
 

@@ -429,6 +429,49 @@ def test_wolfe_zooms_past_too_long_step():
     assert abs(dphi(res.alpha)) <= 0.9 * abs(dphi(0.0))
 
 
+# phi, dphi, f0, slope0, options; then the alphas phi and dphi see, in order,
+# and the result's alpha, f_new and converged
+_WOLFE_PATHS = {
+    # alpha = 1 meets both conditions
+    "first_trial": (lambda a: (a - 1.0) ** 2, lambda a: 2.0 * (a - 1.0), 1.0, -2.0, {},
+                    [1.0], [1.0], 1.0, 0.0, True),
+    # the slope stays steep and negative: alpha doubles to the minimizer at 4
+    "expansion": (lambda a: (a - 4.0) ** 2, lambda a: 2.0 * (a - 4.0), 16.0, -8.0, {"c2": 0.1},
+                  [1.0, 2.0, 4.0], [1.0, 2.0, 4.0], 4.0, 0.0, True),
+    # alpha = 1 fails Armijo; the zoom bisects [0, 1] down to 0.0625, whose
+    # slope is too steep and positive, so the bracket flips to [0.0625, 0]
+    "zoom": (lambda a: 100.0 * (a - 0.05) ** 2, lambda a: 200.0 * (a - 0.05), 0.25, -10.0,
+             {"c2": 0.1}, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.046875],
+             [0.0625, 0.046875], 0.046875, 100.0 * (0.046875 - 0.05) ** 2, True),
+    # two expansions spend the budget: the last accepted alpha comes back
+    "exhausted_expansion": (lambda a: (a - 4.0) ** 2, lambda a: 2.0 * (a - 4.0), 16.0, -8.0,
+                            {"c2": 0.1, "max_iters": 2}, [1.0, 2.0], [1.0, 2.0], 2.0, 4.0, False),
+    # the zoom gets the budget left at its trial (3) and every bisection
+    # fails Armijo: alpha = 0, the bracket's low end, comes back with f0
+    "exhausted_zoom": (lambda a: 100.0 * (a - 0.05) ** 2, lambda a: 200.0 * (a - 0.05), 0.25, -10.0,
+                       {"max_iters": 3}, [1.0, 0.5, 0.25, 0.125], [], 0.0, 0.25, False),
+}
+
+
+@pytest.mark.parametrize("path", list(_WOLFE_PATHS))
+def test_wolfe_trial_sequence_is_pinned(path):
+    phi, dphi, f0, slope0, options, f_alphas, g_alphas, alpha, f_new, converged = _WOLFE_PATHS[path]
+    seen_f, seen_g = [], []
+
+    def logged_phi(a):
+        seen_f.append(a)
+        return phi(a)
+
+    def logged_dphi(a):
+        seen_g.append(a)
+        return dphi(a)
+
+    res = line_search("wolfe", logged_phi, logged_dphi, f0=f0, slope0=slope0, **options)
+    assert seen_f == f_alphas and seen_g == g_alphas
+    assert (res.n_f_evals, res.n_g_evals) == (len(f_alphas), len(g_alphas))
+    assert (res.alpha, res.f_new, res.converged) == (alpha, f_new, converged)
+
+
 # ---------------------------------------------------------------------------
 # merit functions
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from optkit import (Bounds, EvaluationError, ProblemError, ScaledView,
                     build_problem, check_first_derivatives, fd_derivative)
-from optkit.problem import CBRT_EPS, KINDS, SQRT_EPS, _fd_columns
+from optkit.problem import CBRT_EPS, KINDS, SQRT_EPS, _fd_columns, _is_finite
 from optkit.bench import bean, parse_problem_token, quadratic_example, rosenbrock2
 from optkit.solvers import SOLVERS
 
@@ -241,6 +242,45 @@ def test_finiteness_check_is_exact_at_any_size(n):
                 view.grad(x0)
             assert err.value.kind == "grad"
             np.testing.assert_array_equal(err.value.x, x0)
+
+
+@pytest.mark.parametrize("n", [17, 256])
+def test_vector_finiteness_from_one_sum_of_squares(n):
+    # above 16 entries a vector is proved finite by one sum of squares; a
+    # square that overflows sends it to the exact count, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _is_finite(np.full(n, 1e200))
+        assert _is_finite(np.linspace(-1.0, 1.0, n))
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in (0, n // 2, n - 1):
+                r = np.full(n, 1e200)
+                r[i] = bad
+                assert not _is_finite(r), (bad, i)
+
+
+def test_matrix_finiteness_takes_the_exact_count():
+    M = np.full((5, 5), 1e200)
+    assert _is_finite(M)
+    M[2, 3] = np.nan
+    assert not _is_finite(M)
+    M[2, 3] = -np.inf
+    assert not _is_finite(M)
+
+
+def test_one_nan_in_a_32_entry_gradient_raises():
+    n = 32
+    x0 = np.ones(n)
+
+    def grad(x):
+        g = 2.0 * x
+        g[n // 2] = np.nan
+        return g
+
+    view = ScaledView(build_problem("nan32", x0, obj=lambda x: float(x @ x), grad=grad))
+    with pytest.raises(EvaluationError, match="non-finite") as err:
+        view.grad(x0)
+    assert err.value.kind == "grad"
 
 
 _SHARED_GRAD = np.zeros(2)

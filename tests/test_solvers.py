@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import optkit as ok
-from optkit import RunContext, ScaledView, build_problem
+from optkit import Bounds, RunContext, ScaledView, build_problem
 from optkit.kit import HessianApprox
 from optkit.solvers import SOLVERS, OptionError, SolverError, direct
 from optkit.bench import (REGISTRY, bean, parse_problem_token, quadratic_example, quartic,
@@ -430,9 +430,16 @@ def _assert_no_repeated_request(record):
         assert len(bits) == len(set(bits)), kind
 
 
-def _solve_recorded(solver, token, **options):
-    """(report or the EvaluationError raised, view) of a recorded solve."""
-    view = ScaledView(parse_problem_token(token), record=True)
+def _without_bounds(token):
+    # newton_lagrange refuses a problem with variable bounds; it never read
+    # them, so on the registry problem without them it takes the same steps
+    spec = parse_problem_token(token)
+    return replace(spec, var_bounds=Bounds.unbounded(spec.n))
+
+
+def _solve_recorded(solver, spec, **options):
+    """(report or the EvaluationError raised, view) of a recorded solve of ``spec``."""
+    view = ScaledView(spec, record=True)
     # spacecraft:3 diverges: its iterates overflow before the NaN objective stops it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -447,12 +454,13 @@ def _solve_recorded(solver, token, **options):
 def test_fd_hessian_base_reuses_the_gradient_at_x(monkeypatch, solver, token):
     # none of these problems has a Hessian callback; the FD Hessian's base
     # gradient (and Jacobian) at x is the one the solver just asked for
-    got, view = _solve_recorded(solver, token)
+    spec = _without_bounds(token) if solver == "newton_lagrange" else parse_problem_token(token)
+    got, view = _solve_recorded(solver, spec)
     _assert_no_repeated_request(view.record)
     # asking the callbacks again at the base gives the same bits: only the
     # counts differ.  With the memo lookup patched away every request is fresh
     monkeypatch.setattr(ScaledView, "_raw", lambda self, kind, x: self._evaluate(kind, x))
-    fresh, fresh_view = _solve_recorded(solver, token)
+    fresh, fresh_view = _solve_recorded(solver, spec)
     assert fresh_view.counters.n_grad > view.counters.n_grad
     assert view.counters.n_obj == fresh_view.counters.n_obj
     if isinstance(fresh, ok.EvaluationError):
@@ -466,11 +474,12 @@ def test_newton_lagrange_line_search_asks_each_point_once():
     # the line search keeps each trial's KKT state and asks obj only at the
     # accepted point; on cantilever:20 it takes every full step, so x* has
     # the bits of the run without it
-    report, view = _solve_recorded("newton_lagrange", "cantilever:20", use_line_search=True)
+    spec = _without_bounds("cantilever:20")
+    report, view = _solve_recorded("newton_lagrange", spec, use_line_search=True)
     assert report.converged
     assert report.counters.n_obj == report.niter + 1
     _assert_no_repeated_request(view.record)
-    plain = ok.newton_lagrange(parse_problem_token("cantilever:20"))
+    plain = ok.newton_lagrange(spec)
     assert report.x_star.tobytes() == plain.x_star.tobytes()
     assert report.niter == plain.niter
 
@@ -882,9 +891,21 @@ def test_sqp_unscaled_spacecraft_is_infeasible_quickly(n_t):
     assert time.perf_counter() - start < 2.0
 
 
+def test_newton_lagrange_refuses_variable_bounds():
+    # cantilever:20 bounds every height below by 1e-4; the bound-blind
+    # iteration once reported converged with a height of -62.3
+    view = ScaledView(parse_problem_token("cantilever:20"), record=True)
+    with pytest.raises(SolverError, match="variable bounds"):
+        ok.newton_lagrange(view)
+    assert not any(view.counters.as_dict().values())
+    assert view.record.eval_events() == []
+
+
 @pytest.mark.parametrize("solver", ["sqp", "newton_lagrange"])
 def test_constrained_maxiter_exit(solver):
-    view = ScaledView(parse_problem_token("cantilever:20"), record=True)
+    token = "cantilever:20"
+    spec = _without_bounds(token) if solver == "newton_lagrange" else parse_problem_token(token)
+    view = ScaledView(spec, record=True)
     report = SOLVERS[solver](view, maxiter=2)
     assert not report.converged and report.niter == 2
     assert len(view.record.iter_events()) == 3
