@@ -272,20 +272,19 @@ def line_search(kind, phi, dphi=None, f0=None, slope0=None, *,
 
 def _armijo(phi, f0, slope0, c1, tau, max_iters, alpha0):
     alpha = float(alpha0)
-    best = (None, np.inf)
-    n_f = 0
-    for _ in range(max_iters):
+    best_alpha, best_f = None, math.inf
+    for n_f in range(1, max_iters + 1):
         fa = phi(alpha)
-        n_f += 1
-        if fa < best[1]:
-            best = (alpha, fa)
         if fa <= f0 + c1 * alpha * slope0:
             return LineSearchResult(alpha, fa, n_f, 0, True)
-        last = (alpha, fa)
+        if fa < best_f:
+            best_alpha, best_f = alpha, fa
+        last_alpha, last_f = alpha, fa
         alpha *= tau
-    # every trial inf or NaN: the last alpha phi saw, not one it never did
-    alpha, fa = best if best[0] is not None else last
-    return LineSearchResult(alpha, fa, n_f, 0, False)
+    if best_alpha is None:
+        # every trial inf or NaN: the last alpha phi saw, not one it never did
+        return LineSearchResult(last_alpha, last_f, n_f, 0, False)
+    return LineSearchResult(best_alpha, best_f, n_f, 0, False)
 
 
 def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
@@ -315,7 +314,7 @@ def _wolfe(phi, dphi, f0, slope0, c1, c2, max_iters, alpha0):
         return LineSearchResult(alpha_prev, f_prev, n_f, n_g, False)
 
     # lo is the best trial seen and meets Armijo; hi is the bracket's other end
-    for _ in range(max_iters - i):
+    for _ in range(max_iters - i - 1):     # the bracket loop spent i + 1 trials
         a = 0.5 * (lo + hi)
         fa = phi(a)
         n_f += 1

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 from dataclasses import asdict, dataclass, field, replace
 
+_F8 = np.dtype(float)
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 
@@ -276,12 +277,13 @@ def _coerce_result(kind, value, want):
 
 
 def _is_finite(result):
-    """True when a float or float array has only finite entries."""
-    if isinstance(result, float):
-        return math.isfinite(result)
-    # a loop over at most 16 Python floats costs less than two ufunc calls
+    """True when a float array has only finite entries."""
+    # at most 16 entries are tested as Python floats, cheaper than two ufunc
+    # calls: an inf or NaN entry makes their sum inf or NaN, and a sum that
+    # overflows takes the test entry by entry
     if result.size <= 16:
-        return all(map(math.isfinite, result.ravel().tolist()))
+        values = result.ravel().tolist()
+        return math.isfinite(sum(values)) or all(map(math.isfinite, values))
     # a vector's sum of squares is finite only when every entry is: an inf
     # or NaN makes it inf or NaN.  One vdot (which, unlike a ufunc, warns of
     # no overflow) proves most vectors finite; an inf or NaN sum, or a
@@ -457,8 +459,20 @@ class ScaledView:
         except Exception as exc:
             raise EvaluationError(f"{kind} callback raised {exc!r} at x={x}", kind=kind, x=x) from exc
         self.counters.__dict__[counter] += 1
-        result = _coerce_result(kind, raw, shape)
-        if not _is_finite(result):
+        # exact types first: a float objective is its own result, and a
+        # float64 array of the declared shape is copied as np.array copies
+        # it, in its own layout ('K'), so BLAS sums a product such as
+        # J.T @ lam in the same order; anything else is coerced
+        if kind == "obj":
+            result = raw if type(raw) is float else _coerce_result(kind, raw, shape)
+            finite = math.isfinite(result)
+        else:
+            if type(raw) is np.ndarray and raw.dtype is _F8 and raw.shape == shape:
+                result = raw.copy("K")
+            else:
+                result = _coerce_result(kind, raw, shape)
+            finite = _is_finite(result)
+        if not finite:
             raise EvaluationError(f"{kind} callback returned non-finite values at x={x}", kind=kind, x=x)
         if self.record is not None:
             self.record.append_eval(kind, x, lam, result)
@@ -466,12 +480,15 @@ class ScaledView:
 
     def _raw(self, kind, x):
         """Raw-space result of a request: the memo's when ``x`` has the bytes
-        of the last request of its kind, else a fresh :meth:`_evaluate`,
-        which the memo then keeps."""
+        of the last request of its kind, else a fresh :meth:`_invoke` (or,
+        without a callback, :meth:`_evaluate`), which the memo then keeps."""
         key = x.tobytes()
         last, result = self._memo[kind]
         if key != last:
-            result = self._evaluate(kind, x)
+            if self._table[kind][0] is not None:
+                result = self._invoke(kind, x)
+            else:
+                result = self._evaluate(kind, x)
             self._memo[kind] = key, result
         return result
 

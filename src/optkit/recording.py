@@ -73,7 +73,7 @@ from binascii import b2a_base64
 import numpy as np
 from dataclasses import dataclass, field
 
-from .problem import EVAL_KINDS
+from .problem import EVAL_KINDS, _F8
 
 FORMAT_VERSION = 5
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -210,9 +210,6 @@ class IterEvent:
         return all(_same_bits(self.values[k], other.values[k]) for k in self.values)
 
 
-_F8 = np.dtype(float)
-
-
 class OutputsDecl:
     """Declared per-iteration solver outputs: name -> int | float | (float, shape)."""
 
@@ -222,9 +219,26 @@ class OutputsDecl:
         self._fields = [(name, spec if spec in (int, float) else tuple(spec[1]))
                         for name, spec in self.decl.items()]
 
-    def validate(self, values, convert=True):
+    def fits(self, values):
+        """True when ``values`` has the declared names and each value has its
+        exact declared type: an int, a float, or a float64 array of the
+        declared shape.  Anything else may still be valid; :meth:`validate`
+        decides, and words the error."""
+        if len(values) != len(self._fields):
+            return False
+        try:
+            for name, spec in self._fields:
+                v = values[name]
+                t = type(v)
+                if not (t is spec or t is np.ndarray and v.dtype is _F8 and v.shape == spec):
+                    return False
+        except KeyError:    # an undeclared name in place of a declared one
+            return False
+        return True
+
+    def validate(self, values):
         """Check ``values`` against the declaration and return them as ints, floats
-        and float-array copies; with ``convert`` false, check only and return None."""
+        and float-array copies."""
         if values.keys() != self.decl.keys():
             got, want = set(values), set(self.decl)
             missing = sorted(want - got)
@@ -235,7 +249,7 @@ class OutputsDecl:
             if extra:
                 parts.append(f"undeclared {extra}")
             raise RecordError("iteration outputs do not match declaration: " + ", ".join(parts))
-        out = {} if convert else None
+        out = {}
         for name, spec in self._fields:     # declaration order fixes serialization order
             v = values[name]
             t = type(v)
@@ -253,8 +267,7 @@ class OutputsDecl:
                 v = np.asarray(v, dtype=float)
                 if v.shape != spec:
                     raise RecordError(f"output {name!r} has shape {v.shape}, declared {spec}")
-            if convert:
-                out[name] = spec(v) if spec in (int, float) else np.array(v)
+            out[name] = spec(v) if spec in (int, float) else np.array(v)
         return out
 
 

@@ -145,8 +145,10 @@ class RunContext:
 
     def emit(self, **values):
         """Validate one iteration's outputs and append them to the view's record
-        as an IterEvent, which is returned; without a record, validate only
-        (no copy, no event) and return None.
+        as an IterEvent, which is returned; without a record, check only (no
+        event) and return None.  Outputs of their exact declared types pass
+        one test each (``OutputsDecl.fits``); only the rest go through
+        ``validate``, which words any error the same way on both paths.
 
         A recorded iteration holds ``x``, ``obj`` and ``lam`` in the user's
         units, as the evaluation events and the report's x* and f* are: the view's
@@ -157,7 +159,9 @@ class RunContext:
         """
         record = self.view.record
         if record is None:
-            return self.decl.validate(values, convert=False)
+            if not self.decl.fits(values):
+                self.decl.validate(values)
+            return None
         event = recording.IterEvent(values=self.decl.validate(values))
         out = event.values
         for name, unscale in self._unscale:

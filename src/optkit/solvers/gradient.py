@@ -19,7 +19,7 @@ _STEP_OPTIONS = {"use_line_search": (bool, True), "alpha": (float, 1.0)}
 
 
 def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol,
-                  use_line_search=True, alpha=1.0, on_step=None, on_iter=None,
+                  use_line_search=True, alpha=1.0, on_step=None, emit=None,
                   refine_grad=None):
     """Line-searched (or fixed-alpha) descent shared by every gradient solver.
 
@@ -28,70 +28,66 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
     ``pg`` is the projected gradient at ``x``, computed once per iterate.
     ``obj``/``grad`` evaluate the (scaled) objective at trial points clipped
     into the ``bounds`` (a Bounds) by closures built once per run, whose
-    caches are cleared at each iterate.  ``on_step(d)`` sees each step,
-    ``on_iter(itr, x, f, opt)`` each iterate.
+    caches are cleared at each iterate.  ``on_step(d)`` sees each step, and
+    ``emit(itr=, obj=, opt=, x=)`` each iterate.
     ``refine_grad()`` is called once, at the first iterate whose projected
     gradient norm is at most 10 ``opt_tol``; when it returns True the
     gradient is taken again there.  A step that leaves x with the same bits
     ends the loop unconverged, since every later step would repeat it.
     Returns a dict with the terminal state.
     """
-    clip = bounds.clip
+    clip, project = bounds.clip, bounds.project
     x = clip(np.array(x0, dtype=float))
     f = obj(x)
-
-    def measure(x, g):
-        # g at x, its projection and the projection's norm
-        nonlocal refine_grad
-        pg = bounds.project(g, x)
-        opt = math.sqrt(pg.dot(pg))
-        if refine_grad is not None and opt <= 10.0 * opt_tol:
-            refined, refine_grad = refine_grad(), None
-            if refined:
-                return measure(x, grad(x))
-        return g, pg, opt
+    g = grad(x)
 
     # trial step -> clipped point, gradient there.  The view repeats only the
     # last request of each kind, and a composite gradient (quadratic_penalty's
     # grad + rho J'r) asks several kinds at each trial, so the accepted
     # step's gradient is kept here, not asked for again: without ``grads``
-    # quadratic_penalty on spacecraft:10 makes 33 more con calls
+    # quadratic_penalty on spacecraft:10 makes 33 more con calls.  The line
+    # search asks phi(a) before dphi(a), so dphi finds its point in ``points``
     points, grads = {}, {}
 
-    def trial(a):
-        xa = points.get(a)
-        if xa is None:
-            xa = points[a] = clip(x + a * p)
-        return xa
-
     def phi(a):
-        return obj(trial(a))
+        xa = points[a] = clip(x + a * p)
+        return obj(xa)
 
     def dphi(a):
-        ga = grads[a] = grad(trial(a))
+        ga = grads[a] = grad(points[a])
         return float(ga.dot(p))
 
-    g, pg, opt = measure(x, grad(x))
     itr = 0
-    if on_iter is not None:
-        on_iter(itr, x, f, opt)
-
-    while opt > opt_tol and itr < maxiter:
+    while True:
+        # g at x, its projection and the projection's norm
+        pg = project(g, x)
+        opt = math.sqrt(pg.dot(pg))
+        if refine_grad is not None and opt <= 10.0 * opt_tol:
+            refined, refine_grad = refine_grad(), None
+            if refined:
+                g = grad(x)
+                continue
+        if emit is not None:
+            emit(itr=itr, obj=f, opt=opt, x=x)
+        if opt <= opt_tol or itr >= maxiter:
+            break
         itr += 1
         p, alpha0, slope = direction(x, f, g, pg)
-        g_new = None
         if use_line_search:
             points.clear()
             grads.clear()
             res = kit.line_search(ls_kind, phi, dphi, f0=f, slope0=slope, alpha0=alpha0)
             if not res.converged:
                 log.debug("line search did not converge; continuing with best alpha %g", res.alpha)
-            x_new = trial(res.alpha)
+            x_new = points.get(res.alpha)
+            if x_new is None:       # the wolfe search fell back to alpha = 0
+                x_new = clip(x + res.alpha * p)
             f_new = res.f_new
             g_new = grads.get(res.alpha)
         else:
             x_new = clip(x + alpha * p)
             f_new = obj(x_new)
+            g_new = None
         if not _is_finite(x_new):
             raise EvaluationError(f"descent step {itr} produced a non-finite iterate", x=x_new)
         if x_new.tobytes() == x.tobytes():
@@ -99,13 +95,9 @@ def _descent_loop(obj, grad, x0, bounds, direction, *, ls_kind, maxiter, opt_tol
             break
         if g_new is None:
             g_new = grad(x_new)
-
         if on_step is not None:
             on_step(x_new - x)
-        x, f = x_new, f_new
-        g, pg, opt = measure(x, g_new)
-        if on_iter is not None:
-            on_iter(itr, x, f, opt)
+        x, f, g = x_new, f_new, g_new
 
     return {"x": x, "f": f, "opt": opt, "niter": itr, "converged": opt <= opt_tol}
 
@@ -114,14 +106,10 @@ def _solve(ctx, direction, ls_kind, on_step=None):
     """Run the descent loop on the context's view and report there."""
     view, opts = ctx.view, ctx.options
     ctx.declare_outputs(itr=int, obj=float, opt=float, x=(float, (view.n,)))
-
-    def on_iter(itr, x, f, opt):
-        ctx.emit(itr=itr, obj=f, opt=opt, x=x)
-
     state = _descent_loop(view.obj, view.grad, view.x0, view.var_bounds,
                           direction, ls_kind=ls_kind, maxiter=opts.maxiter,
                           opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
-                          alpha=opts.alpha, on_step=on_step, on_iter=on_iter,
+                          alpha=opts.alpha, on_step=on_step, emit=ctx.emit,
                           refine_grad=view.central_fd_grad)
     return ctx.finish(state["x"], state["f"], state["opt"], 0.0,
                       state["niter"], state["converged"])

@@ -446,10 +446,11 @@ _WOLFE_PATHS = {
     # two expansions spend the budget: the last accepted alpha comes back
     "exhausted_expansion": (lambda a: (a - 4.0) ** 2, lambda a: 2.0 * (a - 4.0), 16.0, -8.0,
                             {"c2": 0.1, "max_iters": 2}, [1.0, 2.0], [1.0, 2.0], 2.0, 4.0, False),
-    # the zoom gets the budget left at its trial (3) and every bisection
-    # fails Armijo: alpha = 0, the bracket's low end, comes back with f0
+    # the zoom gets the two trials the bracket loop left of the budget (3)
+    # and every bisection fails Armijo: alpha = 0, the bracket's low end,
+    # comes back with f0
     "exhausted_zoom": (lambda a: 100.0 * (a - 0.05) ** 2, lambda a: 200.0 * (a - 0.05), 0.25, -10.0,
-                       {"max_iters": 3}, [1.0, 0.5, 0.25, 0.125], [], 0.0, 0.25, False),
+                       {"max_iters": 3}, [1.0, 0.5, 0.25], [], 0.0, 0.25, False),
 }
 
 

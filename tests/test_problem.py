@@ -334,6 +334,48 @@ def test_objective_result_is_a_python_float(value):
     assert type(view.record.eval_events()[0].result) is float
 
 
+@pytest.mark.parametrize("value, n", [
+    (np.array([1.5, -2.0], dtype=np.float32), 2), ([1.5, -2.0], 2), ((1.5, -2.0), 2),
+    (np.array([3, -2]), 2), (np.array([[1.5], [-2.0]]), 2), (np.float64(1.5), 1), (1.5, 1),
+], ids=["float32", "list", "tuple", "int", "column", "float64-n1", "float-n1"])
+def test_array_result_of_another_type_is_coerced(value, n):
+    """A gradient that is not a float64 array of shape (n,) reaches the solver
+    as one, with the values np.array(value, dtype=float) gives."""
+    view = ScaledView(build_problem("t", np.ones(n), obj=lambda x: 0.0, grad=lambda x: value),
+                      record=True)
+    g = view.grad(np.ones(n))
+    assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (n,)
+    assert g.tobytes() == np.array(value, dtype=float).reshape(n).tobytes()
+    assert view.record.eval_events()[0].result.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_array_result_is_copied_in_its_own_layout(order):
+    """A float64 Jacobian of the declared shape is copied as np.array copies
+    it, layout and all, so J.T @ lam sums in the order it does on the
+    callback's array; the copy outlives the callback writing into its array."""
+    rng = np.random.default_rng(5)
+    J = np.asarray(rng.standard_normal((3, 7)), order=order)
+    reused = np.zeros((3, 7), order=order)
+
+    def jac(x):
+        reused[...] = J
+        return reused
+
+    spec = build_problem("layout", np.ones(7), obj=lambda x: 0.0, con=lambda x: np.zeros(3),
+                         jac=jac, cl=np.zeros(3), cu=np.zeros(3))
+    view = ScaledView(spec)
+    x, lam = np.ones(7), rng.standard_normal(3)
+    scaled = view.jac(x)
+    raw = view._raw("jac", x)             # the memo's copy, served without a call
+    assert raw is not reused and raw.flags.f_contiguous == (order == "F")
+    assert (raw.T @ lam).tobytes() == (np.array(J, dtype=float).T @ lam).tobytes()
+    assert scaled.tobytes() == (view._jac_scale * np.array(J, dtype=float)).tobytes()
+    reused[...] = 0.0                     # the callback's array changes later
+    assert view.jac(x).tobytes() == scaled.tobytes()
+    assert view.counters.n_jac == 1
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------

@@ -92,6 +92,41 @@ def test_emit_validates_with_recording_off(values, message):
     assert len(view.record.iter_events()) == 1
 
 
+_DECLARED = {"itr": int, "obj": float, "T": float, "x": (float, (2,))}
+_DROP = object()
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"itr": True}, {"itr": np.int64(3)}, {"obj": np.float32(1.5)}, {"obj": 2},
+    {"obj": np.float64(1.5)}, {"x": [1.0, 2.0]}, {"x": np.array([1.0, 2.0], dtype=np.float32)},
+    {"x": np.asfortranarray([1.0, 2.0])}, {"x": np.zeros(3)}, {"x": np.zeros((1, 2))},
+    {"T": _DROP}, {"step": 0.5}, {"T": _DROP, "step": 0.5},
+], ids=["exact", "bool-itr", "int64-itr", "float32-obj", "int-obj", "float64-obj", "list-x",
+        "float32-x", "fortran-x", "shape-x", "2d-x", "missing", "extra", "renamed"])
+def test_emit_accepts_and_rejects_as_validate_does(change):
+    # the one-test-per-output check an emit makes first passes only what
+    # validate accepts; validate decides everything else, with its message,
+    # whether the run is recorded or not
+    values = {"itr": 3, "obj": 1.5, "T": 0.25, "x": np.array([1.0, 2.0]), **change}
+    values = {name: v for name, v in values.items() if v is not _DROP}
+    decl = recording.OutputsDecl(_DECLARED)
+    try:
+        expected = decl.validate(values)
+    except RecordError as exc:
+        expected = str(exc)
+    assert not (decl.fits(values) and isinstance(expected, str))
+    for record in (None, True):
+        ctx = context(record, rosenbrock2(), **_DECLARED)
+        if isinstance(expected, str):
+            with pytest.raises(RecordError) as info:
+                ctx.emit(**values)
+            assert str(info.value) == expected
+        elif record is None:
+            assert ctx.emit(**values) is None
+        else:
+            assert ctx.emit(**values) == IterEvent(values=expected)
+
+
 def test_unrecorded_solve_builds_no_iter_event(monkeypatch):
     def no_event(**_):
         raise AssertionError("IterEvent built for a run without a record")

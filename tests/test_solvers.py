@@ -11,8 +11,8 @@ import optkit as ok
 from optkit import Bounds, RunContext, ScaledView, build_problem
 from optkit.kit import HessianApprox
 from optkit.solvers import SOLVERS, OptionError, SolverError, direct
-from optkit.bench import (REGISTRY, bean, parse_problem_token, quadratic_example, quartic,
-                          rosenbrock2)
+from optkit.bench import (REGISTRY, bean, make_problem, parse_problem_token, quadratic_example,
+                          quartic, rosenbrock2)
 from optkit.bench.spacecraft import GIMBAL_MAX, T_MAX
 
 
@@ -899,6 +899,31 @@ def test_newton_lagrange_refuses_variable_bounds():
         ok.newton_lagrange(view)
     assert not any(view.counters.as_dict().values())
     assert view.record.eval_events() == []
+
+
+# the solvers the registry table runs on an unconstrained and a constrained
+# problem; pso and simulated_annealing need a sampling box no problem declares
+_TABLE_SOLVERS = {False: ("steepest_descent", "newton", "quasi_newton", "nelder_mead", "sqp"),
+                  True: ("newton_lagrange", "quadratic_penalty", "exact_penalty", "sqp")}
+
+
+@pytest.mark.parametrize("name, solver", [(name, solver) for name in sorted(REGISTRY)
+                                          for solver in _TABLE_SOLVERS[bool(make_problem(name).m)]])
+def test_no_converged_report_outside_the_bounds(name, solver):
+    # every registry problem at its default size and default options: a
+    # run that says converged has x* inside var_bounds and c(x*) inside
+    # con_bounds to feas_tol, measured in scaled units as the view measures
+    # them; a typed failure is a run that did not converge
+    spec = make_problem(name)
+    try:
+        report = SOLVERS[solver](spec)
+    except (SolverError, ok.EvaluationError, ok.QpError):
+        return
+    if report.converged:
+        view = ScaledView(spec)
+        xs = spec.x_scaler * report.x_star
+        assert np.max(view.var_bounds.violation(xs), initial=0.0) <= 1e-6
+        assert view.feasibility(xs) <= 1e-6
 
 
 @pytest.mark.parametrize("solver", ["sqp", "newton_lagrange"])
