@@ -575,9 +575,11 @@ class ScaledView:
         return self.spec.f_scaler * H / self._hess_den
 
     def feasibility(self, xs):
-        """Largest scaled constraint violation at a scaled iterate; 0.0 when
-        every constraint holds, and so when there are none."""
-        return float(np.max(self.con_bounds.violation(self.con(xs)), initial=0.0))
+        """Largest violation at a scaled iterate, in scaled units: of the
+        variable bounds by ``xs`` and of the constraint bounds by c(xs); 0.0
+        when every bound holds, and so when there are none."""
+        return float(max(np.max(self.var_bounds.violation(xs), initial=0.0),
+                         np.max(self.con_bounds.violation(self.con(xs)), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -688,7 +688,7 @@ def print_results(report):
         f"f*:          {report.f_star:.10g}",
         f"optimality:  {report.optimality:.6e}",
     ]
-    if report.m > 0:
+    if report.m > 0 or report.feasibility > 0.0:    # with m = 0, only a bound violation
         lines.append(f"feasibility: {report.feasibility:.6e}")
     lines.append(f"iterations:  {report.niter}")
     lines.append("evaluations: " + " ".join(f"{k[2:]}={v}" for k, v in counters.as_dict().items()))

@@ -68,11 +68,13 @@ _FINITE_NONNEGATIVE = (lambda v: np.isfinite(v) and v >= 0.0, "be finite and non
 class SolverReport:
     """Terminal state of one solve, in the user's (unscaled) units.
 
-    ``optimality`` and ``feasibility`` are the solver's scaled-space
-    convergence measures; ``multipliers`` (when present) are the constraint
-    multipliers in user units, the view's ``unscale_lam`` of the solver's,
-    under the convention L = f - lam @ (c - target), as a recorded
-    iteration's ``lam`` is.
+    ``optimality`` is the solver's scaled-space convergence measure and
+    ``feasibility`` the view's (``ScaledView.feasibility``) at x*: the
+    larger scaled violation of the variable bounds and of the constraint
+    bounds.  ``converged`` is the solver's verdict and feasibility at most
+    feas_tol.  ``multipliers`` (when present) are the constraint multipliers
+    in user units, the view's ``unscale_lam`` of the solver's, under the
+    convention L = f - lam @ (c - target), as a recorded iteration's ``lam`` is.
     """
 
     solver: str
@@ -105,7 +107,8 @@ class RunContext:
     a constrained problem raises SolverError.
     The solver then names its per-iteration outputs with
     ``declare_outputs``, reports each iteration with ``emit`` and returns
-    ``finish(...)``, the SolverReport in user units.
+    ``finish(...)``, the SolverReport in user units, whose feasibility the
+    context measures itself.
     """
 
     def __init__(self, problem, solver_name, options=None, declared=None, *,
@@ -169,20 +172,22 @@ class RunContext:
         record.events.append(event)
         return event
 
-    def finish(self, xs, fs, optimality, feasibility, niter, converged, multipliers=None):
+    def finish(self, xs, fs, optimality, niter, converged, multipliers=None):
+        """SolverReport at scaled x* and f*; feasibility is measured here (see SolverReport)."""
         view = self.view
+        feasibility = view.feasibility(xs)
         return SolverReport(
             solver=self.solver_name,
             problem=view.name,
             x_star=view.unscale_x(xs),
             f_star=view.unscale_f(fs),
             optimality=float(optimality),
-            feasibility=float(feasibility),
+            feasibility=feasibility,
             niter=int(niter),
             counters=view.counters.copy(),
             replayed=view.replayed.copy(),
             wall_time=time.perf_counter() - self.t0,
-            converged=bool(converged),
+            converged=bool(converged) and feasibility <= self.options.feas_tol,
             m=view.m,
             multipliers=None if multipliers is None else view.unscale_lam(multipliers),
         )

@@ -84,7 +84,7 @@ def newton_lagrange(problem, **options):
         f = view.obj(x)
         grad_l, J, resid = kkt_state(x, lam)
 
-    return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
+    return ctx.finish(x, f, opt, itr, converged, multipliers=lam)
 
 
 def quadratic_penalty(problem, **options):
@@ -131,7 +131,6 @@ def quadratic_penalty(problem, **options):
     schedule = list(opts.subsolver_tol_schedule)
     converged = False
     outer = 0
-    feas = view.feasibility(x)
     sub_opt = np.inf
 
     while outer < opts.maxiter:
@@ -171,8 +170,7 @@ def quadratic_penalty(problem, **options):
             raise SolverError(f"penalty parameter exceeded {RHO_CAP:g} at outer "
                               f"iteration {outer} (feasibility {feas:.3e})")
 
-    f = view.obj(x)
-    return ctx.finish(x, f, sub_opt, feas, outer, converged)
+    return ctx.finish(x, view.obj(x), sub_opt, outer, converged)
 
 
 def exact_penalty(problem, **options):
@@ -191,8 +189,7 @@ def exact_penalty(problem, **options):
 
     # Variable bounds join the penalty instead of clipping the simplex:
     # clipped vertices collapse onto active-bound hyperplanes and degenerate.
-    # One stack of the constraint rows over the variables serves the merit
-    # and the final feasibility.
+    # One stack of the constraint rows over the variables serves the merit.
     cb, xb = view.con_bounds, view.var_bounds
     stacked = Bounds(np.concatenate([cb.lower, xb.lower]), np.concatenate([cb.upper, xb.upper]))
 
@@ -207,10 +204,7 @@ def exact_penalty(problem, **options):
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
                               init_scale=opts.init_scale, on_iter=on_iter)
     x = state["x"]
-    f = view.obj(x)
-    feas = float(np.max(stacked.violation(np.concatenate([view.con(x), x]))))
-    converged = state["converged"] and feas <= opts.feas_tol
-    return ctx.finish(x, f, state["spread"], feas, state["niter"], converged)
+    return ctx.finish(x, view.obj(x), state["spread"], state["niter"], state["converged"])
 
 
 def sqp(problem, **options):
@@ -316,7 +310,7 @@ def sqp(problem, **options):
         lam, bound_mult = lam_new, mu_hat
         g, J = g_new, J_new
 
-    return ctx.finish(x, f, opt, feas, itr, converged, multipliers=lam)
+    return ctx.finish(x, f, opt, itr, converged, multipliers=lam)
 
 
 def _sqp_start_scale(d, w):

@@ -101,8 +101,7 @@ def nelder_mead(problem, **options):
     state = _nelder_mead_loop(view.obj, view.x0, view.var_bounds,
                               maxiter=opts.maxiter, opt_tol=opts.opt_tol,
                               init_scale=opts.init_scale, on_iter=on_iter)
-    return ctx.finish(state["x"], state["f"], state["spread"], 0.0,
-                      state["niter"], state["converged"])
+    return ctx.finish(state["x"], state["f"], state["spread"], state["niter"], state["converged"])
 
 
 # the random start and proposal stream, and the box they are drawn from
@@ -112,16 +111,19 @@ _SAMPLING_OPTIONS = {"seed": ((int, type(None)), None),
 
 
 def _sampling_box(view, opts):
-    lower, upper = view.var_bounds.lower, view.var_bounds.upper
-    if opts.sample_lower is not None:
-        lower = np.asarray(opts.sample_lower, dtype=float)
-    if opts.sample_upper is not None:
-        upper = np.asarray(opts.sample_upper, dtype=float)
+    """The sampling box met with the variable bounds: every point is drawn and clipped there."""
+    xb = view.var_bounds
+    lower = xb.lower if opts.sample_lower is None else np.asarray(opts.sample_lower, dtype=float)
+    upper = xb.upper if opts.sample_upper is None else np.asarray(opts.sample_upper, dtype=float)
     if lower.size != view.n or upper.size != view.n:
         raise SolverError(f"sampling box must have length n={view.n}")
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise SolverError("unbounded variables: provide finite bounds or a sampling box "
                           "(sample_lower/sample_upper)")
+    box = Bounds(lower, upper)      # a reversed box is a ProblemError
+    lower, upper = np.maximum(box.lower, xb.lower), np.minimum(box.upper, xb.upper)
+    if np.any(lower > upper):
+        raise SolverError("the sampling box does not overlap the variable bounds")
     return Bounds(lower, upper)
 
 
@@ -193,8 +195,7 @@ def pso(problem, **options):
             stall = 0
 
     improvement = window_start_f - g_best_f
-    return ctx.finish(g_best, g_best_f, improvement, 0.0, itr,
-                      converged and improvement <= opts.opt_tol)
+    return ctx.finish(g_best, g_best_f, improvement, itr, converged and improvement <= opts.opt_tol)
 
 
 def simulated_annealing(problem, **options):
@@ -271,5 +272,4 @@ def simulated_annealing(problem, **options):
             window_best = best_f
         emit(itr=k + 1, obj=best_f, T=T, x=best_x)
 
-    return ctx.finish(best_x, best_f, improvement, 0.0, k_max,
-                      improvement <= opts.opt_tol)
+    return ctx.finish(best_x, best_f, improvement, k_max, improvement <= opts.opt_tol)

@@ -111,8 +111,7 @@ def _solve(ctx, direction, ls_kind, on_step=None):
                           opt_tol=opts.opt_tol, use_line_search=opts.use_line_search,
                           alpha=opts.alpha, on_step=on_step, emit=ctx.emit,
                           refine_grad=view.central_fd_grad)
-    return ctx.finish(state["x"], state["f"], state["opt"], 0.0,
-                      state["niter"], state["converged"])
+    return ctx.finish(state["x"], state["f"], state["opt"], state["niter"], state["converged"])
 
 
 def steepest_descent(problem, **options):

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -787,3 +788,5 @@ def test_print_results_maxiter_and_unconstrained():
     text = print_results(report)
     assert "converged:   false" in text
     assert "feasibility:" not in text  # m = 0 omits the line
+    # unless x* violates a variable bound, which is why the run is unconverged
+    assert "feasibility: 2.000000e-01" in print_results(replace(report, feasibility=0.2))

@@ -902,21 +902,35 @@ def test_newton_lagrange_refuses_variable_bounds():
 
 
 # the solvers the registry table runs on an unconstrained and a constrained
-# problem; pso and simulated_annealing need a sampling box no problem declares
+# problem; pso and simulated_annealing need a sampling box no problem declares,
+# so they run only on the bound-active rosenbrock2, with box [-2, 2]^2 and seed 3
 _TABLE_SOLVERS = {False: ("steepest_descent", "newton", "quasi_newton", "nelder_mead", "sqp"),
                   True: ("newton_lagrange", "quadratic_penalty", "exact_penalty", "sqp")}
+_SAMPLED = {"seed": 3, "sample_lower": [-2.0, -2.0], "sample_upper": [2.0, 2.0]}
+_BOUND_ACTIVE = "rosenbrock2_x_ge_1.2"
 
 
-@pytest.mark.parametrize("name, solver", [(name, solver) for name in sorted(REGISTRY)
-                                          for solver in _TABLE_SOLVERS[bool(make_problem(name).m)]])
+def _bound_active_rosenbrock2():
+    # rosenbrock2 with x >= 1.2: its unconstrained minimizer (1, 1) lies
+    # outside the bounds, and its start (-1.2, 1) too
+    return replace(rosenbrock2(), var_bounds=Bounds([1.2, 1.2], [np.inf, np.inf]))
+
+
+@pytest.mark.parametrize("name, solver", [
+    *[(name, solver) for name in sorted(REGISTRY)
+      for solver in _TABLE_SOLVERS[bool(make_problem(name).m)]],
+    *[(_BOUND_ACTIVE, solver)
+      for solver in (*_TABLE_SOLVERS[False], "pso", "simulated_annealing")]])
 def test_no_converged_report_outside_the_bounds(name, solver):
-    # every registry problem at its default size and default options: a
-    # run that says converged has x* inside var_bounds and c(x*) inside
-    # con_bounds to feas_tol, measured in scaled units as the view measures
-    # them; a typed failure is a run that did not converge
-    spec = make_problem(name)
+    # every registry problem at its default size and default options, and
+    # the bound-active rosenbrock2: a run that says converged has x* inside
+    # var_bounds and c(x*) inside con_bounds to feas_tol, measured in scaled
+    # units as the view measures them; a typed failure is a run that did
+    # not converge
+    spec = _bound_active_rosenbrock2() if name == _BOUND_ACTIVE else make_problem(name)
+    options = _SAMPLED if solver in ("pso", "simulated_annealing") else {}
     try:
-        report = SOLVERS[solver](spec)
+        report = SOLVERS[solver](spec, **options)
     except (SolverError, ok.EvaluationError, ok.QpError):
         return
     if report.converged:
@@ -924,6 +938,26 @@ def test_no_converged_report_outside_the_bounds(name, solver):
         xs = spec.x_scaler * report.x_star
         assert np.max(view.var_bounds.violation(xs), initial=0.0) <= 1e-6
         assert view.feasibility(xs) <= 1e-6
+
+
+@pytest.mark.parametrize("solver", ["sqp", "quadratic_penalty", "exact_penalty"])
+@pytest.mark.parametrize("token", ["cantilever:20", "quadratic_example"])
+def test_finish_measures_feasibility_with_no_new_call(solver, token):
+    # finish asks con at x* after the last iteration; the solver asked there
+    # last, so the memo answers and no evaluation event follows.  The
+    # simplex of exact_penalty holds merits only, so when x* was not its last
+    # point it asks f(x*) itself, and finish's c(x*) is then a fresh call:
+    # the one exact_penalty made itself before finish measured feasibility
+    view = ScaledView(parse_problem_token(token), record=True)
+    report = SOLVERS[solver](view)
+    events = view.record.events
+    last_iter = max(i for i, event in enumerate(events) if isinstance(event, ok.IterEvent))
+    tail = [(event.kind, event.x.tobytes()) for event in events[last_iter + 1:]]
+    if solver == "exact_penalty" and tail:
+        x_star = report.x_star.tobytes()
+        assert tail == [("obj", x_star), ("con", x_star)]
+    else:
+        assert tail == []
 
 
 @pytest.mark.parametrize("solver", ["sqp", "newton_lagrange"])
@@ -1038,6 +1072,15 @@ def test_pso_requires_finite_box():
     report = ok.pso(spec, seed=1, sample_lower=[-1.0, -1.0], sample_upper=[1.0, 1.0],
                     maxiter=50)
     assert report.f_star < 1.0
+
+
+@pytest.mark.parametrize("solver", ["pso", "simulated_annealing"])
+def test_sampling_box_outside_the_bounds_is_refused_before_any_call(solver):
+    # the points are drawn and clipped in the box met with the bounds x >= 1.2
+    view = ScaledView(_bound_active_rosenbrock2())
+    with pytest.raises(SolverError, match="does not overlap the variable bounds"):
+        SOLVERS[solver](view, seed=3, sample_lower=[-2.0, -2.0], sample_upper=[1.0, 2.0])
+    assert view.counters == ok.EvalCounters()
 
 
 def test_pso_particles_clipped_to_one_corner_call_the_objective_once(tmp_path):

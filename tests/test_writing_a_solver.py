@@ -3,15 +3,15 @@
 The Barzilai-Borwein method below imports nothing but public ``optkit`` names,
 as the "Writing a solver" section of the README shows it.  The tests check that
 ``RunContext`` alone gives it what a shipped solver has: convergence on
-rosenbrock2, a record that replays with no live call, scaling invariance, and
-a report in user units.
+rosenbrock2, a record that replays with no live call, scaling invariance, a
+report in user units, and no converged report outside the bounds.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from optkit import RunContext, ScaledView, bench, line_search, read_record, write_record
+from optkit import Bounds, RunContext, ScaledView, bench, line_search, read_record, write_record
 
 
 def barzilai_borwein(problem, **options):
@@ -37,7 +37,7 @@ def barzilai_borwein(problem, **options):
         sy = float(s @ y)
         step = float(s @ s) / sy if sy > 0.0 else 1.0
         x, f, g = x_new, res.f_new, g_new
-    return ctx.finish(x, f, opt, 0.0, itr, opt <= opts.opt_tol)
+    return ctx.finish(x, f, opt, itr, opt <= opts.opt_tol)
 
 
 def test_barzilai_borwein_converges_on_rosenbrock2():
@@ -45,6 +45,18 @@ def test_barzilai_borwein_converges_on_rosenbrock2():
     assert report.converged
     assert report.solver == "barzilai_borwein"
     assert np.max(np.abs(report.x_star - 1.0)) <= 1e-5
+
+
+def test_barzilai_borwein_is_not_converged_outside_the_bounds():
+    # the method never reads the bounds: on rosenbrock2 with x >= 1.2 it
+    # still walks to (1, 1), and RunContext.finish, which measures the
+    # feasibility there itself, refuses to call that converged
+    spec = replace(bench.make_problem("rosenbrock2"),
+                   var_bounds=Bounds([1.2, 1.2], [np.inf, np.inf]))
+    report = barzilai_borwein(spec, maxiter=5000)
+    assert np.max(np.abs(report.x_star - 1.0)) <= 1e-5
+    assert not report.converged
+    assert report.feasibility >= 0.19
 
 
 def test_barzilai_borwein_record_replays_with_no_live_call(tmp_path):
